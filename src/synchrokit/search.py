@@ -44,6 +44,7 @@ from .pairgraph import build_pair_digraph, diameter
 from .sync import (
     EXACT_CAP,
     NOT_SYNCHRONIZING,
+    _reset_distance,
     is_synchronizing,
     pairchase_reset_word,
     reset_threshold_exact,
@@ -465,34 +466,58 @@ def _census_record(n: int, p1: _Perm, p2: _Perm, t: _Perm, expected_rt: int) -> 
     )
 
 
-def _read_census_journal(path: Path, n: int) -> tuple[set[_Perm], int, SearchRecord | None, bool]:
+def _census_header(n: int) -> str:
+    return _json_line(
+        {
+            "type": "header",
+            "format": FORMAT_VERSION,
+            "kind": "max-rt-census",
+            "config": {"n": n, "mode": SearchMode.EXHAUSTIVE.value},
+        }
+    )
+
+
+def _read_census_journal(
+    path: Path, n: int
+) -> tuple[set[_Perm], int, SearchRecord | None, bool] | None:
     """Replay an interrupted census journal.
 
     Returns the set of completed first-letter blocks, the running maximum,
-    the best record so far, and whether a final result line is present.
+    the best record so far, and whether a final result line is present; or
+    ``None`` when not even the header line is complete.  A final line cut
+    off mid-write, as after a crash, is truncated away once the complete
+    lines have been read.
     """
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete == 0:
+        if not _census_header(n).encode("ascii").startswith(data):
+            raise ValueError(f"{path} is not a census journal")
+        return None
     done: set[_Perm] = set()
     best_rt = -1
     best: SearchRecord | None = None
     finished = False
-    with path.open("r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh):
-            obj = json.loads(line)
-            kind = obj.get("type")
-            if line_no == 0:
-                if kind != "header" or obj.get("format") != FORMAT_VERSION:
-                    raise ValueError(f"{path} is not a census journal")
-                if obj.get("config", {}).get("n") != n:
-                    raise ValueError(f"{path} was produced for a different n")
-                continue
-            if kind == "block":
-                done.add(tuple(obj["p1"]))
-            elif kind == "record":
-                record = record_from_json_dict(obj)
-                best = record
-                best_rt = record.rt
-            elif kind == "result":
-                finished = True
+    for line_no, line in enumerate(data[:complete].decode("ascii").splitlines()):
+        obj = json.loads(line)
+        kind = obj.get("type")
+        if line_no == 0:
+            if kind != "header" or obj.get("format") != FORMAT_VERSION:
+                raise ValueError(f"{path} is not a census journal")
+            if obj.get("config", {}).get("n") != n:
+                raise ValueError(f"{path} was produced for a different n")
+            continue
+        if kind == "block":
+            done.add(tuple(obj["p1"]))
+        elif kind == "record":
+            record = record_from_json_dict(obj)
+            best = record
+            best_rt = record.rt
+        elif kind == "result":
+            finished = True
+    if complete < len(data):
+        with path.open("rb+") as fh:
+            fh.truncate(complete)
     return done, best_rt, best, finished
 
 
@@ -513,9 +538,11 @@ def max_reset_threshold_exhaustive(
     the run appends a JSON-lines journal — header, one line per finished
     block, one record per new maximum, and a final result line — and
     ``resume`` replays completed blocks from an existing journal instead of
-    recomputing them.
+    recomputing them; a final journal line cut off mid-write is dropped
+    and its work redone, so the resumed journal ends byte-identical to an
+    uninterrupted run's.
     """
-    cfg = SearchConfig(
+    SearchConfig(  # validates the arguments
         n=n, mode=SearchMode.EXHAUSTIVE, workers=workers,
         output_path=output_path, allow_large=allow_large,
     )
@@ -526,21 +553,16 @@ def max_reset_threshold_exhaustive(
     finished = False
     sink = None
     path = Path(output_path) if output_path is not None else None
-    if path is not None and resume and path.exists():
-        done, best_rt, best, finished = _read_census_journal(path, n)
+    replay = (
+        _read_census_journal(path, n)
+        if path is not None and resume and path.exists() else None
+    )
+    if replay is not None:
+        done, best_rt, best, finished = replay
         sink = path.open("a", encoding="ascii")
     elif path is not None:
         sink = path.open("w", encoding="ascii")
-        sink.write(
-            _json_line(
-                {
-                    "type": "header",
-                    "format": FORMAT_VERSION,
-                    "kind": "max-rt-census",
-                    "config": {"n": n, "mode": cfg.mode.value},
-                }
-            )
-        )
+        sink.write(_census_header(n))
         sink.flush()
     try:
         if not finished:
@@ -639,12 +661,14 @@ def random_rt_experiment(
     full-transition-monoid domain and therefore synchronizing; pass
     ``require_symmetric=False`` to keep unconditioned draws, of which
     roughly a ``1/n`` fraction fail to synchronize.  Up to ``exact_cap``
-    states the reset threshold is exact (subset BFS); beyond that the
-    recorded value is the pair-chase word length, an upper bound.  The
-    summary reports max/mean/99th-percentile and the fraction of
-    synchronizing samples at or below ``C * n * log2(n)`` for C in 1, 2, 4.
-    With ``output_path`` the trials and summary are written as JSON lines
-    with no timestamps, so identical configs produce identical bytes.
+    states the reset threshold is exact: the forward pass of the subset
+    BFS behind ``reset_threshold_exact`` computes the length only, with no
+    witness word.  Beyond that the recorded value is the pair-chase word
+    length, an upper bound.  The summary reports max/mean/99th-percentile
+    and the fraction of synchronizing samples at or below
+    ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the trials
+    and summary are written as JSON lines with no timestamps, so identical
+    configs produce identical bytes.
     """
     if cfg.mode is not SearchMode.RANDOM:
         raise ValueError("random_rt_experiment needs a RANDOM-mode config")
@@ -668,9 +692,7 @@ def random_rt_experiment(
         d = _census_dfa(n, p1, p2, t)
         length: int | None = None
         if n <= exact_cap:
-            result = reset_threshold_exact(d, cap=n)
-            if result is not NOT_SYNCHRONIZING:
-                length = result[0]
+            length = _reset_distance(d)
         elif is_synchronizing(d):
             length = pairchase_reset_word(d).length
         if length is not None:

@@ -95,14 +95,76 @@ def _byte_tables(t: Transformation) -> list[list[int]]:
     return tables
 
 
+def _letter_tables(d: Dfa) -> np.ndarray:
+    """``tables[b, a, v]``: the image under letter a of byte b's bit set v."""
+    per_letter = [_byte_tables(t) for t in d.transformations()]
+    tables = np.zeros((len(per_letter[0]), d.m, 256), dtype=np.uint32)
+    for a, byte_tables in enumerate(per_letter):
+        for b, table in enumerate(byte_tables):
+            tables[b, a, : len(table)] = table
+    return tables
+
+
+def _images(tables: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Images of every subset under every letter, shape (letters, subsets)."""
+    img = tables[0][:, subsets & 0xFF]
+    for b in range(1, len(tables)):
+        img |= tables[b][:, (subsets >> (8 * b)) & 0xFF]
+    return img
+
+
+def _forward_bfs(
+    tables: np.ndarray, n: int
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """Level-synchronous subset BFS from the full set.
+
+    Returns the sorted levels up to the first one holding a singleton, and
+    ``dist`` with level + 1 for every visited subset (0 for unvisited), or
+    ``None`` when no singleton is reachable.  Levels past 0xFFFE share the
+    last ``uint16`` value; only non-synchronizing automata get that deep,
+    since a shortest reset word has at most (n^3 - n) / 6 letters.
+    """
+    full = (1 << n) - 1
+    dist = np.zeros(1 << n, dtype=np.uint16)
+    dist[full] = 1
+    frontier = np.array([full], dtype=np.uint32)
+    levels = [frontier]
+    while not np.any((frontier & (frontier - 1)) == 0):
+        img = _images(tables, frontier).ravel()
+        fresh = np.sort(img[dist[img] == 0])
+        if fresh.size == 0:
+            return None
+        # np.sort plus a neighbour test: np.unique is an order of magnitude
+        # slower on these arrays under numpy 2.4
+        frontier = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+        dist[frontier] = min(len(levels) + 1, 0xFFFF)
+        levels.append(frontier)
+    return levels, dist
+
+
+def _reset_distance(d: Dfa) -> int | None:
+    """Length of a shortest reset word, or ``None`` if there is none."""
+    bfs = _forward_bfs(_letter_tables(d), d.n)
+    return None if bfs is None else len(bfs[0]) - 1
+
+
 def reset_threshold_exact(
     d: Dfa, cap: int = EXACT_CAP
 ) -> tuple[int, Word] | _NotSynchronizing:
-    """Exact reset threshold by BFS over subsets reachable from the full set.
+    """Exact reset threshold by level-synchronous BFS over state subsets.
 
     Returns ``(rt, word)`` where ``word`` is the lexicographically least
     shortest reset word under the letter order, or ``NOT_SYNCHRONIZING``
     when no singleton subset is reachable.
+
+    The forward pass maps whole numpy frontiers under every letter through
+    per-byte image tables, level by level from the full set, until a level
+    holds a singleton.  The witness comes from a backward sweep: a subset
+    is good if it is a singleton on the last level or some letter maps it
+    to a good subset on the next level; the word then follows, from the
+    full set, the least letter leading to a good subset one level further.
+    Memory is about 3 bytes per subset of the 2^n (a ``uint16`` distance
+    array and a good-flag array) plus 4 bytes per visited subset.
 
     Raises:
         ValueError: if ``d.n`` exceeds ``cap``; use pairchase_reset_word or
@@ -113,38 +175,31 @@ def reset_threshold_exact(
             f"exact subset search over {d.n} states exceeds the cap of {cap}; "
             "use pairchase_reset_word or extension_reset_word instead"
         )
-    if d.n == 1:
-        return 0, Word(())
-    tables = [_byte_tables(t) for t in d.transformations()]
-    shift = [8 * b for b in range(len(tables[0]))]
-    full = (1 << d.n) - 1
-    # BFS with letters tried in index order discovers every subset along the
-    # lexicographically least of its shortest paths, so the first singleton
-    # discovered yields the canonical witness.
-    parent: dict[int, tuple[int, int] | None] = {full: None}
-    queue = deque([full])
-    while queue:
-        mask = queue.popleft()
-        for letter, tabs in enumerate(tables):
-            image = 0
-            for b, table in enumerate(tabs):
-                image |= table[(mask >> shift[b]) & 0xFF]
-            if image in parent:
-                continue
-            parent[image] = (mask, letter)
-            if image & (image - 1) == 0:
-                letters: list[int] = []
-                cur = image
-                while True:
-                    step = parent[cur]
-                    if step is None:
-                        break
-                    cur, letter_idx = step
-                    letters.append(letter_idx)
-                letters.reverse()
-                return len(letters), Word(tuple(letters))
-            queue.append(image)
-    return NOT_SYNCHRONIZING
+    tables = _letter_tables(d)
+    bfs = _forward_bfs(tables, d.n)
+    if bfs is None:
+        return NOT_SYNCHRONIZING
+    levels, dist = bfs
+    rt = len(levels) - 1
+    # Images of a level-k subset lie on levels <= k + 1, and good subsets on
+    # levels > k are all marked before level k is swept, so a good image
+    # found here is always on level k + 1.
+    good = np.zeros(1 << d.n, dtype=bool)
+    last = levels[rt]
+    good[last[(last & (last - 1)) == 0]] = True
+    for k in range(rt - 1, -1, -1):
+        level = levels[k]
+        good[level[good[_images(tables, level)].any(axis=0)]] = True
+    # Walking forward, a good image may also sit on an earlier level; only
+    # one on the next level continues a shortest word.
+    letters: list[int] = []
+    current = levels[0]
+    for k in range(rt):
+        img = _images(tables, current)[:, 0]
+        letter = int(np.argmax(good[img] & (dist[img] == k + 2)))
+        letters.append(letter)
+        current = img[letter : letter + 1]
+    return rt, Word(tuple(letters))
 
 
 def _merge_distances(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -173,6 +174,41 @@ class TestExhaustiveCensus:
         resumed = max_reset_threshold_exhaustive(4, output_path=path, resume=True)
         assert resumed[0] == first[0] and resumed[1] == first[1]
         assert summarize_results(path)["complete"]
+
+    def test_clean_journal_bytes_are_frozen(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(4, output_path=path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "1afaea8187d8adf578401622c3ab06f6e761907be7808f08a21021f6ce8862d9"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_after_torn_line(self, tmp_path, workers):
+        clean = tmp_path / "clean.jsonl"
+        max_reset_threshold_exhaustive(4, output_path=clean)
+        data = clean.read_bytes()
+        starts = [0] + [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+        ends = starts[1:] + [len(data)]
+        # a cut in the middle of every line: header, records, blocks, result
+        cuts = [(s + e) // 2 for s, e in zip(starts, ends)]
+        # and a cut between a new-maximum record and the block line after it
+        cuts += [e for s, e in zip(starts, ends) if data[s:e].startswith(b'{"config"')]
+        if workers > 1:
+            cuts = cuts[:: len(cuts) // 3]
+        path = tmp_path / "torn.jsonl"
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            max_rt, record = max_reset_threshold_exhaustive(
+                4, output_path=path, resume=True, workers=workers
+            )
+            assert max_rt == 8 and record.rt == 8
+            assert path.read_bytes() == data, f"cut at byte {cut}"
+
+    def test_resume_refuses_foreign_file(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"not a journal")
+        with pytest.raises(ValueError):
+            max_reset_threshold_exhaustive(4, output_path=path, resume=True)
+        assert path.read_bytes() == b"not a journal"
 
     def test_no_resume_overwrites(self, tmp_path):
         path = tmp_path / "census.jsonl"
