@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .core import Dfa, dfa_to_json_dict, format_dfa_text, loads_dfa
 from .families import build_family, cb, f
-from .monoid import generates_symmetric_group, has_full_transition_monoid
+from .monoid import generates_symmetric_group
 from .pairgraph import (
     build_pair_digraph,
     diameter,
@@ -212,14 +212,16 @@ def _cmd_monoid_check(args: argparse.Namespace) -> int:
     d = _load_input(args)
     perm_letters = d.permutation_letters()
     perms = [d.transformation(i) for i in perm_letters]
+    rank_letters = d.rank_n_minus_one_letters()
     names = d.letter_names()
     generates = bool(perms) and generates_symmetric_group(perms, d.n)
-    full = has_full_transition_monoid(d)
+    # has_full_transition_monoid's criterion, reusing the group test above
+    full = d.n == 1 or (generates and bool(rank_letters))
     _print_json(
         {
             "n": d.n,
             "permutation_letters": [names[i] for i in perm_letters],
-            "rank_n_minus_one_letters": [names[i] for i in d.rank_n_minus_one_letters()],
+            "rank_n_minus_one_letters": [names[i] for i in rank_letters],
             "permutations_generate_symmetric_group": generates,
             "full_transition_monoid": full,
         }

@@ -1,25 +1,44 @@
 """Transition-monoid machinery: group order, closure, and structural tests.
 
-The deciding criterion used by :func:`has_full_transition_monoid` is that the
-permutation letters generate the full symmetric group and some letter has
-rank ``n - 1``.  Group orders come from a stabilizer chain; a brute-force
-closure (:func:`monoid_closure_size`) provides an independent route for small
-``n`` and doubles as the test oracle.
+:func:`has_full_transition_monoid` asks for a letter of rank ``n - 1`` and
+permutation letters generating the symmetric group.  Every symmetric-group
+question goes through one recognizer, :func:`_generates_symmetric`, whose
+steps run in order until one settles the answer: (1) transitivity; (2) some
+generator is odd, else the group lies in ``A_n``; (3) for ``n <= 6``, the
+stabilizer-chain order against ``n!``; (4) 2-transitivity; (5) a seeded
+walk over generator products looking for a *Jordan element*, one with
+exactly one cycle length divisible by a prime ``p <= n - 3``, that cycle of
+length exactly ``p``; (6) the chain order once the walk runs out of steps.
+
+Every answer is exact.  ``True`` needs a chain order of ``n!`` or a Jordan
+element, some power of which is a ``p``-cycle: by Jordan's theorem a
+primitive (here 2-transitive) group holding such a cycle contains ``A_n``,
+so ``S_n`` given the odd generator.  ``False`` needs a failed check of
+steps 1, 2 or 4 or a chain order below ``n!``.  Up to six points the chain
+is the cheaper route, because proper 2-transitive groups such as AGL(1, 5)
+have no Jordan element and spend the whole walk before the fallback.
+
+A brute-force closure (:func:`monoid_closure_size`) provides an independent
+route for small ``n`` and doubles as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterable, Sequence
 
 from .core import Dfa, Transformation
 
 _Perm = tuple[int, ...]
 
+#: Products the Jordan-element walk tries before the chain fallback.
+_WALK_STEPS = 2048
+
 
 def _mul(p: _Perm, q: _Perm) -> _Perm:
     """Apply ``p`` first, then ``q``."""
-    return tuple(q[x] for x in p)
+    return tuple([q[x] for x in p])
 
 
 def _inv(p: _Perm) -> _Perm:
@@ -27,6 +46,23 @@ def _inv(p: _Perm) -> _Perm:
     for i, x in enumerate(p):
         out[x] = i
     return tuple(out)
+
+
+def cycle_lengths(p: Sequence[int]) -> list[int]:
+    """Lengths of the cycles of a permutation, in order of least element."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        size = 0
+        q = start
+        while not seen[q]:
+            seen[q] = True
+            q = p[q]
+            size += 1
+        lengths.append(size)
+    return lengths
 
 
 class PermutationGroup:
@@ -49,10 +85,10 @@ class PermutationGroup:
             if images != self._identity and images not in gens:
                 gens.append(images)
         # Per level: base point, generators fixing all earlier base points,
-        # and the transversal orbit -> coset representative.
+        # and the transversal orbit -> (coset representative, its inverse).
         self._base: list[int] = []
         self._gens: list[list[_Perm]] = []
-        self._orbits: list[dict[int, _Perm]] = []
+        self._orbits: list[dict[int, tuple[_Perm, _Perm]]] = []
         if gens:
             self._base.append(min(x for g in gens for x in range(n) if g[x] != x))
             self._gens.append(list(gens))
@@ -61,15 +97,15 @@ class PermutationGroup:
 
     def _recompute_orbit(self, level: int) -> None:
         b = self._base[level]
-        orbit = {b: self._identity}
+        orbit = {b: (self._identity, self._identity)}
         queue = [b]
-        while queue:
-            p = queue.pop(0)
-            up = orbit[p]
+        for p in queue:  # the queue grows while it is walked
+            up = orbit[p][0]
             for s in self._gens[level]:
                 q = s[p]
                 if q not in orbit:
-                    orbit[q] = _mul(up, s)
+                    rep = _mul(up, s)
+                    orbit[q] = (rep, _inv(rep))
                     queue.append(q)
         self._orbits[level] = orbit
 
@@ -81,7 +117,7 @@ class PermutationGroup:
             rep = self._orbits[j].get(p)
             if rep is None:
                 return h, j
-            h = _mul(h, _inv(rep))
+            h = _mul(h, rep[1])
             if h == self._identity:
                 return h, j
         return h, len(self._base)
@@ -94,10 +130,9 @@ class PermutationGroup:
             orbit_points = sorted(self._orbits[i])
             reps = self._orbits[i]
             for p in orbit_points:
-                up = reps[p]
+                up = reps[p][0]
                 for s in self._gens[i]:
-                    target = reps[s[p]]
-                    schreier = _mul(_mul(up, s), _inv(target))
+                    schreier = _mul(_mul(up, s), reps[s[p]][1])
                     if schreier == self._identity:
                         continue
                     residue, j = self._strip(schreier, i + 1)
@@ -134,22 +169,7 @@ class PermutationGroup:
         return residue == self._identity
 
 
-def generates_symmetric_group(perms: Sequence[Transformation], n: int) -> bool:
-    """Do the given permutations generate the full symmetric group?"""
-    for t in perms:
-        if t.n != n:
-            raise ValueError("permutation size mismatch")
-        if not t.is_permutation():
-            raise ValueError(f"{t.images!r} is not a permutation")
-    if n == 1:
-        return True
-    return PermutationGroup(n, perms).order() == math.factorial(n)
-
-
-def is_two_transitive(perms: Sequence[Transformation], n: int) -> bool:
-    """Is the generated group transitive on ordered pairs of distinct states?"""
-    if n < 2:
-        raise ValueError("2-transitivity needs at least two states")
+def _permutation_images(perms: Sequence[Transformation], n: int) -> list[_Perm]:
     images = []
     for t in perms:
         if t.n != n:
@@ -157,32 +177,105 @@ def is_two_transitive(perms: Sequence[Transformation], n: int) -> bool:
         if not t.is_permutation():
             raise ValueError(f"{t.images!r} is not a permutation")
         images.append(t.images)
-    start = (0, 1)
-    seen = {start}
-    queue = [start]
-    while queue:
-        u, v = queue.pop(0)
-        for g in images:
-            nxt = (g[u], g[v])
-            if nxt not in seen:
-                seen.add(nxt)
+    return images
+
+
+def _is_transitive(gens: Sequence[_Perm], n: int) -> bool:
+    seen = bytearray(n)
+    seen[0] = 1
+    queue = [0]
+    for q in queue:  # the queue grows while it is walked
+        for g in gens:
+            r = g[q]
+            if not seen[r]:
+                seen[r] = 1
+                queue.append(r)
+    return len(queue) == n
+
+
+def _is_two_transitive(gens: Sequence[_Perm], n: int) -> bool:
+    """Breadth-first orbit of the pair (0, 1), coded as ``u * n + v``."""
+    seen = bytearray(n * n)
+    seen[1] = 1
+    queue = [1]
+    for code in queue:  # the queue grows while it is walked
+        u, v = divmod(code, n)
+        for g in gens:
+            nxt = g[u] * n + g[v]
+            if not seen[nxt]:
+                seen[nxt] = 1
                 queue.append(nxt)
-    return len(seen) == n * (n - 1)
+    return len(queue) == n * (n - 1)
+
+
+def _jordan_test(gens: Sequence[_Perm], n: int) -> bool:
+    """Steps 4-6 of the recognizer, for generators of which one is odd.
+
+    Rejects a group that is not 2-transitive, accepts once the walk reaches
+    a Jordan element, and otherwise decides by the chain order.
+    """
+    if not _is_two_transitive(gens, n):
+        return False
+    primes = {p for p in range(2, n - 2) if all(p % d for d in range(2, math.isqrt(p) + 1))}
+    if primes:
+        steps = random.Random(0x5EED + n)
+        x = gens[0]
+        for _ in range(_WALK_STEPS):
+            lengths = cycle_lengths(x)
+            for p in primes.intersection(lengths):
+                if sum(1 for size in lengths if size % p == 0) == 1:
+                    return True
+            x = _mul(x, steps.choice(gens))
+    return PermutationGroup(n, gens).order() == math.factorial(n)
+
+
+def _generates_symmetric(gens: Sequence[_Perm], n: int) -> bool:
+    """The recognizer of the module docstring, on image tuples trusted to be
+    permutations of ``0..n-1``."""
+    if n == 1:
+        return True
+    if not _is_transitive(gens, n) or not any((n - len(cycle_lengths(g))) % 2 for g in gens):
+        return False
+    if n <= 6:
+        return PermutationGroup(n, gens).order() == math.factorial(n)
+    return _jordan_test(gens, n)
+
+
+def generates_symmetric_group(perms: Sequence[Transformation], n: int) -> bool:
+    """Do the given permutations generate the full symmetric group?
+
+    Exact for any number of generators: after transitivity and parity, the
+    chain order decides up to six points, and beyond that a 2-transitive
+    group passes once a walk finds a Jordan element, with the chain order
+    as the fallback (steps and proof in the module docstring).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _generates_symmetric(_permutation_images(perms, n), n)
+
+
+def is_two_transitive(perms: Sequence[Transformation], n: int) -> bool:
+    """Is the generated group transitive on ordered pairs of distinct states?"""
+    if n < 2:
+        raise ValueError("2-transitivity needs at least two states")
+    return _is_two_transitive(_permutation_images(perms, n), n)
 
 
 def has_full_transition_monoid(d: Dfa) -> bool:
     """True iff the letters generate every transformation of the state set.
 
-    Criterion: the permutation letters generate the symmetric group and some
-    letter has rank ``n - 1``.  The single-state automaton is trivially full.
+    Criterion: some letter has rank ``n - 1`` and the permutation letters
+    generate the symmetric group, decided exactly by the recognizer behind
+    :func:`generates_symmetric_group` (the chain order up to six states, a
+    Jordan-element walk with the chain as fallback beyond).  The
+    single-state automaton is trivially full.
     """
     n = d.n
     if n == 1:
         return True
     if not any(t.rank() == n - 1 for _, t in d.letters):
         return False
-    perms = [t for _, t in d.letters if t.is_permutation()]
-    return generates_symmetric_group(perms, n)
+    return _generates_symmetric([t.images for _, t in d.letters if t.is_permutation()], n)
 
 
 def monoid_closure_size(transformations: Sequence[Transformation], limit: int | None = None) -> int:

@@ -39,7 +39,7 @@ from .core import (
     dfa_from_json_dict,
     dfa_to_json_dict,
 )
-from .monoid import PermutationGroup, is_two_transitive
+from .monoid import _generates_symmetric, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
     EXACT_CAP,
@@ -280,91 +280,6 @@ def _exact_rt(tables: Sequence[list[int]], n: int) -> int | None:
     return None
 
 
-def _joint_orbit_covers(p1: _Perm, p2: _Perm, n: int) -> bool:
-    seen = 1
-    count = 1
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for p in (p1, p2):
-            r = p[q]
-            bit = 1 << r
-            if not seen & bit:
-                seen |= bit
-                count += 1
-                stack.append(r)
-    return count == n
-
-
-def _generates_symmetric(p1: _Perm, p2: _Perm, n: int) -> bool:
-    if not _joint_orbit_covers(p1, p2, n):
-        return False
-    if n <= 12:
-        return PermutationGroup(n, [p1, p2]).order() == math.factorial(n)
-    return _generates_symmetric_large(p1, p2, n)
-
-
-def _cycle_lengths(p: _Perm) -> list[int]:
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        size = 0
-        q = start
-        while not seen[q]:
-            seen[q] = True
-            q = p[q]
-            size += 1
-        lengths.append(size)
-    return lengths
-
-
-def _is_odd(p: _Perm) -> bool:
-    return (len(p) - len(_cycle_lengths(p))) % 2 == 1
-
-
-def _primes_up_to(limit: int) -> list[int]:
-    sieve = bytearray(b"\x01") * (limit + 1)
-    out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, limit + 1, p):
-                sieve[q] = 0
-    return out
-
-
-def _generates_symmetric_large(p1: _Perm, p2: _Perm, n: int) -> bool:
-    """Exact symmetric-group test that avoids a full stabilizer chain.
-
-    A transitive group below the alternating group (both generators even)
-    or failing 2-transitivity is rejected outright.  Otherwise a
-    deterministic walk over generator products looks for an element with
-    exactly one cycle of length divisible by some prime ``p <= n - 3``,
-    that cycle having length exactly ``p``: a suitable power of it is then
-    a ``p``-cycle, which inside a 2-transitive group forces the whole
-    alternating group, hence the symmetric group once a generator is odd.
-    Groups that exhaust the walk fall back to the stabilizer-chain order.
-    """
-    if not (_is_odd(p1) or _is_odd(p2)):
-        return False
-    if not is_two_transitive([Transformation(p1), Transformation(p2)], n):
-        return False
-    primes = _primes_up_to(n - 3)
-    steps = random.Random(0x5EED + n)
-    x = p1
-    for _ in range(2048):
-        lengths = _cycle_lengths(x)
-        for p in primes:
-            divisible = [size for size in lengths if size % p == 0]
-            if divisible == [p]:
-                return True
-        step = p1 if steps.random() < 0.5 else p2
-        x = tuple(step[q] for q in x)
-    return PermutationGroup(n, [p1, p2]).order() == math.factorial(n)
-
-
 @lru_cache(maxsize=4)
 def _census_context(
     n: int,
@@ -423,7 +338,7 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, int, _Perm | Non
         dead, sensitive = _pair_symmetry(p1, p2, residual)
         if dead:
             continue
-        if not _generates_symmetric(p1, p2, n):
+        if not _generates_symmetric((p1, p2), n):
             continue
         table2 = _mask_table(p2, n)
         for t, table3 in rank_tables:
@@ -663,10 +578,11 @@ def random_rt_experiment(
     roughly a ``1/n`` fraction fail to synchronize.  Up to ``exact_cap``
     states the reset threshold is exact: the forward pass of the subset
     BFS behind ``reset_threshold_exact`` computes the length only, with no
-    witness word.  Beyond that the recorded value is the pair-chase word
-    length, an upper bound.  The summary reports max/mean/99th-percentile
-    and the fraction of synchronizing samples at or below
-    ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the trials
+    witness word; like that function it raises ``ValueError`` past 32
+    states, whatever ``exact_cap`` says.  Beyond that the recorded value is
+    the pair-chase word length, an upper bound.  The summary reports
+    max/mean/99th-percentile and the fraction of synchronizing samples at
+    or below ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the trials
     and summary are written as JSON lines with no timestamps, so identical
     configs produce identical bytes.
     """
@@ -679,7 +595,7 @@ def random_rt_experiment(
     for _ in range(cfg.trials):
         p1 = _sampled_permutation(rng, n)
         p2 = _sampled_permutation(rng, n)
-        while require_symmetric and not _generates_symmetric(p1, p2, n):
+        while require_symmetric and not _generates_symmetric((p1, p2), n):
             resampled += 1
             p1 = _sampled_permutation(rng, n)
             p2 = _sampled_permutation(rng, n)
@@ -774,22 +690,6 @@ def _pair_dfa(n: int, p1: _Perm, p2: _Perm) -> Dfa:
     return Dfa(n, (("a", Transformation(p1)), ("b", Transformation(p2))))
 
 
-def _cycle_type(p: _Perm) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        size = 0
-        q = start
-        while not seen[q]:
-            seen[q] = True
-            q = p[q]
-            size += 1
-        lengths.append(size)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm], list[tuple[_Perm, _Perm]]]]:
     """Conjugacy classes of all ``n``-state permutations.
 
@@ -799,7 +699,7 @@ def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm], list[tuple[_Per
     """
     members: dict[tuple[int, ...], list[_Perm]] = {}
     for p in itertools.permutations(range(n)):
-        members.setdefault(_cycle_type(p), []).append(p)
+        members.setdefault(tuple(sorted(cycle_lengths(p), reverse=True)), []).append(p)
     out = []
     for group in members.values():
         group.sort()

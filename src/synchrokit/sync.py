@@ -97,6 +97,8 @@ def _byte_tables(t: Transformation) -> list[list[int]]:
 
 def _letter_tables(d: Dfa) -> np.ndarray:
     """``tables[b, a, v]``: the image under letter a of byte b's bit set v."""
+    if d.n > 32:  # subsets are uint32 masks; refuse before allocating
+        raise ValueError(f"exact subset search handles at most 32 states, not {d.n}")
     per_letter = [_byte_tables(t) for t in d.transformations()]
     tables = np.zeros((len(per_letter[0]), d.m, 256), dtype=np.uint32)
     for a, byte_tables in enumerate(per_letter):
@@ -167,8 +169,9 @@ def reset_threshold_exact(
     array and a good-flag array) plus 4 bytes per visited subset.
 
     Raises:
-        ValueError: if ``d.n`` exceeds ``cap``; use pairchase_reset_word or
-            extension_reset_word on larger inputs.
+        ValueError: if ``d.n`` exceeds ``cap`` or 32 (the subset masks are
+            ``uint32``); use pairchase_reset_word or extension_reset_word on
+            larger inputs.
     """
     if d.n > cap:
         raise ValueError(

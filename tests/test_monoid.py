@@ -1,13 +1,17 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny, f, rystsov, v
+from synchrokit import monoid
 from synchrokit.monoid import (
     PermutationGroup,
+    cycle_lengths,
     generates_symmetric_group,
     has_full_transition_monoid,
     is_two_transitive,
@@ -106,6 +110,96 @@ class TestGeneratesSymmetricGroup:
             generates_symmetric_group([Transformation((0, 1))], 3)
 
 
+def _is_symmetric_by_chain(gens, n):
+    return PermutationGroup(n, gens).order() == math.factorial(n)
+
+
+def _is_odd(p):
+    return (len(p) - len(cycle_lengths(p))) % 2 == 1
+
+
+def _spy_on_the_chain(monkeypatch):
+    """Record the size of every stabilizer chain the recognizer builds."""
+    calls = []
+
+    class Spy(PermutationGroup):
+        def __init__(self, n, generators):
+            calls.append(n)
+            super().__init__(n, generators)
+
+    monkeypatch.setattr(monoid, "PermutationGroup", Spy)
+    return calls
+
+
+# AGL(1, 5) and PGL(2, 5) (on the projective line 0..4 plus infinity = 5) are
+# proper 2-transitive groups with an odd generator and no Jordan element.
+AGL_1_5 = ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3))
+PGL_2_5 = ((1, 2, 3, 4, 0, 5), (0, 2, 4, 1, 3, 5), (5, 4, 2, 3, 1, 0))
+# AGL(1, 7): x -> x + 1 and x -> 3x, the latter a 6-cycle
+AGL_1_7 = ((1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4))
+
+
+class TestJordanBranch:
+    """The walk-then-chain branch against the chain alone.
+
+    The branch's precondition is an odd generator; pairs without one are
+    checked to lie outside the symmetric group.  Its answer never depends on
+    the walk budget, so a short one keeps the proper 2-transitive groups,
+    which have no Jordan element, from each spending the default 2048 steps
+    before the fallback.
+    """
+
+    def _agrees(self, pairs, n):
+        for p1, p2 in pairs:
+            expected = _is_symmetric_by_chain((p1, p2), n)
+            if _is_odd(p1) or _is_odd(p2):
+                assert monoid._jordan_test((p1, p2), n) == expected, (p1, p2)
+            else:
+                assert not expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_pair(self, monkeypatch, n):
+        monkeypatch.setattr(monoid, "_WALK_STEPS", 64)
+        perms = list(itertools.permutations(range(n)))
+        self._agrees(itertools.product(perms, repeat=2), n)
+
+    def test_six_points_from_each_conjugacy_class(self, monkeypatch):
+        monkeypatch.setattr(monoid, "_WALK_STEPS", 64)
+        perms = list(itertools.permutations(range(6)))
+        least = {}
+        for p in perms:
+            least.setdefault(tuple(sorted(cycle_lengths(p), reverse=True)), p)
+        assert len(least) == 11
+        self._agrees(((p1, p2) for p1 in least.values() for p2 in perms), 6)
+
+    @pytest.mark.parametrize(
+        "gens", [AGL_1_5, PGL_2_5, AGL_1_7], ids=["AGL(1,5)", "PGL(2,5)", "AGL(1,7)"]
+    )
+    def test_proper_two_transitive_group_falls_back_to_the_chain(self, monkeypatch, gens):
+        n = len(gens[0])
+        assert is_two_transitive([Transformation(g) for g in gens], n)
+        assert any(_is_odd(g) for g in gens)
+        calls = _spy_on_the_chain(monkeypatch)
+        assert not monoid._jordan_test(gens, n)
+        assert calls == [n]
+
+    def test_proper_two_transitive_group_through_the_public_test(self, monkeypatch):
+        calls = _spy_on_the_chain(monkeypatch)
+        assert not generates_symmetric_group([Transformation(g) for g in AGL_1_7], 7)
+        assert calls == [7]
+        assert PermutationGroup(7, AGL_1_7).order() == 42
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_seven_to_fourteen_points_agree_with_the_chain(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        r = random.Random(seed)
+        n = r.randint(7, 14)
+        perms = [random_permutation(r, n) for _ in range(r.randint(1, 4))]
+        expected = _is_symmetric_by_chain(perms, n)
+        assert generates_symmetric_group(perms, n) == expected
+
+
 class TestIsTwoTransitive:
     def test_symmetric_group_is_two_transitive(self):
         gens = [Transformation((1, 0, 2, 3, 4)), Transformation((1, 2, 3, 4, 0))]
@@ -137,6 +231,14 @@ class TestHasFullTransitionMonoid:
         assert not has_full_transition_monoid(cerny(5))
         assert not has_full_transition_monoid(rystsov(5))
         assert not has_full_transition_monoid(f(7))
+
+    def test_merge_family_at_sixty_states_is_fast(self, monkeypatch):
+        d = v(60)
+        calls = _spy_on_the_chain(monkeypatch)
+        start = time.perf_counter()
+        assert has_full_transition_monoid(d)
+        assert time.perf_counter() - start < 1.0
+        assert calls == []  # settled by a Jordan element, not the chain
 
     def test_single_state_is_full(self):
         assert has_full_transition_monoid(Dfa(1, (("a", Transformation((0,))),)))

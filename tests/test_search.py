@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
-from synchrokit.monoid import PermutationGroup
+from synchrokit.monoid import PermutationGroup, generates_symmetric_group
 from synchrokit.search import (
     EXHAUSTIVE_STATE_CAP,
     PAIR_DIAMETER_CAP,
@@ -23,7 +23,6 @@ from synchrokit.search import (
     record_to_json_dict,
     summarize_results,
 )
-from synchrokit.search import _generates_symmetric
 from synchrokit.sync import NOT_SYNCHRONIZING, reset_threshold_exact
 
 from conftest import random_dfa, random_permutation
@@ -284,6 +283,13 @@ class TestRandomExperiment:
         assert summary["synchronizing"] == 4
         assert summary["max"] < 4 * 30 * math.ceil(math.log2(30))
 
+    def test_exact_cap_past_32_states_is_a_value_error(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        cfg = SearchConfig(n=33, mode=SearchMode.RANDOM, trials=1, seed=3, output_path=out)
+        with pytest.raises(ValueError, match="at most 32 states"):
+            random_rt_experiment(cfg, exact_cap=40)
+        assert not out.exists()
+
     def test_summarize_matches_run(self, tmp_path):
         out = tmp_path / "run.jsonl"
         cfg = SearchConfig(n=8, mode=SearchMode.RANDOM, trials=15, seed=2, output_path=out)
@@ -332,7 +338,7 @@ def test_symmetric_group_recognizer_agrees_with_the_chain(data):
     p1 = tuple(random_permutation(r, n).images)
     p2 = tuple(random_permutation(r, n).images)
     expected = PermutationGroup(n, [p1, p2]).order() == math.factorial(n)
-    assert _generates_symmetric(p1, p2, n) == expected
+    assert generates_symmetric_group([Transformation(p1), Transformation(p2)], n) == expected
 
 
 @settings(max_examples=20)

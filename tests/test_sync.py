@@ -59,6 +59,10 @@ class TestResetThresholdExact:
         # explicit cap overrides the default
         assert reset_threshold_exact(cerny(12), cap=12)[0] == 121
 
+    def test_more_than_32_states_is_a_value_error_whatever_the_cap(self):
+        with pytest.raises(ValueError, match="at most 32 states"):
+            reset_threshold_exact(cerny(33), cap=40)
+
     def test_single_state(self):
         d = Dfa(1, (("a", Transformation((0,))),))
         rt, word = reset_threshold_exact(d)
