@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import Dfa, dfa_to_json_dict, format_dfa_text, loads_dfa
-from .families import build_family, cb, f
+from .families import FAMILY_CODES, build_family, cb, f
 from .monoid import generates_symmetric_group
 from .pairgraph import (
     build_pair_digraph,
@@ -44,8 +44,6 @@ from .sync import (
     pairchase_reset_word,
     reset_threshold_exact,
 )
-
-_FAMILIES = ("cerny", "cb", "v", "rystsov", "f")
 
 
 class _UsageError(Exception):
@@ -109,7 +107,7 @@ def _load_input(args: argparse.Namespace) -> Dfa:
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", nargs="?", help="automaton file (text or JSON), '-' for stdin")
-    sub.add_argument("--family", choices=_FAMILIES, help="generate the input instead")
+    sub.add_argument("--family", choices=FAMILY_CODES, help="generate the input instead")
     sub.add_argument("--n", type=int, help="state count for --family")
     sub.add_argument("--k", type=int, default=1, help="second parameter of the cb family")
 
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     gen = commands.add_parser("gen", help="emit a benchmark family automaton")
-    gen.add_argument("--family", choices=_FAMILIES, required=True)
+    gen.add_argument("--family", choices=FAMILY_CODES, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=1)
     gen.add_argument("--format", choices=("text", "json"), default="text")
@@ -446,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(handler=_cmd_pair_diam)
 
     cert = commands.add_parser("certify", help="verify the descent certificate and its tightness")
-    cert.add_argument("--family", choices=_FAMILIES, required=True)
+    cert.add_argument("--family", choices=FAMILY_CODES, required=True)
     cert.add_argument("--n", type=int)
     cert.set_defaults(handler=_cmd_certify)
 

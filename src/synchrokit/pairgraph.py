@@ -76,30 +76,44 @@ def build_pair_digraph(d: Dfa) -> PairDigraph:
     )
 
 
-def _bfs(p: PairDigraph, source: int) -> tuple[list[int], list[tuple[int, int] | None]]:
-    """Distances and (parent vertex, letter slot) pointers from one vertex."""
-    dist = [-1] * p.num_vertices
-    parent: list[tuple[int, int] | None] = [None] * p.num_vertices
+def _bfs(adj, source: int) -> tuple[list[int], list[int]]:
+    """Distances and parent vertices (-1 where none) from one vertex.
+
+    ``adj[v]`` lists the neighbours of ``v``: ``PairDigraph.succ`` for the
+    forward direction, the lists of :func:`_predecessors` for the backward
+    one.  Neighbours are tried in slot order, so the first slot of a parent
+    that reaches its child spells the lexicographically least shortest word.
+    """
+    dist = [-1] * len(adj)
+    parent = [-1] * len(adj)
     dist[source] = 0
     queue = [source]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for slot, w in enumerate(p.succ[v]):
+    append = queue.append
+    for v in queue:
+        step = dist[v] + 1
+        for w in adj[v]:
             if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                parent[w] = (v, slot)
-                queue.append(w)
+                dist[w] = step
+                parent[w] = v
+                append(w)
     return dist, parent
 
 
-def _path_word(p: PairDigraph, parent, target: int) -> Word:
+def _predecessors(succ) -> list[list[int]]:
+    """Reverse adjacency: ``pred[w]`` holds every ``v`` with an edge v -> w."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for w in row:
+            pred[w].append(v)
+    return pred
+
+
+def _path_word(p: PairDigraph, parent: list[int], target: int) -> Word:
     slots = []
     v = target
-    while parent[v] is not None:
-        u, slot = parent[v]
-        slots.append(slot)
+    while parent[v] >= 0:
+        u = parent[v]
+        slots.append(p.succ[u].index(v))
         v = u
     slots.reverse()
     return Word(tuple(p.letter_indices[s] for s in slots))
@@ -115,7 +129,7 @@ def pair_distance(
     """
     s = pair_index(p.n, min(source), max(source))
     t = pair_index(p.n, min(target), max(target))
-    dist, parent = _bfs(p, s)
+    dist, parent = _bfs(p.succ, s)
     if dist[t] < 0:
         return None
     return dist[t], _path_word(p, parent, t)
@@ -132,7 +146,34 @@ class DiameterResult:
 
 
 def diameter(p: PairDigraph) -> DiameterResult:
-    """All-sources BFS diameter with a deterministic witness.
+    """Exact diameter by eccentricity bounding, with a deterministic witness.
+
+    A forward BFS from a vertex ``v`` gives its eccentricity ``ecc(v)`` and
+    every ``d(v, u)``; a backward BFS, over the reversed edges, gives every
+    ``d(u, v)``.  By the triangle inequality every vertex ``u`` satisfies
+
+        max(d(u, v), ecc(v) - d(v, u)) <= ecc(u) <= d(u, v) + ecc(v),
+
+    and each vertex keeps the tightest bounds seen; it is resolved once they
+    meet.  Runs alternate between the open vertex with the largest upper
+    bound and the one with the smallest lower bound (smallest index on
+    ties), and stop when no unresolved vertex has an upper bound above
+    ``D``, the largest eccentricity known exactly (Takes & Kosters, CIKM
+    2011).  The result is exact: ``D`` is attained, and every other
+    eccentricity is at most its upper bound, which is at most ``D``.  The
+    argmax pairs come from the sources whose upper bound reaches ``D``,
+    reusing the targets at distance ``D`` recorded by earlier runs.
+
+    A backward run is made from the first vertex, which settles strong
+    connectivity, and then only when ``ecc(v) <= D - 2``.  Otherwise
+    ``d(u, v) + ecc(v) >= D`` for every ``u != v``: it cannot show
+    ``ecc(u) < D``, and a vertex whose eccentricity may equal ``D`` gets its
+    own forward run for the argmax anyway.
+
+    On path-like digraphs such as those of the ``f`` family this takes a
+    handful of BFS runs (seven for the 1711 sources of f(59)); on random
+    ones the bounds rarely meet and it costs about one forward run per
+    source, as an all-sources scan does.
 
     When some pair cannot reach another, the result carries the first such
     ordered pair of pairs (smallest source index, then smallest target) and
@@ -140,36 +181,84 @@ def diameter(p: PairDigraph) -> DiameterResult:
     source index, then smallest target index; all argmax pairs are reported.
     """
     nv = p.num_vertices
+    pred = None  # built once vertex 0 is known to reach every vertex
+    lower = [0] * nv
+    upper = [nv] * nv  # no eccentricity reaches nv
+    far: dict[int, list[int]] = {}  # targets at distance ecc(v), kept if ecc(v) >= best
     best = -1
-    argmax: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    best_source = -1
-    best_target = -1
+    open_ = list(range(nv))
+    widest = True
+    while open_:
+        if widest:
+            v = max(open_, key=upper.__getitem__)
+        else:
+            v = min(open_, key=lower.__getitem__)
+        widest = not widest
+        forward, _ = _bfs(p.succ, v)
+        if min(forward) < 0:  # only the first run, from vertex 0, can miss here
+            return _unreachable(p, v, forward)
+        ecc = max(forward)
+        if ecc >= best:
+            far[v] = [t for t in range(nv) if forward[t] == ecc]
+        backward = None
+        if best < 0 or ecc <= best - 2:
+            if pred is None:
+                pred = _predecessors(p.succ)
+            backward, _ = _bfs(pred, v)
+            if min(backward) < 0:
+                return _first_unreachable(p)
+        upper[v] = lower[v] = ecc
+        for u in open_:
+            lo = ecc - forward[u]
+            if backward is not None:
+                back = backward[u]
+                if back + ecc < upper[u]:
+                    upper[u] = back + ecc
+                if back > lo:
+                    lo = back
+            if lo > lower[u]:
+                lower[u] = lo
+            if lower[u] == upper[u] > best:
+                best = upper[u]
+        open_ = [u for u in open_ if lower[u] < upper[u] and upper[u] > best]
+
+    hits: list[tuple[int, int]] = []
     for s in range(nv):
-        dist, _ = _bfs(p, s)
-        for t in range(nv):
-            if dist[t] < 0:
-                return DiameterResult(
-                    strongly_connected=False,
-                    value=None,
-                    source=index_pair(p.n, s),
-                    target=index_pair(p.n, t),
-                    word=None,
-                )
-            if dist[t] > best:
-                best = dist[t]
-                argmax = [(index_pair(p.n, s), index_pair(p.n, t))]
-                best_source, best_target = s, t
-            elif dist[t] == best:
-                argmax.append((index_pair(p.n, s), index_pair(p.n, t)))
-    dist, parent = _bfs(p, best_source)
-    word = _path_word(p, parent, best_target)
+        if upper[s] < best:
+            continue
+        targets = far.get(s)  # a run from s found ecc(s) == upper[s] == best
+        if targets is None:
+            dist, _ = _bfs(p.succ, s)
+            targets = [t for t in range(nv) if dist[t] == best]
+        hits.extend((s, t) for t in targets)
+    s, t = hits[0]
+    _, parent = _bfs(p.succ, s)
     return DiameterResult(
         strongly_connected=True,
         value=best,
-        source=index_pair(p.n, best_source),
-        target=index_pair(p.n, best_target),
-        word=word,
-        argmax=tuple(argmax),
+        source=index_pair(p.n, s),
+        target=index_pair(p.n, t),
+        word=_path_word(p, parent, t),
+        argmax=tuple((index_pair(p.n, s), index_pair(p.n, t)) for s, t in hits),
+    )
+
+
+def _first_unreachable(p: PairDigraph) -> DiameterResult:
+    """The in-order first (source, target) with no path, sources scanned in turn."""
+    for s in range(p.num_vertices):
+        dist, _ = _bfs(p.succ, s)
+        if -1 in dist:
+            return _unreachable(p, s, dist)
+    raise AssertionError("every BFS reached every vertex")
+
+
+def _unreachable(p: PairDigraph, source: int, dist: list[int]) -> DiameterResult:
+    return DiameterResult(
+        strongly_connected=False,
+        value=None,
+        source=index_pair(p.n, source),
+        target=index_pair(p.n, dist.index(-1)),
+        word=None,
     )
 
 
@@ -215,8 +304,10 @@ def scc_count(num_vertices: int, edges) -> int:
 
 
 def is_strongly_connected(p: PairDigraph) -> bool:
-    edges = ((v, w) for v in range(p.num_vertices) for w in p.succ[v])
-    return scc_count(p.num_vertices, edges) == 1
+    """Whether vertex 0 reaches every vertex and is reached from every vertex."""
+    forward, _ = _bfs(p.succ, 0)
+    backward, _ = _bfs(_predecessors(p.succ), 0)
+    return min(forward) >= 0 and min(backward) >= 0
 
 
 # ---------------------------------------------------------------------------

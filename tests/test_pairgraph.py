@@ -1,12 +1,17 @@
 import random
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synchrokit import pairgraph
 from synchrokit.core import Dfa, Transformation, Word
 from synchrokit.families import cerny, f
 from synchrokit.pairgraph import (
+    DiameterResult,
     PairCertificate,
+    PairDigraph,
     apply_word_to_pair,
     build_pair_digraph,
     diameter,
@@ -136,6 +141,156 @@ class TestDiameter:
         d = Dfa(3, (("a", Transformation((1, 2, 0))),))
         res = diameter(build_pair_digraph(d))
         assert res.strongly_connected and res.value == 2
+
+
+def oracle_diameter(p) -> DiameterResult:
+    """All-sources scan: one BFS per source pair, argmax in (source, target) order.
+
+    With letters tried in slot order, the first discovery of every pair lies
+    on the lexicographically least of its shortest paths, so the parent
+    pointers of the first argmax source spell the canonical witness.
+    """
+    nv = p.num_vertices
+
+    def bfs(source):
+        dist = {source: 0}
+        parent = {source: None}
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for slot, w in enumerate(p.succ[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    parent[w] = (v, slot)
+                    queue.append(w)
+        return dist, parent
+
+    best = -1
+    hits = []
+    for s in range(nv):
+        dist, _ = bfs(s)
+        for t in range(nv):
+            if t not in dist:
+                return DiameterResult(
+                    strongly_connected=False,
+                    value=None,
+                    source=index_pair(p.n, s),
+                    target=index_pair(p.n, t),
+                    word=None,
+                )
+            if dist[t] > best:
+                best, hits = dist[t], [(s, t)]
+            elif dist[t] == best:
+                hits.append((s, t))
+    s, t = hits[0]
+    _, parent = bfs(s)
+    letters = []
+    v = t
+    while parent[v] is not None:
+        v, slot = parent[v]
+        letters.append(p.letter_indices[slot])
+    return DiameterResult(
+        strongly_connected=True,
+        value=best,
+        source=index_pair(p.n, s),
+        target=index_pair(p.n, t),
+        word=Word(tuple(reversed(letters))),
+        argmax=tuple((index_pair(p.n, s), index_pair(p.n, t)) for s, t in hits),
+    )
+
+
+class TestDiameterAgainstOracle:
+    @pytest.mark.parametrize("n", range(7, 43, 2))
+    def test_f_family(self, n):
+        p = build_pair_digraph(f(n))
+        assert diameter(p) == oracle_diameter(p)
+
+    def test_seeded_random_permutations(self):
+        rng = random.Random(20171103)
+        connected = set()
+        for index in range(330):
+            n = 2 + index % 11
+            letters = rng.choice((1, 2, 2, 3))
+            d = Dfa(
+                n,
+                tuple((f"x{i}", random_permutation(rng, n)) for i in range(letters)),
+            )
+            p = build_pair_digraph(d)
+            expected = oracle_diameter(p)
+            assert diameter(p) == expected
+            assert is_strongly_connected(p) == expected.strongly_connected
+            connected.add(expected.strongly_connected)
+        assert connected == {True, False}, "the sample must hold both kinds of digraphs"
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 12), st.integers(1, 3), st.data())
+    def test_hypothesis_permutations(self, n, letters, data):
+        perms = [
+            Transformation(tuple(data.draw(st.permutations(range(n)))))
+            for _ in range(letters)
+        ]
+        p = build_pair_digraph(Dfa(n, tuple((f"x{i}", t) for i, t in enumerate(perms))))
+        assert diameter(p) == oracle_diameter(p)
+
+    def test_mixed_alphabet_uses_permutation_letters_only(self):
+        # the merging letter sits between the two permutations in the alphabet
+        d = Dfa(
+            5,
+            (
+                ("a", Transformation((1, 2, 3, 4, 0))),
+                ("c", Transformation((0, 0, 2, 3, 4))),
+                ("b", Transformation((1, 0, 2, 3, 4))),
+            ),
+        )
+        p = build_pair_digraph(d)
+        res = diameter(p)
+        assert res == oracle_diameter(p)
+        assert apply_word_to_pair(d, res.source, res.word) == res.target
+
+    def test_two_states_single_vertex(self):
+        p = build_pair_digraph(Dfa(2, (("a", Transformation((1, 0))),)))
+        res = diameter(p)
+        assert res == oracle_diameter(p)
+        assert res.value == 0 and res.word == Word(())
+        assert res.argmax == (((0, 1), (0, 1)),)
+
+    def test_reached_from_everywhere_is_not_enough(self):
+        # a hand-built path 0 -> 1 -> 2 (a loop at 2): 0 reaches every
+        # vertex, but nothing reaches 0, which only a backward run notices
+        p = PairDigraph(n=3, letter_names=("a",), letter_indices=(0,), succ=((1,), (2,), (2,)))
+        assert not is_strongly_connected(p)
+        res = diameter(p)
+        assert res == oracle_diameter(p)
+        assert (res.source, res.target) == ((0, 2), (0, 1))
+
+    def test_unreachable_report(self):
+        for d in (cerny(4), cerny(5), cerny(9)):
+            p = build_pair_digraph(d)
+            assert diameter(p) == oracle_diameter(p)
+
+
+class TestDiameterCost:
+    def test_f101_matches_the_closed_form_quickly(self):
+        p = build_pair_digraph(f(101))
+        start = time.perf_counter()
+        res = diameter(p)
+        elapsed = time.perf_counter() - start
+        assert res.value == closed_form_diameter(101)
+        assert len(res.word) == res.value
+        assert elapsed < 1.0, f"diameter(f(101)) took {elapsed:.2f} s"
+
+    def test_f59_needs_few_bfs_runs(self, monkeypatch):
+        calls = []
+        bfs = pairgraph._bfs
+
+        def counting_bfs(adj, source):
+            calls.append(source)
+            return bfs(adj, source)
+
+        monkeypatch.setattr(pairgraph, "_bfs", counting_bfs)
+        p = build_pair_digraph(f(59))
+        assert diameter(p).value == closed_form_diameter(59)
+        assert len(calls) <= 20, f"{len(calls)} BFS runs for {p.num_vertices} sources"
 
 
 class TestSccCount:
