@@ -320,6 +320,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.n is None or args.mode is None:
         raise _UsageError("search needs --n and --mode")
     workers = args.workers if args.workers is not None else _default_workers()
+    if workers < 1:
+        raise _UsageError("workers must be positive")
     try:
         if args.mode == "exhaustive":
             max_rt, record = max_reset_threshold_exhaustive(
@@ -342,7 +344,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 mode=SearchMode.RANDOM,
                 trials=args.trials,
                 seed=args.seed,
-                workers=workers,
                 output_path=args.out,
             )
             _print_json(

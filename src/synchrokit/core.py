@@ -8,8 +8,9 @@ Conventions used throughout the package:
 * A letter is a total transformation of the state set, stored as a tuple
   ``images`` with ``images[q]`` the successor of state ``q``.
 * Words act left to right: applying ``uv`` means applying ``u`` first.
-* Subsets of states are bit masks (``StateSet``), restricted to ``n <= 63``
-  so that exact subset algorithms stay within machine-word semantics.
+* Subsets of states are ``StateSet`` values, bit masks held in a Python
+  int, so any ``n`` is allowed.  :func:`apply_word` is the one rule for
+  moving a state set under a word.
 """
 
 from __future__ import annotations
@@ -92,23 +93,6 @@ class Transformation:
     def preimage_of(self, states: Iterable[int]) -> frozenset[int]:
         targets = set(states)
         return frozenset(q for q in range(self.n) if self.images[q] in targets)
-
-
-def compose(t1: Transformation, t2: Transformation) -> Transformation:
-    """``t1`` followed by ``t2`` (left-to-right action)."""
-    return t1.then(t2)
-
-
-def rank(t: Transformation) -> int:
-    return t.rank()
-
-
-def excluded_state(t: Transformation) -> int:
-    return t.excluded_state()
-
-
-def duplicate_state(t: Transformation) -> int:
-    return t.duplicate_state()
 
 
 def _check_letter_name(name: str) -> None:
@@ -205,14 +189,14 @@ class Word:
 
 @dataclass(frozen=True)
 class StateSet:
-    """A subset of ``{0..n-1}`` with bit-mask semantics (``n <= 63``)."""
+    """A subset of ``{0..n-1}``; bit q of the int ``mask`` marks state q."""
 
     n: int
     mask: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 63:
-            raise ValueError("StateSet supports 1 <= n <= 63 (exact subset algorithms only)")
+        if self.n < 1:
+            raise ValueError("StateSet needs at least one state")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError("mask has bits outside the state range")
 
@@ -252,29 +236,19 @@ class StateSet:
         return self.cardinality()
 
 
-def apply_letter(s: StateSet, t: Transformation) -> StateSet:
-    """Image of a state set under one letter."""
-    if t.n != s.n:
-        raise ValueError("state set and transformation act on different state counts")
-    out = 0
-    m = s.mask
-    while m:
-        low = m & -m
-        out |= 1 << t.images[low.bit_length() - 1]
-        m ^= low
-    return StateSet(s.n, out)
-
-
 def apply_word(s: StateSet, d: Dfa, w: Word) -> StateSet:
     """Image of a state set under a word, applied left to right."""
     if d.n != s.n:
         raise ValueError("state set and automaton have different state counts")
-    cur = s
     for i in w:
         if not 0 <= i < d.m:
             raise ValueError(f"letter index {i} out of range")
-        cur = apply_letter(cur, d.transformation(i))
-    return cur
+    images = [t.images for t in d.transformations()]
+    current = set(s.members())
+    for i in w:
+        t = images[i]
+        current = {t[q] for q in current}
+    return StateSet.of(s.n, current)
 
 
 def word_transformation(d: Dfa, w: Word) -> Transformation:

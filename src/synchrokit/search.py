@@ -79,7 +79,6 @@ class SearchConfig:
     mode: SearchMode
     trials: int = 0
     seed: int = 0
-    workers: int = 1
     output_path: str | Path | None = None
     allow_large: bool = False
 
@@ -90,8 +89,6 @@ class SearchConfig:
             raise ValueError("trials must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.mode is SearchMode.EXHAUSTIVE and self.n > EXHAUSTIVE_STATE_CAP:
             if not self.allow_large:
                 raise ValueError(
@@ -457,9 +454,10 @@ def max_reset_threshold_exhaustive(
     and its work redone, so the resumed journal ends byte-identical to an
     uninterrupted run's.
     """
-    SearchConfig(  # validates the arguments
-        n=n, mode=SearchMode.EXHAUSTIVE, workers=workers,
-        output_path=output_path, allow_large=allow_large,
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    SearchConfig(  # validates the other arguments
+        n=n, mode=SearchMode.EXHAUSTIVE, output_path=output_path, allow_large=allow_large,
     )
     perms, _, _ = _census_context(n)
     done: set[_Perm] = set()

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Dfa, StateSet, Transformation, Word, word_transformation
+from .core import Dfa, StateSet, Transformation, Word, apply_word, word_transformation
 from .families import cb
 from .monoid import is_two_transitive
 from .pairgraph import scc_count
@@ -62,23 +62,9 @@ class ResetResult:
     verified: bool
 
 
-def _mask_image(mask: int, images: Sequence[int]) -> int:
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << images[low.bit_length() - 1]
-        m ^= low
-    return out
-
-
 def _resets(d: Dfa, w: Word) -> bool:
     """Whether ``w`` maps the full state set to a single state."""
-    images = [t.images for t in d.transformations()]
-    mask = (1 << d.n) - 1
-    for letter in w:
-        mask = _mask_image(mask, images[letter])
-    return mask & (mask - 1) == 0
+    return apply_word(StateSet.full(d.n), d, w).cardinality() == 1
 
 
 def _byte_tables(t: Transformation) -> list[list[int]]:
@@ -300,17 +286,15 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     dist, merge_letter = _merge_distances(d)
     if len(dist) < n * (n - 1) // 2:
         raise ValueError("automaton is not synchronizing")
-    images = [t.images for t in d.transformations()]
-    mask = (1 << n) - 1
+    image = StateSet.full(n)
     letters: list[int] = []
-    while mask & (mask - 1):
-        states = [q for q in range(n) if mask >> q & 1]
+    while image.cardinality() > 1:
+        states = image.members()
         best = min(
             ((dist[(i, j)], i, j) for x, i in enumerate(states) for j in states[x + 1 :]),
         )
         step = _chase_word(d, (best[1], best[2]), dist, merge_letter)
-        for letter in step:
-            mask = _mask_image(mask, images[letter])
+        image = apply_word(image, d, Word(tuple(step)))
         letters.extend(step)
     w = Word(tuple(letters))
     return ResetResult(w, len(w), Method.PAIRCHASE, _resets(d, w))
@@ -392,8 +376,7 @@ def _extension_letters(d: Dfa, strat: ExtensionStratification, x: int) -> list[i
     """Extension chain ending in the rank n-1 letter ``x``, back to front."""
     n = d.n
     t = d.transformation(x)
-    h = t.duplicate_state()
-    r = frozenset(q for q in range(n) if t.images[q] == h)
+    r = t.preimage_of((t.duplicate_state(),))
     word = [x]
     steps = 0
     while len(r) < n:
@@ -412,8 +395,7 @@ def _extension_letters(d: Dfa, strat: ExtensionStratification, x: int) -> list[i
             )
         seed, w = strat.witnesses[best_edge]
         u = [seed, *w]
-        back = word_transformation(d, Word(tuple(u)))
-        r = frozenset(q for q in range(n) if back.images[q] in r)
+        r = word_transformation(d, Word(tuple(u))).preimage_of(r)
         word = u + word
         steps += 1
         if steps > n - 2:  # pragma: no cover - each step grows r strictly

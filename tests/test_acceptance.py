@@ -52,7 +52,7 @@ def _verdict(num: int, description: str, failures: list[str]) -> None:
 
 
 def _resets(d, w: Word) -> bool:
-    # plain-set evaluation; unlike StateSet this has no state-count cap
+    # independent plain-set oracle for the verified flags, which core.apply_word computes
     current = set(range(d.n))
     for i in w:
         t = d.transformation(i)

@@ -334,7 +334,8 @@ class TestCertificates:
         assert cert.value_of(3, 6) == 0
         assert verify_certificate(build_pair_digraph(f(7)), cert).valid
 
-    @pytest.mark.parametrize("n", (11, 15, 19, 23))
+    # f() does not check certificates itself: cover every n = 3 (mod 4) up to 59
+    @pytest.mark.parametrize("n", range(11, 60, 4))
     def test_closed_form_certificates_are_valid_and_tight(self, n):
         cert = pair_certificate(n)
         p = build_pair_digraph(f(n))

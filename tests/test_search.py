@@ -45,7 +45,7 @@ def relabel_states(d: Dfa, perm: list[int]) -> Dfa:
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig(n=5, mode=SearchMode.RANDOM, trials=10)
-        assert cfg.seed == 0 and cfg.workers == 1 and cfg.output_path is None
+        assert cfg.seed == 0 and cfg.output_path is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,8 +56,8 @@ class TestSearchConfig:
             SearchConfig(n=5, mode=SearchMode.RANDOM, seed=-3)
         with pytest.raises(ValueError):
             SearchConfig(n=5, mode=SearchMode.RANDOM, seed=2**64)
-        with pytest.raises(ValueError):
-            SearchConfig(n=5, mode=SearchMode.RANDOM, workers=0)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            max_reset_threshold_exhaustive(4, workers=0)
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError):

@@ -176,7 +176,7 @@ class TestCbWords:
             assert r.length == 3 * n - 5
             assert r.length == reset_threshold_exact(d)[0]
 
-    @pytest.mark.parametrize("n,k", [(8, 3), (15, 7), (40, 13), (40, 39)])
+    @pytest.mark.parametrize("n,k", [(8, 3), (15, 7), (40, 13), (40, 39), (200, 100)])
     def test_general_k(self, n, k):
         r = cb_reset_word(n, k)
         assert r.verified
