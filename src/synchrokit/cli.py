@@ -37,8 +37,9 @@ from .search import (
     summarize_results,
 )
 from .sync import (
-    EXACT_CAP,
     NOT_SYNCHRONIZING,
+    Method,
+    ResetResult,
     cb_reset_word,
     extension_reset_word,
     pairchase_reset_word,
@@ -131,7 +132,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_rt(args: argparse.Namespace) -> int:
     d = _load_input(args)
     try:
-        result = reset_threshold_exact(d, cap=args.cap)
+        result = reset_threshold_exact(d)
     except ValueError as exc:
         raise _UsageError(str(exc))
     if result is NOT_SYNCHRONIZING:
@@ -168,24 +169,14 @@ def _cmd_word(args: argparse.Namespace) -> int:
         d = _load_input(args)
         try:
             if args.method == "exact":
-                exact = reset_threshold_exact(d, cap=args.cap)
+                exact = reset_threshold_exact(d)
                 if exact is NOT_SYNCHRONIZING:
                     _print_json({"n": d.n, "synchronizing": False, "word": None})
                     print("automaton is not synchronizing", file=sys.stderr)
                     return 1
                 rt, word = exact
-                _print_json(
-                    {
-                        "n": d.n,
-                        "synchronizing": True,
-                        "length": rt,
-                        "word": list(word.names(d)),
-                        "method": "exact_bfs",
-                        "verified": True,
-                    }
-                )
-                return 0
-            if args.method == "pairchase":
+                result = ResetResult(word, rt, Method.EXACT_BFS, True)
+            elif args.method == "pairchase":
                 result = pairchase_reset_word(d)
             else:
                 result = extension_reset_word(d)
@@ -419,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = commands.add_parser("rt", help="exact reset threshold by subset BFS")
     _add_input_options(rt)
-    rt.add_argument("--cap", type=int, default=EXACT_CAP, help="largest n accepted")
     rt.set_defaults(handler=_cmd_rt)
 
     word = commands.add_parser("word", help="synthesize a verified reset word")
@@ -429,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("exact", "pairchase", "extension", "cb"),
         default="pairchase",
     )
-    word.add_argument("--cap", type=int, default=EXACT_CAP, help="largest n for --method exact")
     word.set_defaults(handler=_cmd_word)
 
     mon = commands.add_parser("monoid-check", help="full-transition-monoid test")
@@ -456,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--mode", choices=("exhaustive", "random"))
     search.add_argument("--trials", type=int, default=1000)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--workers", type=int, help="defaults to SYNCHROKIT_WORKERS or 1")
+    search.add_argument("--workers", type=int, help="exhaustive census only; defaults to SYNCHROKIT_WORKERS or 1")
     search.add_argument("--out", help="JSON-lines journal / results file")
     search.add_argument("--allow-large", action="store_true", help="lift the exhaustive n cap")
     search.add_argument("--no-resume", action="store_true", help="ignore an existing journal")

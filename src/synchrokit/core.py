@@ -53,9 +53,6 @@ class Transformation:
     def is_permutation(self) -> bool:
         return self.rank() == self.n
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     def excluded_state(self) -> int:
         """The unique state missing from the image (rank must be n-1)."""
         n = self.n

@@ -1,4 +1,4 @@
-"""Transition-monoid machinery: group order, closure, and structural tests.
+"""Transition-monoid machinery: group order and structural tests.
 
 :func:`has_full_transition_monoid` asks for a letter of rank ``n - 1`` and
 permutation letters generating the symmetric group.  Every symmetric-group
@@ -17,9 +17,6 @@ so ``S_n`` given the odd generator.  ``False`` needs a failed check of
 steps 1, 2 or 4 or a chain order below ``n!``.  Up to six points the chain
 is the cheaper route, because proper 2-transitive groups such as AGL(1, 5)
 have no Jordan element and spend the whole walk before the fallback.
-
-A brute-force closure (:func:`monoid_closure_size`) provides an independent
-route for small ``n`` and doubles as the test oracle.
 """
 
 from __future__ import annotations
@@ -277,32 +274,3 @@ def has_full_transition_monoid(d: Dfa) -> bool:
         return False
     return _generates_symmetric([t.images for _, t in d.letters if t.is_permutation()], n)
 
-
-def monoid_closure_size(transformations: Sequence[Transformation], limit: int | None = None) -> int:
-    """Size of the transformation monoid generated by the given maps.
-
-    Plain breadth-first closure under composition (including the identity).
-    Exponential in general; intended for ``n <= 8``.  ``limit`` aborts the
-    enumeration early once the closure is known to exceed it.
-    """
-    if not transformations:
-        raise ValueError("closure of an empty generating set is undefined here")
-    n = transformations[0].n
-    gens = []
-    for t in transformations:
-        if t.n != n:
-            raise ValueError("transformation size mismatch")
-        gens.append(t.images)
-    identity = tuple(range(n))
-    seen = {identity}
-    queue = [identity]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = tuple(g[x] for x in cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                if limit is not None and len(seen) > limit:
-                    return len(seen)
-    return len(seen)

@@ -262,52 +262,16 @@ def _unreachable(p: PairDigraph, source: int, dist: list[int]) -> DiameterResult
     )
 
 
-def scc_count(num_vertices: int, edges) -> int:
-    """Number of strongly connected components (iterative Kosaraju)."""
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    radj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v in edges:
-        adj[u].append(v)
-        radj[v].append(u)
-    order = []
-    seen = [False] * num_vertices
-    for start in range(num_vertices):
-        if seen[start]:
-            continue
-        stack = [(start, 0)]
-        seen[start] = True
-        while stack:
-            v, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, i + 1))
-                w = adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-    count = 0
-    seen = [False] * num_vertices
-    for start in reversed(order):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in radj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
+def _strongly_connected(adj) -> bool:
+    """Whether vertex 0 of ``adj`` reaches every vertex and is reached from every vertex."""
+    forward, _ = _bfs(adj, 0)
+    backward, _ = _bfs(_predecessors(adj), 0)
+    return min(forward) >= 0 and min(backward) >= 0
 
 
 def is_strongly_connected(p: PairDigraph) -> bool:
     """Whether vertex 0 reaches every vertex and is reached from every vertex."""
-    forward, _ = _bfs(p.succ, 0)
-    backward, _ = _bfs(_predecessors(p.succ), 0)
-    return min(forward) >= 0 and min(backward) >= 0
+    return _strongly_connected(p.succ)
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +587,6 @@ def verify_certificate(p: PairDigraph, cert: PairCertificate) -> CertificateChec
                     ),
                 )
     return CertificateCheck(valid=True)
-
-
-def apply_word_to_pair(d: Dfa, pair: tuple[int, int], w: Word) -> tuple[int, int]:
-    """Image of an unordered pair under a word (sorted; may degenerate)."""
-    u, v = pair
-    for li in w:
-        t = d.transformation(li)
-        u, v = t.images[u], t.images[v]
-    return (u, v) if u <= v else (v, u)
 
 
 def _alternating_ba(count: int) -> list[int]:

@@ -32,19 +32,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Dfa,
-    StateSet,
     Transformation,
     Word,
-    apply_word,
     dfa_from_json_dict,
     dfa_to_json_dict,
 )
 from .monoid import _generates_symmetric, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
-    EXACT_CAP,
     NOT_SYNCHRONIZING,
     _reset_distance,
+    _resets,
+    _subset_table,
     is_synchronizing,
     pairchase_reset_word,
     reset_threshold_exact,
@@ -57,6 +56,11 @@ EXHAUSTIVE_STATE_CAP = 7
 
 #: Hard state-count cap for the exhaustive pair-diameter experiment.
 PAIR_DIAMETER_CAP = 9
+
+#: Largest n at which ``random_rt_experiment`` records exact thresholds, not
+#: pair-chase lengths: the experiment's policy, so that seeded files do not
+#: depend on the machine, and not a memory limit.
+_EXACT_TRIALS_MAX_N = 25
 
 _Perm = tuple[int, ...]
 
@@ -120,8 +124,7 @@ class SearchRecord:
     config: Mapping[str, object] | None = None
 
     def verify(self) -> None:
-        image = apply_word(StateSet.full(self.dfa.n), self.dfa, self.witness)
-        if image.cardinality() != 1 or len(self.witness) != self.rt:
+        if not _resets(self.dfa, self.witness) or len(self.witness) != self.rt:
             raise ValueError("record witness does not reset in rt steps")
 
 
@@ -241,16 +244,6 @@ def _conjugate(p: _Perm, g: _Perm, ginv: _Perm) -> _Perm:
     return tuple(g[p[q]] for q in ginv)
 
 
-def _mask_table(images: _Perm, n: int) -> list[int]:
-    """Bitmask-to-bitmask image table of one letter over all state subsets."""
-    bits = [1 << images[q] for q in range(n)]
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | bits[low.bit_length() - 1]
-    return table
-
-
 def _exact_rt(tables: Sequence[list[int]], n: int) -> int | None:
     """Shortest reset-word length by subset BFS, or ``None`` if there is none.
 
@@ -323,8 +316,8 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, int, _Perm | Non
     for g, ginv in residual[1:]:
         if _conjugate(p1, g, ginv) < p1:
             return p1, 0, -1, None, None
-    table1 = _mask_table(p1, n)
-    rank_tables = [(t, _mask_table(t, n)) for t in rank_letters]
+    table1 = _subset_table([1 << q for q in p1])
+    rank_tables = [(t, _subset_table([1 << q for q in t])) for t in rank_letters]
     examined = 0
     best_rt = -1
     best_p2: _Perm | None = None
@@ -337,7 +330,7 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, int, _Perm | Non
             continue
         if not _generates_symmetric((p1, p2), n):
             continue
-        table2 = _mask_table(p2, n)
+        table2 = _subset_table([1 << q for q in p2])
         for t, table3 in rank_tables:
             if sensitive and any(
                 _conjugate(t, g, ginv) < t for g, ginv in sensitive
@@ -562,7 +555,6 @@ def random_rt_experiment(
     *,
     sample_nonperm: bool = False,
     require_symmetric: bool = True,
-    exact_cap: int = EXACT_CAP,
 ) -> dict:
     """Reset thresholds of automata built from random permutation pairs.
 
@@ -573,12 +565,13 @@ def random_rt_experiment(
     symmetric group, which keeps every sampled automaton inside the
     full-transition-monoid domain and therefore synchronizing; pass
     ``require_symmetric=False`` to keep unconditioned draws, of which
-    roughly a ``1/n`` fraction fail to synchronize.  Up to ``exact_cap``
-    states the reset threshold is exact: the forward pass of the subset
-    BFS behind ``reset_threshold_exact`` computes the length only, with no
-    witness word; like that function it raises ``ValueError`` past 32
-    states, whatever ``exact_cap`` says.  Beyond that the recorded value is
-    the pair-chase word length, an upper bound.  The summary reports
+    roughly a ``1/n`` fraction fail to synchronize.  Up to
+    :data:`_EXACT_TRIALS_MAX_N` states the reset threshold is exact: the
+    forward pass of the subset BFS behind ``reset_threshold_exact``
+    computes the length only, with no witness word, and raises
+    ``ValueError`` like that function when the search cannot fit in
+    memory.  Beyond that the recorded value is the pair-chase word length,
+    an upper bound.  The summary reports
     max/mean/99th-percentile and the fraction of synchronizing samples at
     or below ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the trials
     and summary are written as JSON lines with no timestamps, so identical
@@ -599,13 +592,13 @@ def random_rt_experiment(
             p2 = _sampled_permutation(rng, n)
         t = _sampled_rank_letter(rng, n) if sample_nonperm else _default_merge_letter(n)
         samples.append((p1, p2, t))
-    method = "exact_bfs" if n <= exact_cap else "pairchase"
+    method = "exact_bfs" if n <= _EXACT_TRIALS_MAX_N else "pairchase"
     trials_out: list[dict] = []
     lengths: list[int] = []
     for index, (p1, p2, t) in enumerate(samples):
         d = _census_dfa(n, p1, p2, t)
         length: int | None = None
-        if n <= exact_cap:
+        if n <= _EXACT_TRIALS_MAX_N:
             length = _reset_distance(d)
         elif is_synchronizing(d):
             length = pairchase_reset_word(d).length

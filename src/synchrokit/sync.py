@@ -7,11 +7,17 @@ for automata whose transition monoid is all transformations), and the
 merging/pairing round simulation for the three-letter cyclic family.
 Every synthesizer machine-checks its output and reports the check in the
 ``verified`` flag of the returned :class:`ResetResult`.
+
+The searches over all 2^n state subsets (``reset_threshold_exact``,
+``potential_lower_bound``) check, before allocating anything, that their
+bytes fit in physical memory; the exact one also stops at 32 states, as
+its subsets are ``uint32`` masks.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -19,13 +25,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Dfa, StateSet, Transformation, Word, apply_word, word_transformation
+from .core import Dfa, StateSet, Word, apply_word, word_transformation
 from .families import cb
 from .monoid import is_two_transitive
-from .pairgraph import scc_count
+from .pairgraph import _strongly_connected
 
-EXACT_CAP = 25
-POTENTIAL_CAP = 20
+#: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
+#: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
+#: their fresh copy and its sort (12), byte indices (8) and array headers (1).
+_EXACT_BYTES = 2 + 1 + 4 + 12 + 8 + 1
+#: Bytes per letter: image tables (4 bytes x 256 x 4) and chunk scratch (20 x 256).
+_EXACT_LETTER_BYTES = 4 * 256 * 4 + 20 * 256
+#: Bytes per subset of ``potential_lower_bound``: ``int64`` weights and
+#: images (16), the comparison's ``int64`` operands (16), two flag arrays (2).
+_POTENTIAL_BYTES = 16 + 16 + 2
 
 
 class _NotSynchronizing:
@@ -67,30 +80,48 @@ def _resets(d: Dfa, w: Word) -> bool:
     return apply_word(StateSet.full(d.n), d, w).cardinality() == 1
 
 
-def _byte_tables(t: Transformation) -> list[list[int]]:
-    """Per-byte lookup tables: ``tables[b][v]`` ORs the images of byte b's bits."""
-    bits = [1 << img for img in t.images]
-    tables = []
-    for b in range(0, t.n, 8):
-        width = min(8, t.n - b)
-        table = [0] * (1 << width)
-        for v in range(1, 1 << width):
-            low = (v & -v).bit_length() - 1
-            table[v] = table[v & (v - 1)] | bits[b + low]
-        tables.append(table)
-    return tables
+def _physical_memory() -> int:
+    """Bytes of physical memory (POSIX ``sysconf``), the limit of both searches."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(n: int, need: int) -> None:
+    """Refuse, before it allocates, a search needing more than physical memory."""
+    if need > (have := _physical_memory()):
+        raise ValueError(
+            f"a subset search over {n} states needs up to {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
+def _subset_table(bits: Sequence[int]) -> list[int]:
+    """``table[v]``: the OR of ``bits[i]`` over the set bits i of v."""
+    table = [0]
+    for bit in bits:
+        table += [v | bit for v in table]
+    return table
 
 
 def _letter_tables(d: Dfa) -> np.ndarray:
     """``tables[b, a, v]``: the image under letter a of byte b's bit set v."""
-    if d.n > 32:  # subsets are uint32 masks; refuse before allocating
+    if d.n > 32:
         raise ValueError(f"exact subset search handles at most 32 states, not {d.n}")
-    per_letter = [_byte_tables(t) for t in d.transformations()]
-    tables = np.zeros((len(per_letter[0]), d.m, 256), dtype=np.uint32)
-    for a, byte_tables in enumerate(per_letter):
-        for b, table in enumerate(byte_tables):
-            tables[b, a, : len(table)] = table
+    _require_memory(d.n, (_EXACT_BYTES << d.n) + _EXACT_LETTER_BYTES * d.m)
+    tables = np.zeros(((d.n + 7) // 8, d.m, 256), dtype=np.uint32)
+    for a, t in enumerate(d.transformations()):
+        bits = [1 << img for img in t.images]
+        for b in range(0, d.n, 8):
+            table = _subset_table(bits[b : b + 8])
+            tables[b // 8, a, : len(table)] = table
     return tables
+
+
+def _by_chunks(fn, subsets: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``fn`` over slices of ``subsets`` with at most 2^n images (or 256 subsets), joined."""
+    step = max(256, (1 << n) // m)
+    if subsets.size <= step:
+        return fn(subsets)
+    return np.concatenate([fn(subsets[lo : lo + step]) for lo in range(0, subsets.size, step)])
 
 
 def _images(tables: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -101,44 +132,53 @@ def _images(tables: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return img
 
 
+def _fresh_images(
+    tables: np.ndarray, dist: np.ndarray, subsets: np.ndarray, level: int
+) -> np.ndarray:
+    """Unvisited images of ``subsets``, sorted and unique, marked in ``dist``."""
+    img = _images(tables, subsets).ravel()
+    fresh = np.sort(img[dist[img] == 0])
+    if fresh.size:
+        # np.sort plus a neighbour test: np.unique is an order of magnitude
+        # slower on these arrays under numpy 2.4
+        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+        dist[fresh] = level
+    return fresh
+
+
 def _forward_bfs(
     tables: np.ndarray, n: int
 ) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Level-synchronous subset BFS from the full set.
 
-    Returns the sorted levels up to the first one holding a singleton, and
+    Returns the levels up to the first one holding a singleton, and
     ``dist`` with level + 1 for every visited subset (0 for unvisited), or
     ``None`` when no singleton is reachable.  Levels past 0xFFFE share the
     last ``uint16`` value; only non-synchronizing automata get that deep,
-    since a shortest reset word has at most (n^3 - n) / 6 letters.
+    since a shortest reset word has at most (n^3 - n) / 6 letters.  A level
+    is mapped in chunks (see :func:`_by_chunks`).
     """
     full = (1 << n) - 1
     dist = np.zeros(1 << n, dtype=np.uint16)
     dist[full] = 1
     frontier = np.array([full], dtype=np.uint32)
-    levels = [frontier]
+    levels, m = [frontier], tables.shape[1]
     while not np.any((frontier & (frontier - 1)) == 0):
-        img = _images(tables, frontier).ravel()
-        fresh = np.sort(img[dist[img] == 0])
-        if fresh.size == 0:
+        level = min(len(levels) + 1, 0xFFFF)
+        frontier = _by_chunks(lambda s: _fresh_images(tables, dist, s, level), frontier, n, m)
+        if frontier.size == 0:
             return None
-        # np.sort plus a neighbour test: np.unique is an order of magnitude
-        # slower on these arrays under numpy 2.4
-        frontier = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
-        dist[frontier] = min(len(levels) + 1, 0xFFFF)
         levels.append(frontier)
     return levels, dist
 
 
 def _reset_distance(d: Dfa) -> int | None:
-    """Length of a shortest reset word, or ``None`` if there is none."""
+    """Length of a shortest reset word, or ``None``: the forward pass alone."""
     bfs = _forward_bfs(_letter_tables(d), d.n)
     return None if bfs is None else len(bfs[0]) - 1
 
 
-def reset_threshold_exact(
-    d: Dfa, cap: int = EXACT_CAP
-) -> tuple[int, Word] | _NotSynchronizing:
+def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | _NotSynchronizing:
     """Exact reset threshold by level-synchronous BFS over state subsets.
 
     Returns ``(rt, word)`` where ``word`` is the lexicographically least
@@ -151,19 +191,15 @@ def reset_threshold_exact(
     is good if it is a singleton on the last level or some letter maps it
     to a good subset on the next level; the word then follows, from the
     full set, the least letter leading to a good subset one level further.
-    Memory is about 3 bytes per subset of the 2^n (a ``uint16`` distance
-    array and a good-flag array) plus 4 bytes per visited subset.
+
+    Memory is at most 28 * 2^n + 9216 * m bytes for m letters (see
+    ``_EXACT_BYTES``): cerny(25) needs at most 940 MB.
 
     Raises:
-        ValueError: if ``d.n`` exceeds ``cap`` or 32 (the subset masks are
-            ``uint32``); use pairchase_reset_word or extension_reset_word on
-            larger inputs.
+        ValueError: past 32 states (subsets are ``uint32`` masks) or when
+            that bound exceeds physical memory, both before any allocation;
+            pairchase_reset_word and extension_reset_word take larger inputs.
     """
-    if d.n > cap:
-        raise ValueError(
-            f"exact subset search over {d.n} states exceeds the cap of {cap}; "
-            "use pairchase_reset_word or extension_reset_word instead"
-        )
     tables = _letter_tables(d)
     bfs = _forward_bfs(tables, d.n)
     if bfs is None:
@@ -172,13 +208,14 @@ def reset_threshold_exact(
     rt = len(levels) - 1
     # Images of a level-k subset lie on levels <= k + 1, and good subsets on
     # levels > k are all marked before level k is swept, so a good image
-    # found here is always on level k + 1.
+    # found here is always on level k + 1; level k is marked only once all
+    # its chunks are mapped, so that it never sees itself.
     good = np.zeros(1 << d.n, dtype=bool)
     last = levels[rt]
     good[last[(last & (last - 1)) == 0]] = True
     for k in range(rt - 1, -1, -1):
-        level = levels[k]
-        good[level[good[_images(tables, level)].any(axis=0)]] = True
+        marked = _by_chunks(lambda s: s[good[_images(tables, s)].any(axis=0)], levels[k], d.n, d.m)
+        good[marked] = True
     # Walking forward, a good image may also sit on an earlier level; only
     # one on the next level continues a shortest word.
     letters: list[int] = []
@@ -322,9 +359,12 @@ class ExtensionStratification:
             out.update(edges)
         return frozenset(out)
 
-    def scc_count_at(self, level: int) -> int:
-        """Number of strongly connected components, singletons included."""
-        return scc_count(self.n, self.edges_at(level))
+    def strongly_connected_at(self, level: int) -> bool:
+        """Whether the edges up to ``level`` strongly connect all n states."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for q, p in self.edges_at(level):
+            adj[q].append(p)
+        return _strongly_connected(adj)
 
 
 def build_extension_stratification(d: Dfa) -> ExtensionStratification:
@@ -611,7 +651,6 @@ def potential_lower_bound(
     d: Dfa,
     weights: Sequence[int],
     target: StateSet,
-    cap: int = POTENTIAL_CAP,
 ) -> PotentialBound:
     """Certified lower bound on the length of words sending Q into ``target``.
 
@@ -621,33 +660,32 @@ def potential_lower_bound(
     len(w) >= weight(Q) - weight(target), and this difference is returned;
     otherwise the least violating (subset, letter) pair is reported.
 
+    Memory is at most 34 * 2^n bytes (see ``_POTENTIAL_BYTES``).
+
     Raises:
-        ValueError: on negative weights, dimension mismatch, or n over ``cap``.
+        ValueError: on negative weights or dimension mismatch, or when
+            34 * 2^n bytes exceed the machine's physical memory (checked
+            before any allocation).
     """
     n = d.n
-    if n > cap:
-        raise ValueError(f"potential verification over {n} states exceeds the cap of {cap}")
     if target.n != n:
         raise ValueError("target does not match the automaton's state count")
     if len(weights) != n:
         raise ValueError("need exactly one weight per state")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    size = 1 << n
-    # value(m) = value(m without its lowest bit) + contribution of that bit;
-    # stripping the lowest bit raises it, so fill from the highest bit down
-    total = np.zeros(size, dtype=np.int64)
-    for bit in reversed(range(n)):
-        idx = (np.arange(1 << (n - bit - 1), dtype=np.int64) << (bit + 1)) + (1 << bit)
-        total[idx] = total[idx - (1 << bit)] + weights[bit]
+    _require_memory(n, _POTENTIAL_BYTES << n)
+    # tables over subset masks, doubled once per state like _subset_table
+    total = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        total = np.concatenate((total, total + w))
     for letter, t in enumerate(d.transformations()):
-        image = np.zeros(size, dtype=np.int64)
-        for bit in reversed(range(n)):
-            idx = (np.arange(1 << (n - bit - 1), dtype=np.int64) << (bit + 1)) + (1 << bit)
-            image[idx] = image[idx - (1 << bit)] | np.int64(1 << t.images[bit])
+        image = np.zeros(1, dtype=np.int64)
+        for q in t.images:
+            image = np.concatenate((image, image | (1 << q)))
         bad = total[image] < total - 1
         if bad.any():
             mask = int(np.nonzero(bad)[0][0])
             return PotentialBound(False, None, (StateSet(n, mask), letter))
-    bound = int(total[size - 1] - total[target.mask])
+    bound = int(total[-1] - total[target.mask])
     return PotentialBound(True, bound, None)

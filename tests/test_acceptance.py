@@ -53,10 +53,11 @@ def _verdict(num: int, description: str, failures: list[str]) -> None:
 
 def _resets(d, w: Word) -> bool:
     # independent plain-set oracle for the verified flags, which core.apply_word computes
+    images = [t.images for t in d.transformations()]
     current = set(range(d.n))
     for i in w:
-        t = d.transformation(i)
-        current = {t(q) for q in current}
+        img = images[i]
+        current = {img[q] for q in current}
     return len(current) == 1
 
 
@@ -147,7 +148,7 @@ def test_criterion_4_extension_algorithm_and_stratification():
             if r.length > bound:
                 failures.append(f"{label}(n={n}): length {r.length} > {bound}")
             strat = build_extension_stratification(d)
-            if strat.scc_count_at(2 * n - 3) != 1:
+            if not strat.strongly_connected_at(2 * n - 3):
                 failures.append(f"{label}(n={n}): level {2 * n - 3} not strongly connected")
     _verdict(4, "extension words stay under 2n^2-6n+5 and level 2n-3 is one component", failures)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from synchrokit import sync
 from synchrokit.cli import main
 from synchrokit.core import loads_dfa
 from synchrokit.families import v
@@ -78,6 +79,12 @@ class TestRt:
     def test_cap_exceeded_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "rt", "--family", "cerny", "--n", "40")
         assert code == 2 and out == ""
+
+    def test_memory_exceeded_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 100000)
+        code, out, err = run(capsys, "rt", "--family", "cerny", "--n", "12")
+        assert code == 2 and out == ""
+        assert "133120 bytes, more than the 100000 bytes of physical memory" in err
 
     def test_file_and_family_conflict(self, capsys, tmp_path):
         path = tmp_path / "x.txt"

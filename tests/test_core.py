@@ -33,7 +33,7 @@ D4 = Dfa(4, (("a", CYCLE4), ("b", MERGE4)))
 class TestTransformation:
     def test_identity(self):
         t = Transformation.identity(5)
-        assert t.is_identity()
+        assert t.images == (0, 1, 2, 3, 4)
         assert t.is_permutation()
         assert t.rank() == 5
         assert t(3) == 3
@@ -62,8 +62,8 @@ class TestTransformation:
 
     def test_inverse_round_trip(self):
         inv = CYCLE4.inverse()
-        assert CYCLE4.then(inv).is_identity()
-        assert inv.then(CYCLE4).is_identity()
+        assert CYCLE4.then(inv) == Transformation.identity(4)
+        assert inv.then(CYCLE4) == Transformation.identity(4)
         with pytest.raises(ValueError):
             MERGE4.inverse()
 

@@ -12,7 +12,6 @@ from synchrokit.pairgraph import (
     DiameterResult,
     PairCertificate,
     PairDigraph,
-    apply_word_to_pair,
     build_pair_digraph,
     diameter,
     extremal_pair_word,
@@ -22,11 +21,20 @@ from synchrokit.pairgraph import (
     pair_digraph_dot,
     pair_distance,
     pair_index,
-    scc_count,
     verify_certificate,
 )
+from synchrokit.sync import ExtensionStratification
 
 from conftest import random_permutation
+
+
+def apply_word_to_pair(d: Dfa, pair: tuple[int, int], w: Word) -> tuple[int, int]:
+    """Image of an unordered pair under a word (sorted; may degenerate)."""
+    u, v = pair
+    for li in w:
+        t = d.transformation(li)
+        u, v = t.images[u], t.images[v]
+    return (u, v) if u <= v else (v, u)
 
 
 def closed_form_diameter(n: int) -> int:
@@ -293,12 +301,20 @@ class TestDiameterCost:
         assert len(calls) <= 20, f"{len(calls)} BFS runs for {p.num_vertices} sources"
 
 
+def strongly_connected(num_vertices: int, edges) -> bool:
+    """Strong connectivity of a digraph, through the stratification's check."""
+    strat = ExtensionStratification(num_vertices, 0, (tuple(edges),), {})
+    return strat.strongly_connected_at(0)
+
+
 class TestSccCount:
     def test_counts(self):
-        assert scc_count(3, [(0, 1), (1, 0)]) == 2
-        assert scc_count(3, [(0, 1), (1, 2), (2, 0)]) == 1
-        assert scc_count(4, []) == 4
-        assert scc_count(1, []) == 1
+        assert not strongly_connected(3, [(0, 1), (1, 0)])
+        assert strongly_connected(3, [(0, 1), (1, 2), (2, 0)])
+        assert not strongly_connected(3, [(0, 1), (1, 2)])  # 0 reaches all, none reaches 0
+        assert not strongly_connected(3, [(1, 0), (2, 0)])  # all reach 0, 0 reaches none
+        assert not strongly_connected(4, [])
+        assert strongly_connected(1, [])
 
     def test_is_strongly_connected(self):
         assert is_strongly_connected(build_pair_digraph(f(9)))
@@ -322,7 +338,7 @@ class TestSccCount:
                     reach[u] |= new
                     changed = True
         comps = {frozenset(x for x in range(num) if u in reach[x] and x in reach[u]) for u in range(num)}
-        assert scc_count(num, edges) == len(comps)
+        assert strongly_connected(num, edges) == (len(comps) == 1)
 
 
 class TestCertificates:

@@ -283,13 +283,6 @@ class TestRandomExperiment:
         assert summary["synchronizing"] == 4
         assert summary["max"] < 4 * 30 * math.ceil(math.log2(30))
 
-    def test_exact_cap_past_32_states_is_a_value_error(self, tmp_path):
-        out = tmp_path / "run.jsonl"
-        cfg = SearchConfig(n=33, mode=SearchMode.RANDOM, trials=1, seed=3, output_path=out)
-        with pytest.raises(ValueError, match="at most 32 states"):
-            random_rt_experiment(cfg, exact_cap=40)
-        assert not out.exists()
-
     def test_summarize_matches_run(self, tmp_path):
         out = tmp_path / "run.jsonl"
         cfg = SearchConfig(n=8, mode=SearchMode.RANDOM, trials=15, seed=2, output_path=out)

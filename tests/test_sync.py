@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synchrokit.core import Dfa, StateSet, Transformation, Word, apply_word, word_transformation
 from synchrokit.families import cb, cerny, f, rystsov, v
+from synchrokit import sync
 from synchrokit.sync import (
-    EXACT_CAP,
     NOT_SYNCHRONIZING,
     Method,
     build_extension_stratification,
@@ -25,6 +26,16 @@ from conftest import random_dfa
 
 def resets(d: Dfa, w: Word) -> bool:
     return apply_word(StateSet.full(d.n), d, w).cardinality() == 1
+
+
+def refuse_allocation(monkeypatch) -> None:
+    """Make every numpy array allocation of a subset search fail loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    for name in ("zeros", "array", "concatenate"):
+        monkeypatch.setattr(np, name, refuse)
 
 
 class TestResetThresholdExact:
@@ -51,17 +62,22 @@ class TestResetThresholdExact:
         assert reset_threshold_exact(rystsov(4))[0] == 6
         assert reset_threshold_exact(rystsov(5))[0] == 10
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            reset_threshold_exact(cerny(EXACT_CAP + 1))
-        with pytest.raises(ValueError):
-            reset_threshold_exact(cerny(12), cap=11)
-        # explicit cap overrides the default
-        assert reset_threshold_exact(cerny(12), cap=12)[0] == 121
+    def test_cap(self, monkeypatch):
+        # the only cap is memory: 28 * 2^12 + 9216 * 2 = 133120 bytes for cerny(12)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 133120)
+        assert reset_threshold_exact(cerny(12))[0] == 121
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 133119)
+        refuse_allocation(monkeypatch)
+        with pytest.raises(ValueError, match="133120 bytes, more than the 133119 bytes of physical memory"):
+            reset_threshold_exact(cerny(12))
+        with pytest.raises(ValueError, match="133120 bytes"):
+            sync._reset_distance(cerny(12))
 
-    def test_more_than_32_states_is_a_value_error_whatever_the_cap(self):
+    def test_more_than_32_states_is_a_value_error_whatever_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 1 << 62)
+        refuse_allocation(monkeypatch)
         with pytest.raises(ValueError, match="at most 32 states"):
-            reset_threshold_exact(cerny(33), cap=40)
+            reset_threshold_exact(cerny(33))
 
     def test_single_state(self):
         d = Dfa(1, (("a", Transformation((0,))),))
@@ -148,7 +164,7 @@ class TestExtensionStratification:
             strat = build_extension_stratification(v(n))
             assert strat.max_level <= 2 * n - 3
             assert len(strat.edges_at(strat.max_level)) == n * (n - 1)
-            assert strat.scc_count_at(2 * n - 3) == 1
+            assert strat.strongly_connected_at(2 * n - 3)
 
     def test_edges_monotone(self):
         strat = build_extension_stratification(v(7))
@@ -241,6 +257,29 @@ class TestPotentialBound:
         after = sum(weights[q] for q in {t(q) for q in subset.members()})
         assert after < before - 1
 
+    def test_matches_plain_oracle(self):
+        # subset by subset in mask order, letter by letter, with Python sets
+        rng = random.Random(1729)
+        for index in range(200):
+            n = 1 + index % 8
+            d = random_dfa(rng, n, rng.randint(1, 3))
+            weights = [rng.randrange(4) for _ in range(n)]
+            target = StateSet(n, rng.randrange(1, 1 << n))
+            expected = (True, sum(weights) - sum(weights[q] for q in target.members()), None)
+            for letter, t in enumerate(d.transformations()):
+                bad = [
+                    mask
+                    for mask in range(1 << n)
+                    if sum(weights[q] for q in {t(q) for q in range(n) if mask >> q & 1})
+                    < sum(weights[q] for q in range(n) if mask >> q & 1) - 1
+                ]
+                if bad:
+                    expected = (False, None, (bad[0], letter))
+                    break
+            pb = potential_lower_bound(d, weights, target)
+            found = None if pb.counterexample is None else (pb.counterexample[0].mask, pb.counterexample[1])
+            assert (pb.valid, pb.bound, found) == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             potential_lower_bound(v(3), [0, 1], StateSet.singleton(3, 0))
@@ -248,6 +287,16 @@ class TestPotentialBound:
             potential_lower_bound(v(3), [0, -1, 2], StateSet.singleton(3, 0))
         with pytest.raises(ValueError):
             potential_lower_bound(v(3), [0, 1, 2], StateSet.singleton(4, 0))
+
+    def test_memory_limit(self, monkeypatch):
+        # 34 bytes per subset: 34 * 2^12 = 139264 for n = 12
+        args = (v(12), list(range(12)), StateSet.singleton(12, 0))
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 139264)
+        assert potential_lower_bound(*args).bound == 66
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 139263)
+        refuse_allocation(monkeypatch)
+        with pytest.raises(ValueError, match="139264 bytes, more than the 139263 bytes of physical memory"):
+            potential_lower_bound(*args)
 
 
 @settings(max_examples=80)
