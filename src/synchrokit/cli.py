@@ -167,23 +167,25 @@ def _cmd_word(args: argparse.Namespace) -> int:
         d = cb(args.n, args.k)
     else:
         d = _load_input(args)
-        try:
-            if args.method == "exact":
+        if args.method == "exact":
+            try:
                 exact = reset_threshold_exact(d)
-                if exact is NOT_SYNCHRONIZING:
-                    _print_json({"n": d.n, "synchronizing": False, "word": None})
-                    print("automaton is not synchronizing", file=sys.stderr)
-                    return 1
-                rt, word = exact
-                result = ResetResult(word, rt, Method.EXACT_BFS, True)
-            elif args.method == "pairchase":
-                result = pairchase_reset_word(d)
-            else:
-                result = extension_reset_word(d)
-        except ValueError as exc:
-            _print_json({"n": d.n, "error": str(exc)})
-            print(str(exc), file=sys.stderr)
-            return 1
+            except ValueError as exc:  # too many states or too little memory
+                raise _UsageError(str(exc))
+            if exact is NOT_SYNCHRONIZING:
+                _print_json({"n": d.n, "synchronizing": False, "word": None})
+                print("automaton is not synchronizing", file=sys.stderr)
+                return 1
+            rt, word = exact
+            result = ResetResult(word, rt, Method.EXACT_BFS, True)
+        else:
+            synthesize = pairchase_reset_word if args.method == "pairchase" else extension_reset_word
+            try:
+                result = synthesize(d)
+            except ValueError as exc:  # the automaton lacks the method's property
+                _print_json({"n": d.n, "error": str(exc)})
+                print(str(exc), file=sys.stderr)
+                return 1
     _print_json(
         {
             "n": d.n,
@@ -230,7 +232,6 @@ def _cmd_pair_diam(args: argparse.Namespace) -> int:
                 trials=args.trials,
                 seed=args.seed,
                 output_path=args.out,
-                allow_large=mode is SearchMode.EXHAUSTIVE and args.n > 7,
             )
             summary = random_pair_diameter_experiment(cfg)
         except ValueError as exc:

@@ -6,6 +6,9 @@ lower-bounds how fast any word can bring two states together, and a "descent
 certificate" (a value per pair that drops by at most one along every edge)
 turns a claimed distance into a machine-checkable proof.
 
+Pair chasing (:mod:`synchrokit.sync`) runs ``_bfs`` on rows from the same
+builder, ``_pair_rows``, over all letters plus a "merged" vertex.
+
 Certificates are available for the two-letter family ``f``: the 7-state
 values are a fixed table, and for ``n % 4 == 3, n >= 11`` they come from a
 closed-form dispatch.  :func:`extremal_pair_word` builds an explicit word
@@ -15,6 +18,7 @@ realizing the certified distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import Dfa, Word
 
@@ -49,30 +53,34 @@ class PairDigraph:
         return len(self.succ)
 
 
+def _pair_rows(n: int, images) -> list[tuple[int, ...]]:
+    """Successor rows of the unordered pairs, in :func:`pair_index` order.
+
+    ``row[slot]`` is the index of the pair's image under the map
+    ``images[slot]``, or ``n(n-1)/2``, the "merged" vertex, where that map
+    sends both states to one.  Entries are taken from an n x n table, so
+    each index is one shared int object however many rows hold it.
+    """
+    pairs = list(combinations(range(n), 2))
+    merged = len(pairs)
+    index = [[merged] * n for _ in range(n)]
+    for v, (i, j) in enumerate(pairs):
+        index[i][j] = index[j][i] = v
+    return list(zip(*([index[img[i]][img[j]] for i, j in pairs] for img in images)))
+
+
 def build_pair_digraph(d: Dfa) -> PairDigraph:
     """Pair digraph over the permutation letters of ``d``."""
     perm = d.permutation_letters()
     if not perm:
         raise ValueError("pair digraph needs at least one permutation letter")
-    n = d.n
-    if n < 2:
+    if d.n < 2:
         raise ValueError("pair digraph needs at least two states")
-    succ = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = []
-            for li in perm:
-                t = d.transformation(li)
-                u, v = t.images[i], t.images[j]
-                if u > v:
-                    u, v = v, u
-                row.append(pair_index(n, u, v))
-            succ.append(tuple(row))
     return PairDigraph(
-        n=n,
+        n=d.n,
         letter_names=tuple(d.letters[li][0] for li in perm),
         letter_indices=tuple(perm),
-        succ=tuple(succ),
+        succ=tuple(_pair_rows(d.n, [d.transformation(li).images for li in perm])),
     )
 
 

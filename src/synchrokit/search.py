@@ -44,7 +44,6 @@ from .sync import (
     _reset_distance,
     _resets,
     _subset_table,
-    is_synchronizing,
     pairchase_reset_word,
     reset_threshold_exact,
 )
@@ -75,8 +74,6 @@ class SearchConfig:
     """Parameters shared by the census and the sampling experiments.
 
     ``trials`` and ``seed`` only matter in :data:`SearchMode.RANDOM`.
-    Exhaustive runs above :data:`EXHAUSTIVE_STATE_CAP` states must opt in
-    with ``allow_large`` and get a runtime warning in return.
     """
 
     n: int
@@ -84,7 +81,6 @@ class SearchConfig:
     trials: int = 0
     seed: int = 0
     output_path: str | Path | None = None
-    allow_large: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -93,17 +89,6 @@ class SearchConfig:
             raise ValueError("trials must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.mode is SearchMode.EXHAUSTIVE and self.n > EXHAUSTIVE_STATE_CAP:
-            if not self.allow_large:
-                raise ValueError(
-                    f"exhaustive mode is capped at n = {EXHAUSTIVE_STATE_CAP};"
-                    " pass allow_large=True to override"
-                )
-            warnings.warn(
-                f"exhaustive run with n = {self.n} may take a very long time",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -445,13 +430,23 @@ def max_reset_threshold_exhaustive(
     ``resume`` replays completed blocks from an existing journal instead of
     recomputing them; a final journal line cut off mid-write is dropped
     and its work redone, so the resumed journal ends byte-identical to an
-    uninterrupted run's.
+    uninterrupted run's.  Runs above :data:`EXHAUSTIVE_STATE_CAP` states
+    must opt in with ``allow_large`` and get a runtime warning in return.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    SearchConfig(  # validates the other arguments
-        n=n, mode=SearchMode.EXHAUSTIVE, output_path=output_path, allow_large=allow_large,
-    )
+    SearchConfig(n=n, mode=SearchMode.EXHAUSTIVE, output_path=output_path)  # validates n
+    if n > EXHAUSTIVE_STATE_CAP:
+        if not allow_large:
+            raise ValueError(
+                f"exhaustive mode is capped at n = {EXHAUSTIVE_STATE_CAP};"
+                " pass allow_large=True to override"
+            )
+        warnings.warn(
+            f"exhaustive run with n = {n} may take a very long time",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     perms, _, _ = _census_context(n)
     done: set[_Perm] = set()
     best_rt = -1
@@ -597,11 +592,13 @@ def random_rt_experiment(
     lengths: list[int] = []
     for index, (p1, p2, t) in enumerate(samples):
         d = _census_dfa(n, p1, p2, t)
-        length: int | None = None
         if n <= _EXACT_TRIALS_MAX_N:
             length = _reset_distance(d)
-        elif is_synchronizing(d):
-            length = pairchase_reset_word(d).length
+        else:
+            try:
+                length = pairchase_reset_word(d).length
+            except ValueError:  # not synchronizing
+                length = None
         if length is not None:
             lengths.append(length)
         trials_out.append(

@@ -1,7 +1,8 @@
 """Reset thresholds and reset-word synthesis.
 
 Four synthesizers are provided: exact subset BFS (optimal, exponential),
-pair chasing (greedy merging guided by a BFS on state pairs), subset
+pair chasing (greedy merging guided by one BFS on the pair rows of
+:mod:`synchrokit.pairgraph`, towards a "merged" vertex), subset
 extension through the excluded/duplicate stratification (quadratic bound
 for automata whose transition monoid is all transformations), and the
 merging/pairing round simulation for the three-letter cyclic family.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -28,7 +28,7 @@ import numpy as np
 from .core import Dfa, StateSet, Word, apply_word, word_transformation
 from .families import cb
 from .monoid import is_two_transitive
-from .pairgraph import _strongly_connected
+from .pairgraph import _bfs, _pair_rows, _predecessors, _strongly_connected
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
@@ -228,41 +228,15 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | _NotSynchronizing:
     return rt, Word(tuple(letters))
 
 
-def _merge_distances(
-    d: Dfa,
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Distance from each unordered state pair to a directly mergeable pair.
-
-    Returns ``(dist, merge_letter)`` keyed by pairs ``(i, j)``, ``i < j``.
-    ``merge_letter`` holds the least letter collapsing the pair and is
-    populated exactly for pairs at distance zero; pairs absent from ``dist``
-    cannot be merged by any word.
+def _merge_distances(d: Dfa) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Pair rows over every letter, the merged vertex's empty row last, and
+    ``dist[v]``: the length of a shortest word collapsing pair ``v`` (-1 if none).
     """
-    n = d.n
-    images = [t.images for t in d.transformations()]
-    rev: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    dist: dict[tuple[int, int], int] = {}
-    merge_letter: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            src = (i, j)
-            for letter, img in enumerate(images):
-                a, b = img[i], img[j]
-                if a == b:
-                    if src not in merge_letter:
-                        merge_letter[src] = letter
-                        dist[src] = 0
-                else:
-                    key = (a, b) if a < b else (b, a)
-                    rev.setdefault(key, []).append(src)
-    frontier = deque(sorted(merge_letter))
-    while frontier:
-        p = frontier.popleft()
-        for q in rev.get(p, ()):
-            if q not in dist:
-                dist[q] = dist[p] + 1
-                frontier.append(q)
-    return dist, merge_letter
+    rows = _pair_rows(d.n, [t.images for t in d.transformations()])
+    merged = len(rows)
+    rows.append(())
+    dist, _ = _bfs(_predecessors(rows), merged)
+    return rows, dist
 
 
 def is_synchronizing(d: Dfa) -> bool:
@@ -271,66 +245,40 @@ def is_synchronizing(d: Dfa) -> bool:
     Decided on pairs of states: the automaton is synchronizing iff every
     pair of distinct states can be mapped to a single state by some word.
     """
-    if d.n == 1:
-        return True
-    dist, _ = _merge_distances(d)
-    return len(dist) == d.n * (d.n - 1) // 2
-
-
-def _chase_word(
-    d: Dfa,
-    pair: tuple[int, int],
-    dist: Mapping[tuple[int, int], int],
-    merge_letter: Mapping[tuple[int, int], int],
-) -> list[int]:
-    """Lexicographically least shortest word merging ``pair``, greedily."""
-    images = [t.images for t in d.transformations()]
-    i, j = pair
-    remaining = dist[pair]
-    letters: list[int] = []
-    while remaining > 0:
-        for letter, img in enumerate(images):
-            a, b = img[i], img[j]
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            if dist.get(key) == remaining - 1:
-                letters.append(letter)
-                i, j = key
-                remaining -= 1
-                break
-        else:  # pragma: no cover - contradicts the BFS distances
-            raise AssertionError("no letter decreases the merge distance")
-    letters.append(merge_letter[(i, j)])
-    return letters
+    return min(_merge_distances(d)[1]) >= 0
 
 
 def pairchase_reset_word(d: Dfa) -> ResetResult:
-    """Reset word by repeatedly driving one image pair onto a mergeable pair.
+    """Reset word by repeatedly collapsing the image pair nearest to merging.
 
     Each round picks, among the pairs of the current image, one with the
-    shortest distance (over the whole alphabet, by BFS on state pairs) to a
-    pair collapsed by some letter, applies that shortest word, and applies
-    the collapsing letter.  The image shrinks every round, so there are at
-    most n - 1 rounds.
+    shortest collapsing word (smallest ``(i, j)`` on ties) and applies the
+    lexicographically least such word: from the pair, the least letter
+    whose image is one step closer to the merged vertex, until it is
+    reached.  The pairs are sorted by distance once; each round scans that
+    order from the start, as the new image need not lie inside the old one.
+    The image loses a state every round, so there are at most n - 1 rounds.
 
     Raises:
         ValueError: if the automaton is not synchronizing.
     """
     n = d.n
-    if n == 1:
-        return ResetResult(Word(()), 0, Method.PAIRCHASE, True)
-    dist, merge_letter = _merge_distances(d)
-    if len(dist) < n * (n - 1) // 2:
+    rows, dist = _merge_distances(d)
+    if min(dist) < 0:
         raise ValueError("automaton is not synchronizing")
+    merged = len(rows) - 1
+    pair_bits = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n)]
+    ranked = sorted(range(merged), key=dist.__getitem__)
     image = StateSet.full(n)
     letters: list[int] = []
     while image.cardinality() > 1:
-        states = image.members()
-        best = min(
-            ((dist[(i, j)], i, j) for x, i in enumerate(states) for j in states[x + 1 :]),
-        )
-        step = _chase_word(d, (best[1], best[2]), dist, merge_letter)
+        mask = image.mask
+        v = next(v for v in ranked if pair_bits[v] & mask == pair_bits[v])
+        step: list[int] = []
+        while v != merged:
+            slot = next(s for s, w in enumerate(rows[v]) if dist[w] == dist[v] - 1)
+            step.append(slot)
+            v = rows[v][slot]
         image = apply_word(image, d, Word(tuple(step)))
         letters.extend(step)
     w = Word(tuple(letters))

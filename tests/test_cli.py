@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from synchrokit import sync
+from synchrokit import search, sync
 from synchrokit.cli import main
 from synchrokit.core import loads_dfa
 from synchrokit.families import v
@@ -117,6 +117,16 @@ class TestWord:
         assert code == 0
         assert obj["verified"] is True and obj["length"] <= 2 * 144 - 72 + 5
 
+    def test_exact_past_32_states_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "word", "--family", "cerny", "--n", "40", "--method", "exact")
+        assert code == 2 and out == ""
+        assert "at most 32 states" in err
+
+    def test_pairchase_rejection_is_exit_1(self, capsys):
+        code, obj, err = run_json(capsys, "word", "--family", "f", "--n", "7")
+        assert code == 1
+        assert obj == {"n": 7, "error": "automaton is not synchronizing"}
+
     def test_extension_rejection_is_exit_1(self, capsys):
         code, obj, err = run_json(
             capsys, "word", "--family", "rystsov", "--n", "6", "--method", "extension"
@@ -183,6 +193,11 @@ class TestPairDiam:
         assert code == 0
         assert obj["max"] == 7
 
+    def test_exhaustive_experiment_is_capped_at_nine(self, capsys):
+        code, out, err = run(capsys, "pair-diam", "--experiment", "exhaustive", "--n", "10")
+        assert code == 2 and out == ""
+        assert "capped at n = 9" in err
+
     def test_experiment_needs_n(self, capsys):
         code, out, _ = run(capsys, "pair-diam", "--experiment", "random")
         assert code == 2 and out == ""
@@ -230,6 +245,24 @@ class TestSearch:
         code, digest, _ = run_json(capsys, "search", "summarize", str(out_file))
         assert code == 0
         assert digest["complete"] is True and digest["summary"] == obj
+
+    def test_exhaustive_cap_and_allow_large(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "search", "--n", "8", "--mode", "exhaustive")
+        assert code == 2 and out == "" and "allow_large" in err
+        # a census block that finds cerny(8), plus an identity letter, first
+        identity, cycle = tuple(range(8)), tuple(range(1, 8)) + (0,)
+        merge = (1,) + tuple(range(1, 8))
+
+        def block(args):
+            p1 = args[1]
+            return (p1, 1, 49, cycle, merge) if p1 == identity else (p1, 0, -1, None, None)
+
+        monkeypatch.setattr(search, "_census_block", block)
+        with pytest.warns(RuntimeWarning, match="very long time"):
+            code, obj, _ = run_json(
+                capsys, "search", "--n", "8", "--mode", "exhaustive", "--allow-large", "--workers", "1"
+            )
+        assert code == 0 and obj["max_rt"] == 49
 
     def test_summarize_needs_file(self, capsys):
         code, out, _ = run(capsys, "search", "summarize")

@@ -37,6 +37,16 @@ def apply_word_to_pair(d: Dfa, pair: tuple[int, int], w: Word) -> tuple[int, int
     return (u, v) if u <= v else (v, u)
 
 
+def reference_succ(d: Dfa) -> tuple[tuple[int, ...], ...]:
+    """Pair rows over the permutation letters, one pair_index call per entry."""
+    perms = [d.transformation(li).images for li in d.permutation_letters()]
+    return tuple(
+        tuple(pair_index(d.n, min(t[i], t[j]), max(t[i], t[j])) for t in perms)
+        for i in range(d.n)
+        for j in range(i + 1, d.n)
+    )
+
+
 def closed_form_diameter(n: int) -> int:
     """Pair-digraph diameter of the f family for odd n >= 11.
 
@@ -90,6 +100,18 @@ class TestBuildPairDigraph:
             i, j = index_pair(7, vtx)
             u, w = sorted((a(i), a(j)))
             assert p.succ[vtx][0] == pair_index(7, u, w)
+
+    @pytest.mark.parametrize("n", range(7, 22, 2))
+    def test_rows_match_pair_index_reference_on_f(self, n):
+        d = f(n)
+        assert build_pair_digraph(d).succ == reference_succ(d)
+
+    def test_rows_match_pair_index_reference_on_random_permutations(self):
+        rng = random.Random(1990)
+        for _ in range(120):
+            n = rng.randint(2, 14)
+            d = Dfa(n, tuple((f"x{i}", random_permutation(rng, n)) for i in range(rng.randint(1, 3))))
+            assert build_pair_digraph(d).succ == reference_succ(d)
 
     def test_permutation_letters_only(self):
         # non-permutation letters are ignored: the cycle family keeps just "a"

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synchrokit import search
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
 from synchrokit.monoid import PermutationGroup, generates_symmetric_group
@@ -59,11 +61,19 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="workers must be positive"):
             max_reset_threshold_exhaustive(4, workers=0)
 
-    def test_exhaustive_cap(self):
-        with pytest.raises(ValueError):
-            SearchConfig(n=EXHAUSTIVE_STATE_CAP + 1, mode=SearchMode.EXHAUSTIVE)
-        with pytest.warns(RuntimeWarning):
-            SearchConfig(n=EXHAUSTIVE_STATE_CAP + 1, mode=SearchMode.EXHAUSTIVE, allow_large=True)
+    def test_exhaustive_cap(self, monkeypatch):
+        with pytest.raises(ValueError, match="allow_large"):
+            max_reset_threshold_exhaustive(EXHAUSTIVE_STATE_CAP + 1)
+
+        class CensusStarted(Exception):
+            pass
+
+        def no_census(args):
+            raise CensusStarted
+
+        monkeypatch.setattr(search, "_census_block", no_census)
+        with pytest.warns(RuntimeWarning, match="very long time"), pytest.raises(CensusStarted):
+            max_reset_threshold_exhaustive(EXHAUSTIVE_STATE_CAP + 1, allow_large=True)
 
 
 class TestCanonicalForm:
@@ -301,12 +311,20 @@ class TestPairDiameterExperiment:
         assert summary["max"] == 7
 
     def test_exhaustive_mode_is_hard_capped(self):
-        with pytest.warns(RuntimeWarning):
-            cfg = SearchConfig(
-                n=PAIR_DIAMETER_CAP + 1, mode=SearchMode.EXHAUSTIVE, allow_large=True
-            )
-        with pytest.raises(ValueError):
+        cfg = SearchConfig(n=PAIR_DIAMETER_CAP + 1, mode=SearchMode.EXHAUSTIVE)
+        with pytest.raises(ValueError, match="capped at n = 9"):
             random_pair_diameter_experiment(cfg)
+
+    def test_exhaustive_above_the_census_cap_needs_no_opt_in(self, monkeypatch):
+        # one orbit representative stands in for the 23393 of n = 8
+        cycle, swap = tuple(range(1, 8)) + (0,), (1, 0) + tuple(range(2, 8))
+        monkeypatch.setattr(search, "_exhaustive_pair_classes", lambda n: iter([(cycle, swap)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = random_pair_diameter_experiment(
+                SearchConfig(n=EXHAUSTIVE_STATE_CAP + 1, mode=SearchMode.EXHAUSTIVE)
+            )
+        assert summary["trials"] == 1 and summary["strongly_connected"] == 1
 
     def test_random_mode_is_reproducible(self):
         cfg = SearchConfig(n=12, mode=SearchMode.RANDOM, trials=20, seed=5)

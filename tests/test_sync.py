@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -100,6 +101,88 @@ class TestIsSynchronizing:
             d = random_dfa(rng, rng.randint(1, 6), rng.randint(1, 3))
             expected = reset_threshold_exact(d) is not NOT_SYNCHRONIZING
             assert is_synchronizing(d) == expected
+
+
+def reference_merge_distances(d: Dfa) -> tuple[dict, dict]:
+    """Plain BFS on (i, j) tuples, backwards from the pairs one letter collapses.
+
+    Returns ``(dist, merge_letter)``: ``dist[(i, j)]`` counts the letters
+    before the collapsing one (absent where no word collapses the pair), and
+    ``merge_letter`` holds the least collapsing letter of each pair at 0.
+    """
+    images = [t.images for t in d.transformations()]
+    rev: dict = {}
+    dist: dict = {}
+    merge_letter: dict = {}
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            for letter, img in enumerate(images):
+                a, b = img[i], img[j]
+                if a == b:
+                    if (i, j) not in merge_letter:
+                        merge_letter[(i, j)] = letter
+                        dist[(i, j)] = 0
+                else:
+                    rev.setdefault((min(a, b), max(a, b)), []).append((i, j))
+    frontier = deque(sorted(merge_letter))
+    while frontier:
+        p = frontier.popleft()
+        for q in rev.get(p, ()):
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                frontier.append(q)
+    return dist, merge_letter
+
+
+def reference_pairchase(d: Dfa) -> tuple[int, ...]:
+    """Greedy pair chasing with a per-round minimum over every image pair."""
+    dist, merge_letter = reference_merge_distances(d)
+    if len(dist) < d.n * (d.n - 1) // 2:
+        raise ValueError("automaton is not synchronizing")
+    images = [t.images for t in d.transformations()]
+    image = StateSet.full(d.n)
+    letters: list[int] = []
+    while image.cardinality() > 1:
+        states = image.members()
+        remaining, i, j = min(
+            (dist[(i, j)], i, j) for x, i in enumerate(states) for j in states[x + 1 :]
+        )
+        step = []
+        while remaining > 0:
+            for letter, img in enumerate(images):
+                key = (min(img[i], img[j]), max(img[i], img[j]))
+                if img[i] != img[j] and dist.get(key) == remaining - 1:
+                    step.append(letter)
+                    (i, j), remaining = key, remaining - 1
+                    break
+        step.append(merge_letter[(i, j)])
+        image = apply_word(image, d, Word(tuple(step)))
+        letters.extend(step)
+    return tuple(letters)
+
+
+def chase_or_error(chase, d: Dfa):
+    try:
+        return tuple(chase(d))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPairchaseAgainstReference:
+    def test_seeded_random_automata(self):
+        rng = random.Random(20171)
+        for _ in range(500):
+            d = random_dfa(rng, rng.randint(2, 12), rng.randint(1, 4))
+            expected = chase_or_error(reference_pairchase, d)
+            assert chase_or_error(lambda d: pairchase_reset_word(d).word, d) == expected
+            assert is_synchronizing(d) == (not isinstance(expected, str))
+
+    @pytest.mark.parametrize("family", [cerny, v, rystsov])
+    def test_families(self, family):
+        for n in range(2, 31):
+            d = family(n)
+            assert tuple(pairchase_reset_word(d).word) == reference_pairchase(d)
+            assert is_synchronizing(d)
 
 
 class TestPairchase:
