@@ -79,14 +79,6 @@ class Transformation:
             raise ValueError("cannot compose transformations of different sizes")
         return Transformation(tuple(other.images[x] for x in self.images))
 
-    def inverse(self) -> "Transformation":
-        if not self.is_permutation():
-            raise ValueError("only permutations are invertible")
-        out = [0] * self.n
-        for i, x in enumerate(self.images):
-            out[x] = i
-        return Transformation(tuple(out))
-
     def preimage_of(self, states: Iterable[int]) -> frozenset[int]:
         targets = set(states)
         return frozenset(q for q in range(self.n) if self.images[q] in targets)
@@ -237,8 +229,9 @@ def apply_word(s: StateSet, d: Dfa, w: Word) -> StateSet:
     """Image of a state set under a word, applied left to right."""
     if d.n != s.n:
         raise ValueError("state set and automaton have different state counts")
+    m = d.m
     for i in w:
-        if not 0 <= i < d.m:
+        if not 0 <= i < m:
             raise ValueError(f"letter index {i} out of range")
     images = [t.images for t in d.transformations()]
     current = set(s.members())
@@ -250,10 +243,12 @@ def apply_word(s: StateSet, d: Dfa, w: Word) -> StateSet:
 
 def word_transformation(d: Dfa, w: Word) -> Transformation:
     """The single transformation realized by a word."""
-    t = Transformation.identity(d.n)
+    letters = [t.images for t in d.transformations()]
+    images = tuple(range(d.n))
     for i in w:
-        t = t.then(d.transformation(i))
-    return t
+        t = letters[i]
+        images = tuple(t[q] for q in images)
+    return Transformation(images)
 
 
 # ---------------------------------------------------------------------------

@@ -16,49 +16,9 @@ state names carry labels ``q1..qn``; the ``v``/``rystsov`` families carry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Dfa, Transformation
 
 FAMILY_CODES = ("cerny", "cb", "v", "rystsov", "f")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Validated family parameters (the CLI-facing record)."""
-
-    family: str
-    n: int
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILY_CODES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILY_CODES}")
-        if self.family == "cb":
-            if self.n < 3:
-                raise ValueError("cb needs n >= 3")
-            if self.k is None or not 1 <= self.k <= self.n - 1:
-                raise ValueError("cb needs 1 <= k <= n - 1")
-        else:
-            if self.k is not None:
-                raise ValueError(f"family {self.family!r} takes no k parameter")
-            if self.family == "f":
-                if self.n < 7 or self.n % 2 == 0:
-                    raise ValueError("f needs odd n >= 7")
-            elif self.n < 2:
-                raise ValueError(f"{self.family} needs n >= 2")
-
-    def build(self) -> Dfa:
-        if self.family == "cerny":
-            return cerny(self.n)
-        if self.family == "cb":
-            assert self.k is not None
-            return cb(self.n, self.k)
-        if self.family == "v":
-            return v(self.n)
-        if self.family == "rystsov":
-            return rystsov(self.n)
-        return f(self.n)
 
 
 def _one_based_labels(n: int) -> tuple[str, ...]:
@@ -198,4 +158,14 @@ def f(n: int) -> Dfa:
 
 
 def build_family(family: str, n: int, k: int | None = None) -> Dfa:
-    return FamilySpec(family, n, k).build()
+    """The automaton of a family code; ``k`` is taken by ``cb`` only, and the
+    builder checks ``n`` and ``k``."""
+    if family not in FAMILY_CODES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_CODES}")
+    if family == "cb":
+        if k is None:
+            raise ValueError("cb needs 1 <= k <= n - 1")
+        return cb(n, k)
+    if k is not None:
+        raise ValueError(f"family {family!r} takes no k parameter")
+    return {"cerny": cerny, "v": v, "rystsov": rystsov, "f": f}[family](n)

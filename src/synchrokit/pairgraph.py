@@ -270,18 +270,6 @@ def _unreachable(p: PairDigraph, source: int, dist: list[int]) -> DiameterResult
     )
 
 
-def _strongly_connected(adj) -> bool:
-    """Whether vertex 0 of ``adj`` reaches every vertex and is reached from every vertex."""
-    forward, _ = _bfs(adj, 0)
-    backward, _ = _bfs(_predecessors(adj), 0)
-    return min(forward) >= 0 and min(backward) >= 0
-
-
-def is_strongly_connected(p: PairDigraph) -> bool:
-    """Whether vertex 0 reaches every vertex and is reached from every vertex."""
-    return _strongly_connected(p.succ)
-
-
 # ---------------------------------------------------------------------------
 # Descent certificates for the `f` family.
 # ---------------------------------------------------------------------------

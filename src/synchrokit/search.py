@@ -10,9 +10,14 @@ pair-digraph diameters, with bit-for-bit reproducible output files.
 Isomorphism reduction works in two stages.  The rank-``(n-1)`` letter is
 first normalized so that its excluded state is 1 and its duplicated state is
 0; the leftover symmetry is then the pointwise stabilizer of ``{0, 1}``
-combined with swapping the two permutation letters, and only candidates that
-are minimal in their orbit under that residual group are evaluated.  The
-minimal representative over the *full* relabeling group is available
+combined with swapping the two permutation letters.  A first letter that is
+not minimal in its orbit under that residual group is skipped, and so is a
+permutation pair that some residual symmetry maps to a smaller one whatever
+the rank letter.  The rank letters themselves are not filtered: one subset
+BFS per permutation pair covers all of them at once, and a symmetry fixing
+the pair maps a rank letter to a conjugate with the same threshold, so the
+block maximum and its first candidate in enumeration order stay the same.
+The minimal representative over the *full* relabeling group is available
 separately as :func:`canonical_form`.
 """
 
@@ -229,106 +234,103 @@ def _conjugate(p: _Perm, g: _Perm, ginv: _Perm) -> _Perm:
     return tuple(g[p[q]] for q in ginv)
 
 
-def _exact_rt(tables: Sequence[list[int]], n: int) -> int | None:
-    """Shortest reset-word length by subset BFS, or ``None`` if there is none.
-
-    Distances are stored off by one so 0 can mean "unvisited".
-    """
-    full = (1 << n) - 1
-    if full & (full - 1) == 0:
-        return 0
-    dist = bytearray(1 << n)
-    dist[full] = 1
-    queue = [full]
-    head = 0
-    while head < len(queue):
-        mask = queue[head]
-        head += 1
-        step = dist[mask]
-        for table in tables:
-            image = table[mask]
-            if dist[image] == 0:
-                if image & (image - 1) == 0:
-                    return step
-                dist[image] = step + 1
-                queue.append(image)
-    return None
-
-
 @lru_cache(maxsize=4)
-def _census_context(
-    n: int,
-) -> tuple[tuple[_Perm, ...], tuple[tuple[_Perm, _Perm], ...], tuple[_Perm, ...]]:
-    perms = tuple(sorted(itertools.permutations(range(n))))
-    return perms, _residual_group(n), _normalized_rank_letters(n)
+def _census_context(n: int) -> tuple[tuple[_Perm, ...], tuple, tuple[_Perm, ...], list]:
+    """Permutations, residual group, rank letters, and the letters' moves.
 
-
-def _pair_symmetry(
-    p1: _Perm,
-    p2: _Perm,
-    residual: Sequence[tuple[_Perm, _Perm]],
-) -> tuple[bool, list[tuple[_Perm, _Perm]]]:
-    """Classify the residual symmetries of a permutation pair.
-
-    Returns ``(dead, sensitive)``: ``dead`` means some symmetry maps every
-    triple ``(p1, p2, t)`` to a strictly smaller one regardless of ``t``;
-    ``sensitive`` lists the symmetries that fix ``(p1, p2)`` (directly or
-    with a swap) and therefore must be checked against each ``t``.
+    ``moves[S]`` lists the pairs ``(X, mask)`` where bit r of ``mask`` is set
+    when rank letter r (in :func:`_normalized_rank_letters` order) maps the
+    subset ``S`` onto ``X``.
     """
-    identity = residual[0][0]
-    sensitive: list[tuple[_Perm, _Perm]] = []
+    rank_letters = _normalized_rank_letters(n)
+    targets: list[dict[int, int]] = [{} for _ in range(1 << n)]
+    for r, t in enumerate(rank_letters):
+        for s, x in enumerate(_subset_table([1 << q for q in t])):
+            targets[s][x] = targets[s].get(x, 0) | 1 << r
+    moves = [tuple(row.items()) for row in targets]
+    perms = tuple(sorted(itertools.permutations(range(n))))
+    return perms, _residual_group(n), rank_letters, moves
+
+
+def _dead_pair(p1: _Perm, p2: _Perm, residual: Sequence[tuple[_Perm, _Perm]]) -> bool:
+    """Whether some residual symmetry maps every triple ``(p1, p2, t)`` to a
+    strictly smaller one, whatever ``t`` is."""
     for g, ginv in residual:
         c1 = _conjugate(p1, g, ginv)
         c2 = _conjugate(p2, g, ginv)
-        if c1 == p1 and c2 < p2:
-            return True, []
-        if c2 < p1 or (c2 == p1 and c1 < p2):
-            return True, []
-        if g != identity and ((c1 == p1 and c2 == p2) or (c2 == p1 and c1 == p2)):
-            sensitive.append((g, ginv))
-    return False, sensitive
+        if (c1 == p1 and c2 < p2) or c2 < p1 or (c2 == p1 and c1 < p2):
+            return True
+    return False
 
 
-def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, int, _Perm | None, _Perm | None]:
+def _last_resets(table1: list[int], table2: list[int], moves: list, live: int) -> tuple[int, int]:
+    """One subset BFS for the automata ``(p1, p2, t_r)`` of every bit r of ``live``.
+
+    ``rows[S]`` has bit r set when ``S`` is on the current level of
+    automaton r, and ``seen[S]`` holds the bits that have visited ``S``.  A
+    bit retires once its automaton reaches a singleton.  Returns the level
+    at which the last live bit retires, that is the largest reset threshold,
+    and the bits that retire there.
+    """
+    size = len(table1)
+    seen = [0] * size
+    seen[-1] = live
+    rows = [(size - 1, live)]
+    level = 0
+    while rows:
+        level += 1
+        reached = [0] * size
+        for s, bits in rows:
+            reached[table1[s]] |= bits
+            reached[table2[s]] |= bits
+            for x, mask in moves[s]:
+                if bits & mask:
+                    reached[x] |= bits & mask
+        rows = []
+        retired = 0
+        for x, bits in enumerate(reached):
+            bits &= ~seen[x]
+            if bits:
+                seen[x] |= bits
+                if x & (x - 1):
+                    rows.append((x, bits))
+                else:
+                    retired |= bits
+        if retired:
+            live &= ~retired
+            if not live:
+                return level, retired
+            rows = [(x, bits & live) for x, bits in rows if bits & live]
+    raise AssertionError("every automaton of the census resets")
+
+
+def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _Perm | None]:
     """Process every candidate whose first permutation letter is ``p1``.
 
-    Returns ``(p1, candidates_examined, block_max_rt, p2, t)`` where the
-    last three describe the first enumeration-order candidate attaining the
-    block maximum (``-1`` and ``None`` when the block is empty).
+    Returns ``(p1, block_max_rt, p2, t)`` where the last three describe the
+    first enumeration-order candidate attaining the block maximum (``-1``
+    and ``None`` when the block is empty).  One subset BFS per ``p2`` covers
+    all rank letters, and the lowest retiring bit is the first of them.
     """
     n, p1 = args
-    perms, residual, rank_letters = _census_context(n)
+    perms, residual, rank_letters, moves = _census_context(n)
     for g, ginv in residual[1:]:
         if _conjugate(p1, g, ginv) < p1:
-            return p1, 0, -1, None, None
+            return p1, -1, None, None
     table1 = _subset_table([1 << q for q in p1])
-    rank_tables = [(t, _subset_table([1 << q for q in t])) for t in rank_letters]
-    examined = 0
+    everyone = (1 << len(rank_letters)) - 1
     best_rt = -1
     best_p2: _Perm | None = None
     best_t: _Perm | None = None
     for p2 in perms:
-        if p2 < p1:
+        if p2 < p1 or _dead_pair(p1, p2, residual) or not _generates_symmetric((p1, p2), n):
             continue
-        dead, sensitive = _pair_symmetry(p1, p2, residual)
-        if dead:
-            continue
-        if not _generates_symmetric((p1, p2), n):
-            continue
-        table2 = _subset_table([1 << q for q in p2])
-        for t, table3 in rank_tables:
-            if sensitive and any(
-                _conjugate(t, g, ginv) < t for g, ginv in sensitive
-            ):
-                continue
-            examined += 1
-            rt = _exact_rt((table1, table2, table3), n)
-            assert rt is not None  # full transition monoid always resets
-            if rt > best_rt:
-                best_rt = rt
-                best_p2 = p2
-                best_t = t
-    return p1, examined, best_rt, best_p2, best_t
+        rt, retired = _last_resets(table1, _subset_table([1 << q for q in p2]), moves, everyone)
+        if rt > best_rt:
+            best_rt = rt
+            best_p2 = p2
+            best_t = rank_letters[(retired & -retired).bit_length() - 1]
+    return p1, best_rt, best_p2, best_t
 
 
 def _census_dfa(n: int, p1: _Perm, p2: _Perm, t: _Perm) -> Dfa:
@@ -447,7 +449,6 @@ def max_reset_threshold_exhaustive(
             RuntimeWarning,
             stacklevel=2,
         )
-    perms, _, _ = _census_context(n)
     done: set[_Perm] = set()
     best_rt = -1
     best: SearchRecord | None = None
@@ -467,7 +468,7 @@ def max_reset_threshold_exhaustive(
         sink.flush()
     try:
         if not finished:
-            pending = [(n, p1) for p1 in perms if p1 not in done]
+            pending = [(n, p1) for p1 in itertools.permutations(range(n)) if p1 not in done]
             if workers > 1 and len(pending) > 1:
                 with multiprocessing.Pool(workers) as pool:
                     outcomes: Iterable = pool.imap(_census_block, pending, chunksize=1)
@@ -493,12 +494,12 @@ def max_reset_threshold_exhaustive(
 
 def _reduce_census(
     n: int,
-    outcomes: Iterable[tuple[_Perm, int, int, _Perm | None, _Perm | None]],
+    outcomes: Iterable[tuple[_Perm, int, _Perm | None, _Perm | None]],
     best_rt: int,
     best: SearchRecord | None,
     sink,
 ) -> tuple[int, SearchRecord | None]:
-    for p1, _, block_rt, p2, t in outcomes:
+    for p1, block_rt, p2, t in outcomes:
         if block_rt > best_rt:
             assert p2 is not None and t is not None
             best_rt = block_rt

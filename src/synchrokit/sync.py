@@ -28,7 +28,7 @@ import numpy as np
 from .core import Dfa, StateSet, Word, apply_word, word_transformation
 from .families import cb
 from .monoid import is_two_transitive
-from .pairgraph import _bfs, _pair_rows, _predecessors, _strongly_connected
+from .pairgraph import _bfs, _pair_rows, _predecessors
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
@@ -306,13 +306,6 @@ class ExtensionStratification:
         for edges in self.new_edges_by_level[: level + 1]:
             out.update(edges)
         return frozenset(out)
-
-    def strongly_connected_at(self, level: int) -> bool:
-        """Whether the edges up to ``level`` strongly connect all n states."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for q, p in self.edges_at(level):
-            adj[q].append(p)
-        return _strongly_connected(adj)
 
 
 def build_extension_stratification(d: Dfa) -> ExtensionStratification:

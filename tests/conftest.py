@@ -4,6 +4,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from synchrokit.core import Dfa, Transformation
+from synchrokit.pairgraph import PairDigraph, _bfs, _predecessors
+from synchrokit.sync import ExtensionStratification
 
 settings.register_profile(
     "default",
@@ -29,6 +31,25 @@ def random_dfa(rng: random.Random, n: int, m: int) -> Dfa:
         n,
         tuple((f"x{i}", random_transformation(rng, n)) for i in range(m)),
     )
+
+
+def strongly_connected(adj) -> bool:
+    """Whether vertex 0 of ``adj`` reaches every vertex and is reached from every vertex."""
+    forward, _ = _bfs(adj, 0)
+    backward, _ = _bfs(_predecessors(adj), 0)
+    return min(forward) >= 0 and min(backward) >= 0
+
+
+def is_strongly_connected(p: PairDigraph) -> bool:
+    return strongly_connected(p.succ)
+
+
+def strongly_connected_at(strat: ExtensionStratification, level: int) -> bool:
+    """Whether the stratification's edges up to ``level`` strongly connect all n states."""
+    adj: list[list[int]] = [[] for _ in range(strat.n)]
+    for q, p in strat.edges_at(level):
+        adj[q].append(p)
+    return strongly_connected(adj)
 
 
 @pytest.fixture

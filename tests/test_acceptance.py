@@ -4,8 +4,8 @@ line-per-criterion view; ``-s`` additionally shows the verdict lines of
 passing criteria.
 
 The two large census tiers carry the ``extended`` marker (excluded by the
-default ``pytest`` invocation): six states finishes in under a minute, and
-the seven-state tier — hours of compute — additionally wants
+default ``pytest`` invocation): six states finishes in about ten seconds,
+and the seven-state tier — about 4.5 minutes with two workers — additionally wants
 ``SYNCHROKIT_CENSUS_N7=1`` plus, optionally, ``SYNCHROKIT_CENSUS_N7_JOURNAL``
 pointing at a resumable journal file.
 """
@@ -42,7 +42,7 @@ from synchrokit.sync import (
     reset_threshold_exact,
 )
 
-from conftest import random_dfa
+from conftest import random_dfa, strongly_connected_at
 
 
 def _verdict(num: int, description: str, failures: list[str]) -> None:
@@ -88,13 +88,13 @@ def test_criterion_1_extended_census_six_states():
 @pytest.mark.extended
 @pytest.mark.skipif(
     os.environ.get("SYNCHROKIT_CENSUS_N7") != "1",
-    reason="hours of compute; set SYNCHROKIT_CENSUS_N7=1 (and optionally "
+    reason="about 4.5 minutes with two workers; set SYNCHROKIT_CENSUS_N7=1 (and optionally "
     "SYNCHROKIT_CENSUS_N7_JOURNAL=<path> to resume a saved journal)",
 )
 def test_criterion_1_extended_census_seven_states():
     journal = os.environ.get("SYNCHROKIT_CENSUS_N7_JOURNAL")
     max_rt, record = max_reset_threshold_exhaustive(
-        7, output_path=journal, resume=journal is not None
+        7, workers=2, output_path=journal, resume=journal is not None
     )
     failures = [] if max_rt == 27 else [f"n=7: max rt {max_rt} != 27"]
     record.verify()
@@ -148,7 +148,7 @@ def test_criterion_4_extension_algorithm_and_stratification():
             if r.length > bound:
                 failures.append(f"{label}(n={n}): length {r.length} > {bound}")
             strat = build_extension_stratification(d)
-            if not strat.strongly_connected_at(2 * n - 3):
+            if not strongly_connected_at(strat, 2 * n - 3):
                 failures.append(f"{label}(n={n}): level {2 * n - 3} not strongly connected")
     _verdict(4, "extension words stay under 2n^2-6n+5 and level 2n-3 is one component", failures)
 

@@ -255,7 +255,7 @@ class TestSearch:
 
         def block(args):
             p1 = args[1]
-            return (p1, 1, 49, cycle, merge) if p1 == identity else (p1, 0, -1, None, None)
+            return (p1, 49, cycle, merge) if p1 == identity else (p1, -1, None, None)
 
         monkeypatch.setattr(search, "_census_block", block)
         with pytest.warns(RuntimeWarning, match="very long time"):

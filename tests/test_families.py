@@ -1,8 +1,10 @@
 import pytest
 
-from synchrokit.families import FamilySpec, build_family, cb, cerny, f, rystsov, v
+from synchrokit.families import build_family, cb, cerny, f, rystsov, v
 from synchrokit.monoid import is_two_transitive
-from synchrokit.pairgraph import build_pair_digraph, is_strongly_connected
+from synchrokit.pairgraph import build_pair_digraph
+
+from conftest import is_strongly_connected
 
 
 def piecewise_f_tables(n: int) -> tuple[list[int], list[int]]:
@@ -170,8 +172,16 @@ class TestFamilySpec:
         assert build_family("f", 7) == f(7)
 
     def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            FamilySpec("foo", 4)
+        with pytest.raises(ValueError, match="unknown family"):
+            build_family("foo", 4)
+
+    def test_builders_check_the_parameters(self):
+        with pytest.raises(ValueError, match="cb needs n >= 3"):
+            build_family("cb", 2, 1)
+        with pytest.raises(ValueError, match="f needs odd n >= 7"):
+            build_family("f", 8)
+        with pytest.raises(ValueError, match="v needs n >= 2"):
+            build_family("v", 1)
 
     def test_k_only_for_cb(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from synchrokit.pairgraph import (
     diameter,
     extremal_pair_word,
     index_pair,
-    is_strongly_connected,
     pair_certificate,
     pair_digraph_dot,
     pair_distance,
@@ -25,7 +24,7 @@ from synchrokit.pairgraph import (
 )
 from synchrokit.sync import ExtensionStratification
 
-from conftest import random_permutation
+from conftest import is_strongly_connected, random_permutation, strongly_connected_at
 
 
 def apply_word_to_pair(d: Dfa, pair: tuple[int, int], w: Word) -> tuple[int, int]:
@@ -326,7 +325,7 @@ class TestDiameterCost:
 def strongly_connected(num_vertices: int, edges) -> bool:
     """Strong connectivity of a digraph, through the stratification's check."""
     strat = ExtensionStratification(num_vertices, 0, (tuple(edges),), {})
-    return strat.strongly_connected_at(0)
+    return strongly_connected_at(strat, 0)
 
 
 class TestSccCount:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from synchrokit import search
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
-from synchrokit.monoid import PermutationGroup, generates_symmetric_group
+from synchrokit.monoid import PermutationGroup, _generates_symmetric, generates_symmetric_group
 from synchrokit.search import (
     EXHAUSTIVE_STATE_CAP,
     PAIR_DIAMETER_CAP,
@@ -25,7 +25,7 @@ from synchrokit.search import (
     record_to_json_dict,
     summarize_results,
 )
-from synchrokit.sync import NOT_SYNCHRONIZING, reset_threshold_exact
+from synchrokit.sync import NOT_SYNCHRONIZING, _subset_table, reset_threshold_exact
 
 from conftest import random_dfa, random_permutation
 
@@ -42,6 +42,77 @@ def relabel_states(d: Dfa, perm: list[int]) -> Dfa:
             for name, t in d.letters
         ),
     )
+
+
+def exact_rt(tables, n: int):
+    """Shortest reset-word length by subset BFS, or ``None`` if there is none.
+
+    Distances are stored off by one so 0 can mean "unvisited".
+    """
+    full = (1 << n) - 1
+    if full & (full - 1) == 0:
+        return 0
+    dist = bytearray(1 << n)
+    dist[full] = 1
+    queue = [full]
+    head = 0
+    while head < len(queue):
+        mask = queue[head]
+        head += 1
+        step = dist[mask]
+        for table in tables:
+            image = table[mask]
+            if dist[image] == 0:
+                if image & (image - 1) == 0:
+                    return step
+                dist[image] = step + 1
+                queue.append(image)
+    return None
+
+
+def pair_symmetry(p1, p2, residual):
+    """``(dead, sensitive)``: ``dead`` means some residual symmetry maps every
+    triple ``(p1, p2, t)`` to a strictly smaller one; ``sensitive`` lists the
+    other symmetries that fix ``{p1, p2}``, to be checked against each ``t``."""
+    identity = residual[0][0]
+    sensitive = []
+    for g, ginv in residual:
+        c1 = search._conjugate(p1, g, ginv)
+        c2 = search._conjugate(p2, g, ginv)
+        if c1 == p1 and c2 < p2:
+            return True, []
+        if c2 < p1 or (c2 == p1 and c1 < p2):
+            return True, []
+        if g != identity and ((c1 == p1 and c2 == p2) or (c2 == p1 and c1 == p2)):
+            sensitive.append((g, ginv))
+    return False, sensitive
+
+
+def oracle_census_block(n: int, p1):
+    """The census block of ``p1`` one candidate at a time: a symmetry check
+    per rank letter and a subset BFS per surviving automaton."""
+    perms, residual, rank_letters, _ = search._census_context(n)
+    for g, ginv in residual[1:]:
+        if search._conjugate(p1, g, ginv) < p1:
+            return p1, -1, None, None
+    table1 = _subset_table([1 << q for q in p1])
+    rank_tables = [(t, _subset_table([1 << q for q in t])) for t in rank_letters]
+    best_rt, best_p2, best_t = -1, None, None
+    for p2 in perms:
+        if p2 < p1:
+            continue
+        dead, sensitive = pair_symmetry(p1, p2, residual)
+        if dead or not _generates_symmetric((p1, p2), n):
+            continue
+        table2 = _subset_table([1 << q for q in p2])
+        for t, table3 in rank_tables:
+            if any(search._conjugate(t, g, ginv) < t for g, ginv in sensitive):
+                continue
+            rt = exact_rt((table1, table2, table3), n)
+            assert rt is not None
+            if rt > best_rt:
+                best_rt, best_p2, best_t = rt, p2, t
+    return p1, best_rt, best_p2, best_t
 
 
 class TestSearchConfig:
@@ -189,6 +260,20 @@ class TestExhaustiveCensus:
         max_reset_threshold_exhaustive(4, output_path=path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "1afaea8187d8adf578401622c3ab06f6e761907be7808f08a21021f6ce8862d9"
+
+    @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.extended)])
+    def test_larger_journal_bytes_are_frozen(self, tmp_path, n):
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(n, output_path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == {
+            5: "6a3f1b04f94b97e74e7a191bf0f4a418f7ad76a3cb068bf179bf9591dc5ecff5",
+            6: "42147110825596a54b40e1cf33d0eb7d337255359cb2da52ddabfc526f9c7e1c",
+        }[n]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.extended)])
+    def test_blocks_match_the_per_candidate_oracle(self, n):
+        for p1 in search._census_context(n)[0]:
+            assert search._census_block((n, p1)) == oracle_census_block(n, p1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_after_torn_line(self, tmp_path, workers):

@@ -22,7 +22,7 @@ from synchrokit.sync import (
     reset_threshold_exact,
 )
 
-from conftest import random_dfa
+from conftest import random_dfa, strongly_connected_at
 
 
 def resets(d: Dfa, w: Word) -> bool:
@@ -247,7 +247,7 @@ class TestExtensionStratification:
             strat = build_extension_stratification(v(n))
             assert strat.max_level <= 2 * n - 3
             assert len(strat.edges_at(strat.max_level)) == n * (n - 1)
-            assert strat.strongly_connected_at(2 * n - 3)
+            assert strongly_connected_at(strat, 2 * n - 3)
 
     def test_edges_monotone(self):
         strat = build_extension_stratification(v(7))
