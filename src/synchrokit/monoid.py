@@ -5,10 +5,13 @@ permutation letters generating the symmetric group.  Every symmetric-group
 question goes through one recognizer, :func:`_generates_symmetric`, whose
 steps run in order until one settles the answer: (1) transitivity; (2) some
 generator is odd, else the group lies in ``A_n``; (3) for ``n <= 6``, the
-stabilizer-chain order against ``n!``; (4) 2-transitivity; (5) a seeded
-walk over generator products looking for a *Jordan element*, one with
-exactly one cycle length divisible by a prime ``p <= n - 3``, that cycle of
-length exactly ``p``; (6) the chain order once the walk runs out of steps.
+stabilizer-chain order against ``n!``; (4) 2-transitivity, decided as the
+stabilizer of state 0 being transitive on the other states: the orbits of
+its Schreier generators are joined until one covers them (Schreier's
+lemma); (5) a seeded walk over generator products looking for a *Jordan
+element*, one with exactly one cycle length divisible by a prime
+``p <= n - 3``, that cycle of length exactly ``p``; (6) the chain order once
+the walk runs out of steps.
 
 Every answer is exact.  ``True`` needs a chain order of ``n!`` or a Jordan
 element, some power of which is a ``p``-cycle: by Jordan's theorem a
@@ -191,18 +194,49 @@ def _is_transitive(gens: Sequence[_Perm], n: int) -> bool:
 
 
 def _is_two_transitive(gens: Sequence[_Perm], n: int) -> bool:
-    """Breadth-first orbit of the pair (0, 1), coded as ``u * n + v``."""
-    seen = bytearray(n * n)
-    seen[1] = 1
-    queue = [1]
-    for code in queue:  # the queue grows while it is walked
-        u, v = divmod(code, n)
+    """Transitivity, then the stabilizer of 0 transitive on the other states.
+
+    A breadth-first orbit of 0 gives a transversal ``reps[i]`` with
+    ``reps[i][0] == i``.  Each Schreier generator ``reps[i] * g * reps[g[i]]^-1``
+    fixes 0, and together they generate the stabilizer (Schreier's lemma),
+    whose orbits are the classes of the union of ``q`` with ``s[q]`` over
+    them (union-find with path halving).  The test accepts once one class
+    holds all ``n - 1`` other states, and rejects only after every Schreier
+    generator.  Each transversal inverse is taken once, when first needed.
+    """
+    reps: list[_Perm | None] = [None] * n
+    reps[0] = tuple(range(n))
+    orbit = [0]
+    for i in orbit:  # the queue grows while it is walked
         for g in gens:
-            nxt = g[u] * n + g[v]
-            if not seen[nxt]:
-                seen[nxt] = 1
-                queue.append(nxt)
-    return len(queue) == n * (n - 1)
+            j = g[i]
+            if reps[j] is None:
+                reps[j] = _mul(reps[i], g)
+                orbit.append(j)
+    if len(orbit) < n:
+        return False
+    inverses: list[_Perm | None] = [None] * n
+    root = list(range(n))
+    classes = n - 1
+    for i in orbit:
+        for g in gens:
+            j = g[i]
+            if inverses[j] is None:
+                inverses[j] = _inv(reps[j])
+            s = _mul(_mul(reps[i], g), inverses[j])
+            for a, b in enumerate(s):
+                if a == b:
+                    continue
+                while root[a] != a:
+                    root[a] = a = root[root[a]]
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                if a != b:
+                    root[a] = b
+                    classes -= 1
+            if classes <= 1:
+                return True
+    return False
 
 
 def _jordan_test(gens: Sequence[_Perm], n: int) -> bool:
@@ -252,7 +286,13 @@ def generates_symmetric_group(perms: Sequence[Transformation], n: int) -> bool:
 
 
 def is_two_transitive(perms: Sequence[Transformation], n: int) -> bool:
-    """Is the generated group transitive on ordered pairs of distinct states?"""
+    """Is the generated group transitive on ordered pairs of distinct states?
+
+    Equivalently: the group is transitive and the stabilizer of state 0 is
+    transitive on the other states.  The stabilizer is reached through its
+    Schreier generators, at most ``n`` per generator and ``n`` steps each,
+    and the test stops as soon as their orbits join into one.
+    """
     if n < 2:
         raise ValueError("2-transitivity needs at least two states")
     return _is_two_transitive(_permutation_images(perms, n), n)

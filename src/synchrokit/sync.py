@@ -321,7 +321,7 @@ def build_extension_stratification(d: Dfa) -> ExtensionStratification:
     seeds = d.rank_n_minus_one_letters()
     if not seeds:
         raise ValueError("no letter of rank n-1 to seed the stratification")
-    perms = [(i, d.transformation(i)) for i in d.permutation_letters()]
+    perms = [(i, d.transformation(i).images) for i in d.permutation_letters()]
     if not perms:
         raise ValueError("no permutation letters to grow the stratification")
     max_level = 2 * n - 3
@@ -339,8 +339,8 @@ def build_extension_stratification(d: Dfa) -> ExtensionStratification:
         fresh: list[tuple[int, int]] = []
         for q, p in frontier:
             seed, w = witnesses[(q, p)]
-            for letter, t in perms:
-                img = (t.images[q], t.images[p])
+            for letter, images in perms:
+                img = (images[q], images[p])
                 if img not in witnesses:
                     witnesses[img] = (seed, w + Word((letter,)))
                     fresh.append(img)
@@ -353,28 +353,27 @@ def build_extension_stratification(d: Dfa) -> ExtensionStratification:
     return ExtensionStratification(n, max_level, tuple(levels), witnesses)
 
 
-def _extension_letters(d: Dfa, strat: ExtensionStratification, x: int) -> list[int]:
-    """Extension chain ending in the rank n-1 letter ``x``, back to front."""
+def _extension_letters(
+    d: Dfa, strat: ExtensionStratification, order: Sequence[tuple[int, int]], x: int
+) -> list[int]:
+    """Extension chain ending in the rank n-1 letter ``x``, back to front.
+
+    ``order`` lists the witnessed edges by (witness length, q, p); each step
+    takes the first one crossing into ``r``.
+    """
     n = d.n
     t = d.transformation(x)
     r = t.preimage_of((t.duplicate_state(),))
     word = [x]
     steps = 0
     while len(r) < n:
-        best: tuple[int, int, int] | None = None
-        best_edge: tuple[int, int] | None = None
-        for (q, p), (_, w) in strat.witnesses.items():
-            if p in r and q not in r:
-                key = (len(w), q, p)
-                if best is None or key < best:
-                    best = key
-                    best_edge = (q, p)
-        if best_edge is None:
+        edge = next(((q, p) for q, p in order if p in r and q not in r), None)
+        if edge is None:
             raise ValueError(
                 "no crossing edge in the stratification; "
                 "the permutation letters do not act 2-transitively"
             )
-        seed, w = strat.witnesses[best_edge]
+        seed, w = strat.witnesses[edge]
         u = [seed, *w]
         r = word_transformation(d, Word(tuple(u))).preimage_of(r)
         word = u + word
@@ -391,9 +390,10 @@ def extension_reset_word(d: Dfa) -> ResetResult:
     pair (excluded(x) w, duplicate(x) w) crosses from outside the growing
     set R into it, so the preimage of R under x w is strictly larger.  At
     most n - 2 extensions of length at most 2n - 2 follow the initial rank
-    n-1 letter, for a total of at most 2n^2 - 6n + 5 letters.  When several
-    rank n-1 letters exist, each is tried as the initial letter and the
-    shortest outcome is kept.
+    n-1 letter, for a total of at most 2n^2 - 6n + 5 letters.  Each step
+    takes the first crossing edge of one list sorted once per call by
+    (witness length, q, p).  When several rank n-1 letters exist, each is
+    tried as the initial letter and the first shortest outcome is kept.
 
     Raises:
         ValueError: if no letter has rank n-1, or the permutation letters
@@ -404,9 +404,9 @@ def extension_reset_word(d: Dfa) -> ResetResult:
         return ResetResult(Word(()), 0, Method.EXTENSION, True)
     if not d.rank_n_minus_one_letters():
         raise ValueError("extension requires a letter of rank n-1")
-    # A full transition monoid implies 2-transitive permutation letters, so
-    # the orbit test below is the whole precondition (and far cheaper than
-    # computing the group order).
+    # A full transition monoid implies 2-transitive permutation letters, and
+    # 2-transitivity is all the steps need: it makes the edge digraph
+    # strongly connected, so each step finds a crossing edge.
     perms = [d.transformation(i) for i in d.permutation_letters()]
     if not perms or not is_two_transitive(perms, n):
         raise ValueError(
@@ -414,9 +414,11 @@ def extension_reset_word(d: Dfa) -> ResetResult:
             "symmetric group or at least acting 2-transitively"
         )
     strat = build_extension_stratification(d)
+    # a witness on level i has i letters, so this is the order by (len(w), q, p)
+    order = [e for level in strat.new_edges_by_level for e in sorted(level)]
     best: list[int] | None = None
     for x in d.rank_n_minus_one_letters():
-        letters = _extension_letters(d, strat, x)
+        letters = _extension_letters(d, strat, order, x)
         if best is None or len(letters) < len(best):
             best = letters
     assert best is not None

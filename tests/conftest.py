@@ -33,6 +33,22 @@ def random_dfa(rng: random.Random, n: int, m: int) -> Dfa:
     )
 
 
+def pair_orbit_two_transitive(gens, n: int) -> bool:
+    """Independent oracle: breadth-first orbit of the pair (0, 1), coded as
+    ``u * n + v``, against all n(n - 1) ordered pairs of distinct states."""
+    seen = bytearray(n * n)
+    seen[1] = 1
+    queue = [1]
+    for code in queue:  # the queue grows while it is walked
+        u, v = divmod(code, n)
+        for g in gens:
+            nxt = g[u] * n + g[v]
+            if not seen[nxt]:
+                seen[nxt] = 1
+                queue.append(nxt)
+    return len(queue) == n * (n - 1)
+
+
 def strongly_connected(adj) -> bool:
     """Whether vertex 0 of ``adj`` reaches every vertex and is reached from every vertex."""
     forward, _ = _bfs(adj, 0)

@@ -17,7 +17,7 @@ from synchrokit.monoid import (
     is_two_transitive,
 )
 
-from conftest import random_permutation
+from conftest import pair_orbit_two_transitive, random_permutation
 
 
 def monoid_closure_size(transformations) -> int:
@@ -220,7 +220,69 @@ class TestJordanBranch:
         assert generates_symmetric_group(perms, n) == expected
 
 
+def _conjugate(gens, c):
+    """``c^-1 g c`` for each ``g``: the same group with states renamed by ``c``."""
+    inverse = [0] * len(c)
+    for i, x in enumerate(c):
+        inverse[x] = i
+    return [tuple(c[g[inverse[x]]] for x in range(len(c))) for g in gens]
+
+
+def _block_preserving(r, n, size):
+    """A random permutation mapping the blocks ``{k*size .. k*size+size-1}`` to blocks."""
+    blocks = list(range(n // size))
+    r.shuffle(blocks)
+    images = []
+    for k in range(n // size):
+        inside = list(range(size))
+        r.shuffle(inside)
+        images += [blocks[k] * size + x for x in inside]
+    return tuple(images)
+
+
+def _affine(p, a):
+    """AGL(1, p): x -> x + 1 and x -> a x, for a primitive root ``a`` mod p."""
+    return ((*range(1, p), 0), tuple(a * x % p for x in range(p)))
+
+
+def _cyclic(n):
+    return ((*range(1, n), 0),)
+
+
+def _dihedral(n):
+    return ((*range(1, n), 0), tuple(-x % n for x in range(n)))
+
+
+# S_2 wr S_3 on the blocks {0, 1}, {2, 3}, {4, 5}: transitive, not 2-transitive
+S2_WR_S3 = ((1, 0, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (2, 3, 0, 1, 4, 5))
+
+#: name -> (points, generators, 2-transitive?)
+NAMED_GROUPS = {
+    "AGL(1,5)": (5, AGL_1_5, True),
+    "PGL(2,5)": (6, PGL_2_5, True),
+    "AGL(1,7)": (7, AGL_1_7, True),
+    "AGL(1,11)": (11, _affine(11, 2), True),
+    "AGL(1,13)": (13, _affine(13, 2), True),
+    "f(7), order 2520": (7, tuple(t.images for _, t in f(7).letters), True),
+    "S2 wr S3": (6, S2_WR_S3, False),
+    **{f"C{n}": (n, _cyclic(n), n == 2) for n in range(2, 10)},
+    **{f"D{n}": (n, _dihedral(n), n == 3) for n in range(3, 10)},
+    **{
+        f"rystsov({n}) permutations": (
+            n,
+            tuple(t.images for _, t in rystsov(n).letters if t.is_permutation()),
+            False,
+        )
+        for n in range(3, 11)
+    },
+    **{f"identity on {n}": (n, (tuple(range(n)),), False) for n in range(2, 7)},
+    **{f"no generator on {n}": (n, (), False) for n in range(2, 5)},
+}
+
+
 class TestIsTwoTransitive:
+    """The Schreier-generator test against the pair-orbit BFS oracle."""
+
     def test_symmetric_group_is_two_transitive(self):
         gens = [Transformation((1, 0, 2, 3, 4)), Transformation((1, 2, 3, 4, 0))]
         assert is_two_transitive(gens, 5)
@@ -241,6 +303,59 @@ class TestIsTwoTransitive:
         with pytest.raises(ValueError):
             is_two_transitive([Transformation.identity(1)], 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_generator_and_generator_pair(self, n):
+        perms = list(itertools.permutations(range(n)))
+        for gens in itertools.chain(((p,) for p in perms), itertools.product(perms, repeat=2)):
+            assert monoid._is_two_transitive(gens, n) == pair_orbit_two_transitive(gens, n), gens
+
+    @pytest.mark.parametrize("name", list(NAMED_GROUPS))
+    def test_named_groups(self, name):
+        n, gens, expected = NAMED_GROUPS[name]
+        assert pair_orbit_two_transitive(gens, n) == expected
+        assert is_two_transitive([Transformation(g) for g in gens], n) == expected
+
+    def test_seeded_random_generator_sets(self):
+        # free draws (mostly 2-transitive), block-preserving draws (at most
+        # transitive) and draws fixing some states (intransitive), each
+        # renamed by a random permutation
+        r = random.Random(0x2712)
+        seen = {True: 0, False: 0}
+        for n in range(6, 41):
+            sizes = [b for b in range(2, n) if n % b == 0]
+            for kind in ("free", "blocks", "fixed") * 4:
+                k = r.randint(1, 4)
+                if kind == "blocks" and sizes:
+                    size = r.choice(sizes)
+                    gens = [_block_preserving(r, n, size) for _ in range(k)]
+                elif kind == "fixed":
+                    moved = r.randint(2, n - 1)
+                    gens = [
+                        (*random_permutation(r, moved).images, *range(moved, n)) for _ in range(k)
+                    ]
+                else:
+                    gens = [random_permutation(r, n).images for _ in range(k)]
+                gens = _conjugate(gens, random_permutation(r, n).images)
+                expected = pair_orbit_two_transitive(gens, n)
+                assert monoid._is_two_transitive(gens, n) == expected, (n, kind, gens)
+                seen[expected] += 1
+        assert min(seen.values()) > 100
+
+    def test_accepts_at_the_first_orbit_point(self, monkeypatch):
+        # the Schreier generators of state 0 alone join states 1..99 of
+        # v(100), so only the transversal inverses of states 0 and 1 are taken
+        inverses = []
+
+        def spy(p):
+            inverses.append(p)
+            return _inv(p)
+
+        _inv = monoid._inv
+        monkeypatch.setattr(monoid, "_inv", spy)
+        d = v(100)
+        assert is_two_transitive([d.transformation(i) for i in d.permutation_letters()], 100)
+        assert len(inverses) == 2
+
 
 class TestHasFullTransitionMonoid:
     def test_merge_family_is_full(self):
@@ -259,6 +374,11 @@ class TestHasFullTransitionMonoid:
         assert has_full_transition_monoid(d)
         assert time.perf_counter() - start < 1.0
         assert calls == []  # settled by a Jordan element, not the chain
+
+    def test_merge_family_at_a_hundred_states_needs_no_chain(self, monkeypatch):
+        calls = _spy_on_the_chain(monkeypatch)
+        assert has_full_transition_monoid(v(100))
+        assert calls == []
 
     def test_single_state_is_full(self):
         assert has_full_transition_monoid(Dfa(1, (("a", Transformation((0,))),)))

@@ -12,6 +12,7 @@ from synchrokit import sync
 from synchrokit.sync import (
     NOT_SYNCHRONIZING,
     Method,
+    ResetResult,
     build_extension_stratification,
     cb_reset_word,
     cb_round_trace,
@@ -22,7 +23,7 @@ from synchrokit.sync import (
     reset_threshold_exact,
 )
 
-from conftest import random_dfa, strongly_connected_at
+from conftest import pair_orbit_two_transitive, random_dfa, random_permutation, strongly_connected_at
 
 
 def resets(d: Dfa, w: Word) -> bool:
@@ -233,6 +234,107 @@ class TestExtension:
     def test_rejects_without_rank_n_minus_one_letter(self):
         with pytest.raises(ValueError):
             extension_reset_word(f(7))
+
+
+def reference_extension_letters(d: Dfa, strat, x: int) -> list[int]:
+    """Extension chain ending in ``x``, rescanning every witness on each step
+    for the least (word length, q, p) among the edges crossing into ``r``."""
+    n = d.n
+    t = d.transformation(x)
+    r = t.preimage_of((t.duplicate_state(),))
+    word = [x]
+    while len(r) < n:
+        best = None
+        best_edge = None
+        for (q, p), (_, w) in strat.witnesses.items():
+            if p in r and q not in r:
+                key = (len(w), q, p)
+                if best is None or key < best:
+                    best = key
+                    best_edge = (q, p)
+        if best_edge is None:
+            raise ValueError(
+                "no crossing edge in the stratification; "
+                "the permutation letters do not act 2-transitively"
+            )
+        seed, w = strat.witnesses[best_edge]
+        u = [seed, *w]
+        r = word_transformation(d, Word(tuple(u))).preimage_of(r)
+        word = u + word
+    return word
+
+
+def reference_extension(d: Dfa) -> ResetResult:
+    """The extension word with the pair-orbit 2-transitivity test and the
+    rescanning edge choice; the first shortest chain over the rank n-1 letters."""
+    n = d.n
+    if n == 1:
+        return ResetResult(Word(()), 0, Method.EXTENSION, True)
+    if not d.rank_n_minus_one_letters():
+        raise ValueError("extension requires a letter of rank n-1")
+    perms = [d.transformation(i).images for i in d.permutation_letters()]
+    if not perms or not pair_orbit_two_transitive(perms, n):
+        raise ValueError(
+            "extension requires permutation letters generating the "
+            "symmetric group or at least acting 2-transitively"
+        )
+    strat = build_extension_stratification(d)
+    best = None
+    for x in d.rank_n_minus_one_letters():
+        letters = reference_extension_letters(d, strat, x)
+        if best is None or len(letters) < len(best):
+            best = letters
+    w = Word(tuple(best))
+    return ResetResult(w, len(w), Method.EXTENSION, resets(d, w))
+
+
+def random_rank_n_minus_one(rng: random.Random, n: int) -> Transformation:
+    """A permutation with one image overwritten by another: rank n - 1."""
+    images = list(random_permutation(rng, n).images)
+    i, j = rng.sample(range(n), 2)
+    images[i] = images[j]
+    return Transformation(tuple(images))
+
+
+class TestExtensionAgainstReference:
+    @staticmethod
+    def _agrees(d: Dfa) -> bool:
+        """Same result or same error message; True when the input was accepted."""
+        outcomes = []
+        for extension in (reference_extension, extension_reset_word):
+            try:
+                outcomes.append(extension(d))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[1] == outcomes[0]
+        return isinstance(outcomes[0], ResetResult)
+
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_merge_and_three_letter_families(self, n):
+        assert self._agrees(v(n))
+        assert self._agrees(cb(n, n // 2))
+
+    def test_sink_family(self):
+        # its permutation letters fix state 0: every n is refused, with the
+        # same message
+        assert not any(self._agrees(rystsov(n)) for n in range(3, 21))
+
+    def test_seeded_random_automata(self):
+        # 1-3 permutation letters, 1-2 rank n-1 letters, letters shuffled;
+        # two rank n-1 letters exercise the choice of the shortest chain
+        rng = random.Random(0xE47)
+        accepted = rejected = 0
+        while accepted < 300:
+            n = rng.randint(3, 12)
+            letters = [random_permutation(rng, n) for _ in range(rng.randint(1, 3))]
+            letters += [random_rank_n_minus_one(rng, n) for _ in range(rng.randint(1, 2))]
+            rng.shuffle(letters)
+            d = Dfa(n, tuple((f"x{i}", t) for i, t in enumerate(letters)))
+            if self._agrees(d):
+                accepted += 1
+            else:
+                rejected += 1
+        assert rejected > 0
 
 
 class TestExtensionStratification:
