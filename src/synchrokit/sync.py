@@ -21,11 +21,11 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import Dfa, StateSet, Word, apply_word, word_transformation
+from .core import Dfa, StateSet, Word, apply_word
 from .families import cb
 from .monoid import is_two_transitive
 from .pairgraph import _bfs, _pair_rows, _predecessors
@@ -285,14 +285,60 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     return ResetResult(w, len(w), Method.PAIRCHASE, _resets(d, w))
 
 
+#: ``parent`` of an edge no level has reached; a seed edge has parent -1.
+_UNSEEN = -2
+
+
+@dataclass(frozen=True, eq=False)
+class _Witnesses(Mapping[tuple[int, int], tuple[int, Word]]):
+    """The stratification's parent pointers, read as edge -> (seed, witness word).
+
+    Edges are coded ``q * n + p``.  Each reached edge records the edge it
+    was first reached from (-1 for a seed edge), the permutation letter
+    that carried it there and its seed letter, so a witness word is the
+    letters met walking back to the seed edge, reversed.  Words are built
+    only when an edge is read; iteration follows discovery order.
+    """
+
+    n: int
+    order: list[int]
+    seed: list[int]
+    parent: list[int]
+    letter: list[int]
+
+    def chain(self, code: int) -> tuple[int, list[int]]:
+        """The seed letter of edge ``code`` and its witness letters, last first."""
+        parent, letter = self.parent, self.letter
+        letters = []
+        while parent[code] >= 0:
+            letters.append(letter[code])
+            code = parent[code]
+        return self.seed[code], letters
+
+    def __getitem__(self, edge: tuple[int, int]) -> tuple[int, Word]:
+        q, p = edge
+        n = self.n
+        if not (0 <= q < n and 0 <= p < n) or self.parent[q * n + p] == _UNSEEN:
+            raise KeyError(edge)
+        seed, letters = self.chain(q * n + p)
+        return seed, Word(tuple(reversed(letters)))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return (divmod(code, self.n) for code in self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+
 @dataclass(frozen=True)
 class ExtensionStratification:
     """Levelled reachability of (excluded, duplicate) pairs under permutations.
 
     Level 0 holds the seed edge of every rank n-1 letter; level i adds the
-    images of earlier edges under one more permutation letter.  ``witnesses``
-    maps each reached ordered pair to its seed letter and the shortest
-    permutation word carrying the seed onto it.
+    images of earlier edges under one more permutation letter, in discovery
+    order.  ``witnesses`` maps each reached ordered pair to its seed letter
+    and the shortest permutation word carrying the seed onto it; it holds
+    one parent pointer per edge and builds a word only when it is read.
     """
 
     n: int
@@ -300,12 +346,58 @@ class ExtensionStratification:
     new_edges_by_level: tuple[tuple[tuple[int, int], ...], ...]
     witnesses: Mapping[tuple[int, int], tuple[int, Word]]
 
-    def edges_at(self, level: int) -> frozenset[tuple[int, int]]:
-        """All edges witnessed by permutation words of length at most ``level``."""
-        out: set[tuple[int, int]] = set()
-        for edges in self.new_edges_by_level[: level + 1]:
-            out.update(edges)
-        return frozenset(out)
+
+def _stratify(d: Dfa) -> tuple[list[np.ndarray], _Witnesses]:
+    """Levels of edge codes ``q * n + p`` in discovery order, and their parent pointers.
+
+    Each level maps the frontier under every permutation letter at once,
+    frontier-major and letter-minor, the order in which a queue would meet
+    the images, and keeps the first occurrence of each unseen edge.  With
+    many letters the frontier is mapped in consecutive slices, each marked
+    before the next is mapped, which keeps that order.
+    """
+    n = d.n
+    seeds = d.rank_n_minus_one_letters()
+    if not seeds:
+        raise ValueError("no letter of rank n-1 to seed the stratification")
+    perms = np.array(d.permutation_letters(), dtype=np.int64)
+    if not perms.size:
+        raise ValueError("no permutation letters to grow the stratification")
+    # images[q, j]: the image of state q under the j-th permutation letter
+    images = np.array([d.transformation(i).images for i in perms.tolist()], dtype=np.int64).T
+    parent = np.full(n * n, _UNSEEN, dtype=np.int64)
+    letter = np.full(n * n, -1, dtype=np.int64)
+    seed = np.full(n * n, -1, dtype=np.int64)
+    first: list[int] = []
+    for x in seeds:
+        t = d.transformation(x)
+        code = t.excluded_state() * n + t.duplicate_state()
+        if parent[code] == _UNSEEN:
+            parent[code], seed[code] = -1, x
+            first.append(code)
+    levels = [np.array(first, dtype=np.int64)]
+    # frontier edges mapped at once: at most about n^2 images in memory
+    step = max(1, n * n // perms.size)
+    for _ in range(2 * n - 3):
+        frontier, found = levels[-1], []
+        for lo in range(0, frontier.size, step):
+            part = frontier[lo : lo + step]
+            q, p = np.divmod(part, n)
+            reached = (images[q] * n + images[p]).ravel()
+            pos = np.flatnonzero(parent[reached] == _UNSEEN)
+            _, once = np.unique(reached[pos], return_index=True)
+            pos = pos[np.sort(once)]
+            fresh, source = reached[pos], part[pos // perms.size]
+            parent[fresh] = source
+            letter[fresh] = perms[pos % perms.size]
+            seed[fresh] = seed[source]
+            found.append(fresh)
+        fresh = np.concatenate(found)
+        if not fresh.size:
+            break
+        levels.append(fresh)
+    order = np.concatenate(levels).tolist()
+    return levels, _Witnesses(n, order, seed.tolist(), parent.tolist(), letter.tolist())
 
 
 def build_extension_stratification(d: Dfa) -> ExtensionStratification:
@@ -313,70 +405,55 @@ def build_extension_stratification(d: Dfa) -> ExtensionStratification:
 
     Levels stop at 2n - 3: by that depth the edge digraph is strongly
     connected whenever the permutation letters form a 2-transitive group.
+    A level-synchronous numpy BFS over edge codes records one parent
+    pointer, letter and seed per edge; no witness word is built until
+    ``witnesses`` is read.
 
     Raises:
         ValueError: if there is no rank n-1 letter or no permutation letter.
     """
     n = d.n
-    seeds = d.rank_n_minus_one_letters()
-    if not seeds:
-        raise ValueError("no letter of rank n-1 to seed the stratification")
-    perms = [(i, d.transformation(i).images) for i in d.permutation_letters()]
-    if not perms:
-        raise ValueError("no permutation letters to grow the stratification")
-    max_level = 2 * n - 3
-    witnesses: dict[tuple[int, int], tuple[int, Word]] = {}
-    first: list[tuple[int, int]] = []
-    for letter in seeds:
-        t = d.transformation(letter)
-        edge = (t.excluded_state(), t.duplicate_state())
-        if edge not in witnesses:
-            witnesses[edge] = (letter, Word(()))
-            first.append(edge)
-    levels = [tuple(first)]
-    frontier = first
-    for _ in range(max_level):
-        fresh: list[tuple[int, int]] = []
-        for q, p in frontier:
-            seed, w = witnesses[(q, p)]
-            for letter, images in perms:
-                img = (images[q], images[p])
-                if img not in witnesses:
-                    witnesses[img] = (seed, w + Word((letter,)))
-                    fresh.append(img)
-        levels.append(tuple(fresh))
-        frontier = fresh
-        if not fresh:
-            break
-    while len(levels) <= max_level:
-        levels.append(())
-    return ExtensionStratification(n, max_level, tuple(levels), witnesses)
+    levels, witnesses = _stratify(d)
+    edges = [tuple(divmod(code, n) for code in level.tolist()) for level in levels]
+    edges += [()] * (2 * n - 2 - len(edges))
+    return ExtensionStratification(n, 2 * n - 3, tuple(edges), witnesses)
 
 
-def _extension_letters(
-    d: Dfa, strat: ExtensionStratification, order: Sequence[tuple[int, int]], x: int
-) -> list[int]:
+def _extension_letters(d: Dfa, chains: _Witnesses, order: np.ndarray, x: int) -> list[int]:
     """Extension chain ending in the rank n-1 letter ``x``, back to front.
 
-    ``order`` lists the witnessed edges by (witness length, q, p); each step
-    takes the first one crossing into ``r``.
+    ``order`` lists the witnessed edge codes by (witness length, q, p);
+    each step takes the first one crossing into ``r``.  The preimage of
+    ``r`` under the step's word follows the edge's parent chain, which
+    meets the witness letters last first, the order a preimage needs:
+    each permutation letter maps ``r`` through its inverse, and the seed
+    letter through :meth:`Transformation.preimage_of`.
     """
     n = d.n
+    # the argsort of a permutation's images is its inverse
+    perms = d.permutation_letters()
+    inverses = {i: np.argsort(d.transformation(i).images).tolist() for i in perms}
+    qs, ps = np.divmod(order, n)
     t = d.transformation(x)
     r = t.preimage_of((t.duplicate_state(),))
     word = [x]
     steps = 0
     while len(r) < n:
-        edge = next(((q, p) for q, p in order if p in r and q not in r), None)
-        if edge is None:
+        inside = np.zeros(n, dtype=bool)
+        inside[list(r)] = True
+        crossing = inside[ps] & ~inside[qs]
+        i = int(crossing.argmax())
+        if not crossing[i]:
             raise ValueError(
                 "no crossing edge in the stratification; "
                 "the permutation letters do not act 2-transitively"
             )
-        seed, w = strat.witnesses[edge]
-        u = [seed, *w]
-        r = word_transformation(d, Word(tuple(u))).preimage_of(r)
-        word = u + word
+        seed, letters = chains.chain(int(order[i]))
+        for a in letters:
+            inv = inverses[a]
+            r = [inv[s] for s in r]
+        r = d.transformation(seed).preimage_of(r)
+        word = [seed, *reversed(letters), *word]
         steps += 1
         if steps > n - 2:  # pragma: no cover - each step grows r strictly
             raise AssertionError("extension exceeded the guaranteed step count")
@@ -413,12 +490,13 @@ def extension_reset_word(d: Dfa) -> ResetResult:
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"
         )
-    strat = build_extension_stratification(d)
-    # a witness on level i has i letters, so this is the order by (len(w), q, p)
-    order = [e for level in strat.new_edges_by_level for e in sorted(level)]
+    levels, chains = _stratify(d)
+    # a witness on level i has i letters, and codes sort as (q, p) do, so
+    # this is the order by (len(w), q, p)
+    order = np.concatenate([np.sort(level) for level in levels])
     best: list[int] | None = None
     for x in d.rank_n_minus_one_letters():
-        letters = _extension_letters(d, strat, order, x)
+        letters = _extension_letters(d, chains, order, x)
         if best is None or len(letters) < len(best):
             best = letters
     assert best is not None

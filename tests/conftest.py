@@ -60,10 +60,15 @@ def is_strongly_connected(p: PairDigraph) -> bool:
     return strongly_connected(p.succ)
 
 
+def edges_at(strat: ExtensionStratification, level: int) -> frozenset[tuple[int, int]]:
+    """All edges witnessed by permutation words of length at most ``level``."""
+    return frozenset(e for edges in strat.new_edges_by_level[: level + 1] for e in edges)
+
+
 def strongly_connected_at(strat: ExtensionStratification, level: int) -> bool:
     """Whether the stratification's edges up to ``level`` strongly connect all n states."""
     adj: list[list[int]] = [[] for _ in range(strat.n)]
-    for q, p in strat.edges_at(level):
+    for q, p in edges_at(strat, level):
         adj[q].append(p)
     return strongly_connected(adj)
 

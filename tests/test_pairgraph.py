@@ -22,9 +22,8 @@ from synchrokit.pairgraph import (
     pair_index,
     verify_certificate,
 )
-from synchrokit.sync import ExtensionStratification
-
-from conftest import is_strongly_connected, random_permutation, strongly_connected_at
+import conftest
+from conftest import is_strongly_connected, random_permutation
 
 
 def apply_word_to_pair(d: Dfa, pair: tuple[int, int], w: Word) -> tuple[int, int]:
@@ -323,9 +322,11 @@ class TestDiameterCost:
 
 
 def strongly_connected(num_vertices: int, edges) -> bool:
-    """Strong connectivity of a digraph, through the stratification's check."""
-    strat = ExtensionStratification(num_vertices, 0, (tuple(edges),), {})
-    return strongly_connected_at(strat, 0)
+    """Strong connectivity of a digraph given as an edge list."""
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, w in edges:
+        adj[u].append(w)
+    return conftest.strongly_connected(adj)
 
 
 class TestSccCount:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import deque
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from synchrokit.core import Dfa, StateSet, Transformation, Word, apply_word, word_transformation
 from synchrokit.families import cb, cerny, f, rystsov, v
-from synchrokit import sync
+from synchrokit import core, sync
 from synchrokit.sync import (
     NOT_SYNCHRONIZING,
+    ExtensionStratification,
     Method,
     ResetResult,
     build_extension_stratification,
@@ -23,7 +25,13 @@ from synchrokit.sync import (
     reset_threshold_exact,
 )
 
-from conftest import pair_orbit_two_transitive, random_dfa, random_permutation, strongly_connected_at
+from conftest import (
+    edges_at,
+    pair_orbit_two_transitive,
+    random_dfa,
+    random_permutation,
+    strongly_connected_at,
+)
 
 
 def resets(d: Dfa, w: Word) -> bool:
@@ -236,6 +244,45 @@ class TestExtension:
             extension_reset_word(f(7))
 
 
+def reference_stratification(d: Dfa) -> ExtensionStratification:
+    """The stratification as a queue-order loop over (edge, letter) steps that
+    stores a whole witness word per edge in a plain dict."""
+    n = d.n
+    seeds = d.rank_n_minus_one_letters()
+    if not seeds:
+        raise ValueError("no letter of rank n-1 to seed the stratification")
+    perms = [(i, d.transformation(i).images) for i in d.permutation_letters()]
+    if not perms:
+        raise ValueError("no permutation letters to grow the stratification")
+    max_level = 2 * n - 3
+    witnesses: dict[tuple[int, int], tuple[int, Word]] = {}
+    first: list[tuple[int, int]] = []
+    for letter in seeds:
+        t = d.transformation(letter)
+        edge = (t.excluded_state(), t.duplicate_state())
+        if edge not in witnesses:
+            witnesses[edge] = (letter, Word(()))
+            first.append(edge)
+    levels = [tuple(first)]
+    frontier = first
+    for _ in range(max_level):
+        fresh: list[tuple[int, int]] = []
+        for q, p in frontier:
+            seed, w = witnesses[(q, p)]
+            for letter, images in perms:
+                img = (images[q], images[p])
+                if img not in witnesses:
+                    witnesses[img] = (seed, w + Word((letter,)))
+                    fresh.append(img)
+        levels.append(tuple(fresh))
+        frontier = fresh
+        if not fresh:
+            break
+    while len(levels) <= max_level:
+        levels.append(())
+    return ExtensionStratification(n, max_level, tuple(levels), witnesses)
+
+
 def reference_extension_letters(d: Dfa, strat, x: int) -> list[int]:
     """Extension chain ending in ``x``, rescanning every witness on each step
     for the least (word length, q, p) among the edges crossing into ``r``."""
@@ -278,7 +325,7 @@ def reference_extension(d: Dfa) -> ResetResult:
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"
         )
-    strat = build_extension_stratification(d)
+    strat = reference_stratification(d)
     best = None
     for x in d.rank_n_minus_one_letters():
         letters = reference_extension_letters(d, strat, x)
@@ -294,6 +341,15 @@ def random_rank_n_minus_one(rng: random.Random, n: int) -> Transformation:
     i, j = rng.sample(range(n), 2)
     images[i] = images[j]
     return Transformation(tuple(images))
+
+
+def random_extension_automaton(rng: random.Random) -> Dfa:
+    """1-3 permutation letters and 1-2 rank n-1 letters, shuffled."""
+    n = rng.randint(3, 12)
+    letters = [random_permutation(rng, n) for _ in range(rng.randint(1, 3))]
+    letters += [random_rank_n_minus_one(rng, n) for _ in range(rng.randint(1, 2))]
+    rng.shuffle(letters)
+    return Dfa(n, tuple((f"x{i}", t) for i, t in enumerate(letters)))
 
 
 class TestExtensionAgainstReference:
@@ -314,6 +370,21 @@ class TestExtensionAgainstReference:
         assert self._agrees(v(n))
         assert self._agrees(cb(n, n // 2))
 
+    @pytest.mark.extended
+    @pytest.mark.parametrize("n", (60, 80, 100))
+    def test_benchmark_merge_family(self, n):
+        assert self._agrees(v(n))
+
+    def test_composes_no_word_transformation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("word_transformation called")
+
+        monkeypatch.setattr(core, "word_transformation", refuse)
+        monkeypatch.setattr(sync, "word_transformation", refuse, raising=False)
+        d = v(60)
+        r = extension_reset_word(d)
+        assert r.verified and resets(d, r.word)
+
     def test_sink_family(self):
         # its permutation letters fix state 0: every n is refused, with the
         # same message
@@ -325,16 +396,83 @@ class TestExtensionAgainstReference:
         rng = random.Random(0xE47)
         accepted = rejected = 0
         while accepted < 300:
-            n = rng.randint(3, 12)
-            letters = [random_permutation(rng, n) for _ in range(rng.randint(1, 3))]
-            letters += [random_rank_n_minus_one(rng, n) for _ in range(rng.randint(1, 2))]
-            rng.shuffle(letters)
-            d = Dfa(n, tuple((f"x{i}", t) for i, t in enumerate(letters)))
-            if self._agrees(d):
+            if self._agrees(random_extension_automaton(rng)):
                 accepted += 1
             else:
                 rejected += 1
         assert rejected > 0
+
+
+class TestStratificationAgainstReference:
+    @staticmethod
+    def _agrees(d: Dfa) -> None:
+        strat = build_extension_stratification(d)
+        reference = reference_stratification(d)
+        assert (strat.n, strat.max_level) == (reference.n, reference.max_level)
+        assert strat.new_edges_by_level == reference.new_edges_by_level
+        assert all(type(s) is int for level in strat.new_edges_by_level for e in level for s in e)
+        witnesses = dict(strat.witnesses)
+        assert witnesses == reference.witnesses
+        assert list(witnesses) == list(reference.witnesses)  # discovery order
+        assert all(type(a) is int for seed, w in witnesses.values() for a in (seed, *w))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_families(self, n):
+        self._agrees(v(n))
+        if n >= 4:
+            self._agrees(cb(n, n // 2))
+        if 3 <= n <= 20:
+            self._agrees(rystsov(n))
+
+    def test_seeded_random_automata(self):
+        rng = random.Random(0x57A7)
+        for _ in range(300):
+            self._agrees(random_extension_automaton(rng))
+
+    def test_many_letters(self):
+        # more letters than n^2 / |frontier|: each level is mapped in slices
+        rng = random.Random(0x511CE)
+        for n in (4, 6, 9):
+            letters = [random_permutation(rng, n) for _ in range(3 * n)]
+            letters.append(random_rank_n_minus_one(rng, n))
+            self._agrees(Dfa(n, tuple((f"x{i}", t) for i, t in enumerate(letters))))
+        # every permutation of four states: one frontier edge per slice
+        letters = [Transformation((0, 0, 2, 3))]
+        letters += [Transformation(p) for p in itertools.permutations(range(4))]
+        self._agrees(Dfa(4, tuple((f"x{i}", t) for i, t in enumerate(letters))))
+
+    @pytest.mark.parametrize(
+        "letters, message",
+        [
+            ((Transformation((1, 2, 0)),), "no letter of rank n-1"),
+            ((Transformation((0, 0, 2)),), "no permutation letters"),
+        ],
+    )
+    def test_refusals(self, letters, message):
+        d = Dfa(3, tuple((f"x{i}", t) for i, t in enumerate(letters)))
+        errors = []
+        for stratify in (reference_stratification, build_extension_stratification):
+            with pytest.raises(ValueError, match=message) as exc:
+                stratify(d)
+            errors.append(str(exc.value))
+        assert errors[1] == errors[0]
+
+    def test_witness_words_built_on_access(self, monkeypatch):
+        built = []
+        post_init = Word.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        d = v(100)
+        strat = build_extension_stratification(d)
+        assert len(built) < d.n
+        assert len(strat.witnesses) == d.n * (d.n - 1)
+        before = len(built)
+        _, w = strat.witnesses[(0, 1)]
+        assert len(built) == before + 1 and len(w) > 0
 
 
 class TestExtensionStratification:
@@ -348,13 +486,13 @@ class TestExtensionStratification:
         for n in (4, 6, 9):
             strat = build_extension_stratification(v(n))
             assert strat.max_level <= 2 * n - 3
-            assert len(strat.edges_at(strat.max_level)) == n * (n - 1)
+            assert len(edges_at(strat, strat.max_level)) == n * (n - 1)
             assert strongly_connected_at(strat, 2 * n - 3)
 
     def test_edges_monotone(self):
         strat = build_extension_stratification(v(7))
         for lvl in range(strat.max_level):
-            assert strat.edges_at(lvl) <= strat.edges_at(lvl + 1)
+            assert edges_at(strat, lvl) <= edges_at(strat, lvl + 1)
 
     def test_witnesses_carry_seed_onto_pair(self):
         d = v(6)
