@@ -321,7 +321,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 workers=workers,
                 output_path=args.out,
                 resume=not args.no_resume,
-                allow_large=args.allow_large,
             )
             payload = {"n": args.n, "mode": "exhaustive", "max_rt": max_rt}
             payload["record"] = {
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--workers", type=int, help="exhaustive census only; defaults to SYNCHROKIT_WORKERS or 1")
     search.add_argument("--out", help="JSON-lines journal / results file")
-    search.add_argument("--allow-large", action="store_true", help="lift the exhaustive n cap")
     search.add_argument("--no-resume", action="store_true", help="ignore an existing journal")
     search.add_argument("--sample-nonperm", action="store_true", help="sample the non-permutation letter too")
     search.add_argument(

@@ -301,16 +301,24 @@ def dfa_to_json_dict(d: Dfa) -> dict:
     }
 
 
+def _json_int(x: object) -> int:
+    """``x`` itself if it is a JSON integer; booleans and floats are refused."""
+    if type(x) is not int:
+        raise ValueError(f"malformed automaton JSON: {x!r} is not an integer")
+    return x
+
+
 def dfa_from_json_dict(obj: dict) -> Dfa:
     try:
-        n = int(obj["n"])
-        letters = tuple(
-            (str(entry["name"]), Transformation(tuple(int(x) for x in entry["images"])))
-            for entry in obj["letters"]
-        )
+        n = _json_int(obj["n"])
+        letters = []
+        for entry in obj["letters"]:
+            if not isinstance(name := entry["name"], str):
+                raise ValueError(f"malformed automaton JSON: letter name {name!r} is not a string")
+            letters.append((name, Transformation(tuple(_json_int(x) for x in entry["images"]))))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed automaton JSON: {exc}") from exc
-    return Dfa(n, letters)
+    return Dfa(n, tuple(letters))
 
 
 def loads_dfa(text: str) -> Dfa:

@@ -9,6 +9,11 @@ merging/pairing round simulation for the three-letter cyclic family.
 Every synthesizer machine-checks its output and reports the check in the
 ``verified`` flag of the returned :class:`ResetResult`.
 
+The stratification behind the quadratic bound, levels of (excluded,
+duplicate) pairs with parent pointers, is the private :func:`_stratify`,
+and the round simulation :func:`_simulate_cb` returns letters only; the
+tests check both through these private functions.
+
 The searches over all 2^n state subsets (``reset_threshold_exact``,
 ``potential_lower_bound``) check, before allocating anything, that their
 bytes fit in physical memory; the exact one also stops at 32 states, as
@@ -21,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -289,72 +294,27 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
 _UNSEEN = -2
 
 
-@dataclass(frozen=True, eq=False)
-class _Witnesses(Mapping[tuple[int, int], tuple[int, Word]]):
-    """The stratification's parent pointers, read as edge -> (seed, witness word).
+def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int], list[int]]:
+    """BFS closure of the (excluded, duplicate) pairs under permutation letters.
 
-    Edges are coded ``q * n + p``.  Each reached edge records the edge it
-    was first reached from (-1 for a seed edge), the permutation letter
-    that carried it there and its seed letter, so a witness word is the
-    letters met walking back to the seed edge, reversed.  Words are built
-    only when an edge is read; iteration follows discovery order.
-    """
-
-    n: int
-    order: list[int]
-    seed: list[int]
-    parent: list[int]
-    letter: list[int]
-
-    def chain(self, code: int) -> tuple[int, list[int]]:
-        """The seed letter of edge ``code`` and its witness letters, last first."""
-        parent, letter = self.parent, self.letter
-        letters = []
-        while parent[code] >= 0:
-            letters.append(letter[code])
-            code = parent[code]
-        return self.seed[code], letters
-
-    def __getitem__(self, edge: tuple[int, int]) -> tuple[int, Word]:
-        q, p = edge
-        n = self.n
-        if not (0 <= q < n and 0 <= p < n) or self.parent[q * n + p] == _UNSEEN:
-            raise KeyError(edge)
-        seed, letters = self.chain(q * n + p)
-        return seed, Word(tuple(reversed(letters)))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (divmod(code, self.n) for code in self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-@dataclass(frozen=True)
-class ExtensionStratification:
-    """Levelled reachability of (excluded, duplicate) pairs under permutations.
-
-    Level 0 holds the seed edge of every rank n-1 letter; level i adds the
-    images of earlier edges under one more permutation letter, in discovery
-    order.  ``witnesses`` maps each reached ordered pair to its seed letter
-    and the shortest permutation word carrying the seed onto it; it holds
-    one parent pointer per edge and builds a word only when it is read.
-    """
-
-    n: int
-    max_level: int
-    new_edges_by_level: tuple[tuple[tuple[int, int], ...], ...]
-    witnesses: Mapping[tuple[int, int], tuple[int, Word]]
-
-
-def _stratify(d: Dfa) -> tuple[list[np.ndarray], _Witnesses]:
-    """Levels of edge codes ``q * n + p`` in discovery order, and their parent pointers.
+    Returns the levels of edge codes ``q * n + p`` in discovery order and,
+    per code, its ``seed`` letter (seed edges only), ``parent`` edge (-1 for
+    a seed edge, ``_UNSEEN`` if never reached) and the permutation
+    ``letter`` that carried the parent onto it.  Level 0 holds the seed edge
+    of every rank n-1 letter; a witness word of an edge is the letters met
+    walking back to its seed edge, reversed, so an edge on level i has one
+    of i letters.  Levels stop at 2n - 3: by that depth the edge digraph is
+    strongly connected whenever the permutation letters form a 2-transitive
+    group.
 
     Each level maps the frontier under every permutation letter at once,
     frontier-major and letter-minor, the order in which a queue would meet
     the images, and keeps the first occurrence of each unseen edge.  With
     many letters the frontier is mapped in consecutive slices, each marked
     before the next is mapped, which keeps that order.
+
+    Raises:
+        ValueError: if there is no rank n-1 letter or no permutation letter.
     """
     n = d.n
     seeds = d.rank_n_minus_one_letters()
@@ -387,47 +347,29 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], _Witnesses]:
             pos = np.flatnonzero(parent[reached] == _UNSEEN)
             _, once = np.unique(reached[pos], return_index=True)
             pos = pos[np.sort(once)]
-            fresh, source = reached[pos], part[pos // perms.size]
-            parent[fresh] = source
+            fresh = reached[pos]
+            parent[fresh] = part[pos // perms.size]
             letter[fresh] = perms[pos % perms.size]
-            seed[fresh] = seed[source]
             found.append(fresh)
         fresh = np.concatenate(found)
         if not fresh.size:
             break
         levels.append(fresh)
-    order = np.concatenate(levels).tolist()
-    return levels, _Witnesses(n, order, seed.tolist(), parent.tolist(), letter.tolist())
+    return levels, seed.tolist(), parent.tolist(), letter.tolist()
 
 
-def build_extension_stratification(d: Dfa) -> ExtensionStratification:
-    """BFS closure of the (excluded, duplicate) pairs under permutation letters.
-
-    Levels stop at 2n - 3: by that depth the edge digraph is strongly
-    connected whenever the permutation letters form a 2-transitive group.
-    A level-synchronous numpy BFS over edge codes records one parent
-    pointer, letter and seed per edge; no witness word is built until
-    ``witnesses`` is read.
-
-    Raises:
-        ValueError: if there is no rank n-1 letter or no permutation letter.
-    """
-    n = d.n
-    levels, witnesses = _stratify(d)
-    edges = [tuple(divmod(code, n) for code in level.tolist()) for level in levels]
-    edges += [()] * (2 * n - 2 - len(edges))
-    return ExtensionStratification(n, 2 * n - 3, tuple(edges), witnesses)
-
-
-def _extension_letters(d: Dfa, chains: _Witnesses, order: np.ndarray, x: int) -> list[int]:
+def _extension_letters(
+    d: Dfa, order: np.ndarray, seed: list[int], parent: list[int], letter: list[int], x: int
+) -> list[int]:
     """Extension chain ending in the rank n-1 letter ``x``, back to front.
 
-    ``order`` lists the witnessed edge codes by (witness length, q, p);
-    each step takes the first one crossing into ``r``.  The preimage of
-    ``r`` under the step's word follows the edge's parent chain, which
-    meets the witness letters last first, the order a preimage needs:
-    each permutation letter maps ``r`` through its inverse, and the seed
-    letter through :meth:`Transformation.preimage_of`.
+    ``order`` lists the reached edge codes by (witness length, q, p), and
+    ``seed``, ``parent`` and ``letter`` are the pointers of
+    :func:`_stratify`; each step takes the first edge crossing into ``r``.
+    The preimage of ``r`` under the step's word follows the edge's parent
+    chain, which meets the witness letters last first, the order a preimage
+    needs: each permutation letter maps ``r`` through its inverse, and the
+    seed letter through :meth:`Transformation.preimage_of`.
     """
     n = d.n
     # the argsort of a permutation's images is its inverse
@@ -448,12 +390,14 @@ def _extension_letters(d: Dfa, chains: _Witnesses, order: np.ndarray, x: int) ->
                 "no crossing edge in the stratification; "
                 "the permutation letters do not act 2-transitively"
             )
-        seed, letters = chains.chain(int(order[i]))
-        for a in letters:
-            inv = inverses[a]
+        code, chain = int(order[i]), []
+        while parent[code] >= 0:
+            inv = inverses[letter[code]]
             r = [inv[s] for s in r]
-        r = d.transformation(seed).preimage_of(r)
-        word = [seed, *reversed(letters), *word]
+            chain.append(letter[code])
+            code = parent[code]
+        r = d.transformation(seed[code]).preimage_of(r)
+        word = [seed[code], *reversed(chain), *word]
         steps += 1
         if steps > n - 2:  # pragma: no cover - each step grows r strictly
             raise AssertionError("extension exceeded the guaranteed step count")
@@ -490,30 +434,18 @@ def extension_reset_word(d: Dfa) -> ResetResult:
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"
         )
-    levels, chains = _stratify(d)
+    levels, seed, parent, letter = _stratify(d)
     # a witness on level i has i letters, and codes sort as (q, p) do, so
     # this is the order by (len(w), q, p)
     order = np.concatenate([np.sort(level) for level in levels])
     best: list[int] | None = None
     for x in d.rank_n_minus_one_letters():
-        letters = _extension_letters(d, chains, order, x)
+        letters = _extension_letters(d, order, seed, parent, letter, x)
         if best is None or len(letters) < len(best):
             best = letters
     assert best is not None
     w = Word(tuple(best))
     return ResetResult(w, len(w), Method.EXTENSION, _resets(d, w))
-
-
-@dataclass(frozen=True)
-class CbRound:
-    """One merging or pairing round of the token simulation."""
-
-    kind: str
-    start: int
-    end: int
-    size_before: int
-    size_after: int
-    members_after: tuple[int, ...]
 
 
 class _TokenRing:
@@ -533,9 +465,6 @@ class _TokenRing:
     @property
     def size(self) -> int:
         return len(self.base)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(sorted((p + self.offset) % self.n for p in self.base))
 
     def holds(self, state: int) -> bool:
         return (state - self.offset) % self.n in self.base
@@ -580,18 +509,15 @@ class _TokenRing:
             self._mutate(v, u)
 
 
-def _simulate_cb(n: int, k: int) -> tuple[list[int], list[CbRound]]:
-    """Run alternating merging/pairing rounds on the three-letter family."""
+def _simulate_cb(n: int, k: int) -> list[int]:
+    """Letters of alternating merging/pairing rounds on the three-letter family."""
     ring = _TokenRing(n)
     letters: list[int] = []
-    rounds: list[CbRound] = []
     limit = 4 * n * math.ceil(math.log2(n))
     a, b, c = 0, 1, 2
     swap_lo, swap_hi = k - 1, k % n
     probe = (k + 1) % n
     while ring.size > 1:
-        size_before = ring.size
-        start = len(letters)
         if ring.isolated == ring.size:
             # pairing: tokens drift until one reaches the swapped slot alone,
             # then shuffles backwards, welding couples one by one
@@ -608,7 +534,6 @@ def _simulate_cb(n: int, k: int) -> tuple[list[int], list[CbRound]]:
                     ring.rotate()
                 if len(letters) > limit:  # pragma: no cover - bound is proven
                     raise AssertionError("pairing rounds exceeded the length bound")
-            kind = "pairing"
         else:
             # merging: couples rotate onto the merge edge and collapse; a
             # merging round only ever begins with at most one isolated token
@@ -622,11 +547,7 @@ def _simulate_cb(n: int, k: int) -> tuple[list[int], list[CbRound]]:
                     ring.rotate()
                 if len(letters) > limit:  # pragma: no cover - bound is proven
                     raise AssertionError("merging rounds exceeded the length bound")
-            kind = "merging"
-        rounds.append(
-            CbRound(kind, start, len(letters), size_before, ring.size, ring.members())
-        )
-    return letters, rounds
+    return letters
 
 
 def cb_reset_word(n: int, k: int) -> ResetResult:
@@ -645,18 +566,9 @@ def cb_reset_word(n: int, k: int) -> ResetResult:
     if k == 1:
         letters = [1] + [2, 0, 1] * (n - 2)
     else:
-        letters, _ = _simulate_cb(n, k)
+        letters = _simulate_cb(n, k)
     w = Word(tuple(letters))
     return ResetResult(w, len(w), Method.CB_ROUNDS, _resets(d, w))
-
-
-def cb_round_trace(n: int, k: int) -> tuple[CbRound, ...]:
-    """Round-by-round trace of the simulation; empty for the closed form k = 1."""
-    cb(n, k)
-    if k == 1:
-        return ()
-    _, rounds = _simulate_cb(n, k)
-    return tuple(rounds)
 
 
 @dataclass(frozen=True)

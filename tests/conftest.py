@@ -5,7 +5,6 @@ from hypothesis import HealthCheck, settings
 
 from synchrokit.core import Dfa, Transformation
 from synchrokit.pairgraph import PairDigraph, _bfs, _predecessors
-from synchrokit.sync import ExtensionStratification
 
 settings.register_profile(
     "default",
@@ -60,15 +59,15 @@ def is_strongly_connected(p: PairDigraph) -> bool:
     return strongly_connected(p.succ)
 
 
-def edges_at(strat: ExtensionStratification, level: int) -> frozenset[tuple[int, int]]:
-    """All edges witnessed by permutation words of length at most ``level``."""
-    return frozenset(e for edges in strat.new_edges_by_level[: level + 1] for e in edges)
+def edges_at(levels, n: int) -> frozenset[tuple[int, int]]:
+    """All edges ``(q, p)`` on the given levels of edge codes ``q * n + p``."""
+    return frozenset(divmod(code, n) for level in levels for code in level.tolist())
 
 
-def strongly_connected_at(strat: ExtensionStratification, level: int) -> bool:
-    """Whether the stratification's edges up to ``level`` strongly connect all n states."""
-    adj: list[list[int]] = [[] for _ in range(strat.n)]
-    for q, p in edges_at(strat, level):
+def strongly_connected_at(levels, n: int) -> bool:
+    """Whether the edges on the given levels strongly connect all n states."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for q, p in edges_at(levels, n):
         adj[q].append(p)
     return strongly_connected(adj)
 

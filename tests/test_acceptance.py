@@ -35,7 +35,7 @@ from synchrokit.search import (
 )
 from synchrokit.sync import (
     NOT_SYNCHRONIZING,
-    build_extension_stratification,
+    _stratify,
     cb_reset_word,
     extension_reset_word,
     potential_lower_bound,
@@ -147,8 +147,8 @@ def test_criterion_4_extension_algorithm_and_stratification():
                 failures.append(f"{label}(n={n}): word does not reset")
             if r.length > bound:
                 failures.append(f"{label}(n={n}): length {r.length} > {bound}")
-            strat = build_extension_stratification(d)
-            if not strongly_connected_at(strat, 2 * n - 3):
+            levels = _stratify(d)[0]
+            if not strongly_connected_at(levels[: 2 * n - 2], n):
                 failures.append(f"{label}(n={n}): level {2 * n - 3} not strongly connected")
     _verdict(4, "extension words stay under 2n^2-6n+5 and level 2n-3 is one component", failures)
 

@@ -1,4 +1,6 @@
+import io
 import json
+import warnings
 
 import pytest
 
@@ -75,6 +77,13 @@ class TestRt:
         assert code == 1
         assert obj == {"n": 7, "synchronizing": False, "rt": None, "word": None}
         assert "not synchronizing" in err
+
+    def test_fractional_json_images_are_usage_error(self, capsys, monkeypatch):
+        letters = [{"name": "a", "images": [1.9, 0.2]}, {"name": "b", "images": [0, 0]}]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 2, "letters": letters})))
+        code, out, err = run(capsys, "rt", "-")
+        assert code == 2 and out == ""
+        assert "1.9 is not an integer" in err
 
     def test_cap_exceeded_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "rt", "--family", "cerny", "--n", "40")
@@ -246,9 +255,7 @@ class TestSearch:
         assert code == 0
         assert digest["complete"] is True and digest["summary"] == obj
 
-    def test_exhaustive_cap_and_allow_large(self, capsys, monkeypatch):
-        code, out, err = run(capsys, "search", "--n", "8", "--mode", "exhaustive")
-        assert code == 2 and out == "" and "allow_large" in err
+    def test_exhaustive_at_eight_states_needs_no_flag(self, capsys, monkeypatch):
         # a census block that finds cerny(8), plus an identity letter, first
         identity, cycle = tuple(range(8)), tuple(range(1, 8)) + (0,)
         merge = (1,) + tuple(range(1, 8))
@@ -258,11 +265,16 @@ class TestSearch:
             return (p1, 49, cycle, merge) if p1 == identity else (p1, -1, None, None)
 
         monkeypatch.setattr(search, "_census_block", block)
-        with pytest.warns(RuntimeWarning, match="very long time"):
-            code, obj, _ = run_json(
-                capsys, "search", "--n", "8", "--mode", "exhaustive", "--allow-large", "--workers", "1"
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, obj, _ = run_json(capsys, "search", "--n", "8", "--mode", "exhaustive", "--workers", "1")
         assert code == 0 and obj["max_rt"] == 49
+
+    def test_allow_large_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "8", "--mode", "exhaustive", "--allow-large"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and "--allow-large" in captured.err
 
     def test_summarize_needs_file(self, capsys):
         code, out, _ = run(capsys, "search", "summarize")

@@ -273,6 +273,36 @@ class TestFormats:
         with pytest.raises(ValueError):
             loads_dfa("{not json")
 
+    @staticmethod
+    def two_state_json(n=2, images=(1, 0), name="a") -> dict:
+        letters = [{"name": name, "images": list(images)}, {"name": "b", "images": [0, 0]}]
+        return {"n": n, "letters": letters}
+
+    def test_json_rejects_fractional_images(self):
+        # truncated, these would load silently as (1, 0)
+        with pytest.raises(ValueError, match="1.9 is not an integer"):
+            dfa_from_json_dict(self.two_state_json(images=(1.9, 0.2)))
+
+    def test_json_rejects_fractional_state_count(self):
+        with pytest.raises(ValueError, match="2.5 is not an integer"):
+            dfa_from_json_dict(self.two_state_json(n=2.5))
+
+    def test_json_rejects_string_numbers(self):
+        with pytest.raises(ValueError, match="'1' is not an integer"):
+            dfa_from_json_dict(self.two_state_json(images=("1", 0)))
+        with pytest.raises(ValueError, match="'2' is not an integer"):
+            dfa_from_json_dict(self.two_state_json(n="2"))
+
+    def test_json_rejects_booleans(self):
+        with pytest.raises(ValueError, match="True is not an integer"):
+            dfa_from_json_dict(self.two_state_json(n=True))
+        with pytest.raises(ValueError, match="True is not an integer"):
+            dfa_from_json_dict(self.two_state_json(images=(True, 0)))
+
+    def test_json_rejects_non_string_letter_names(self):
+        with pytest.raises(ValueError, match="letter name 7 is not a string"):
+            dfa_from_json_dict(self.two_state_json(name=7))
+
     @given(st.data())
     def test_round_trip_random(self, data):
         seed = data.draw(st.integers(0, 2**32 - 1))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import warnings
@@ -11,7 +12,6 @@ from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
 from synchrokit.monoid import PermutationGroup, _generates_symmetric, generates_symmetric_group
 from synchrokit.search import (
-    EXHAUSTIVE_STATE_CAP,
     PAIR_DIAMETER_CAP,
     SearchConfig,
     SearchMode,
@@ -132,10 +132,7 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="workers must be positive"):
             max_reset_threshold_exhaustive(4, workers=0)
 
-    def test_exhaustive_cap(self, monkeypatch):
-        with pytest.raises(ValueError, match="allow_large"):
-            max_reset_threshold_exhaustive(EXHAUSTIVE_STATE_CAP + 1)
-
+    def test_exhaustive_at_eight_states_warns_nothing(self, monkeypatch):
         class CensusStarted(Exception):
             pass
 
@@ -143,8 +140,10 @@ class TestSearchConfig:
             raise CensusStarted
 
         monkeypatch.setattr(search, "_census_block", no_census)
-        with pytest.warns(RuntimeWarning, match="very long time"), pytest.raises(CensusStarted):
-            max_reset_threshold_exhaustive(EXHAUSTIVE_STATE_CAP + 1, allow_large=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CensusStarted):
+                max_reset_threshold_exhaustive(8)
 
 
 class TestCanonicalForm:
@@ -311,16 +310,29 @@ class TestExhaustiveCensus:
         assert max_rt == 4
         assert summarize_results(path)["complete"]
 
+    def test_summarize_journal_cut_mid_write(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(4, output_path=path)
+        data = path.read_bytes()
+        cut = data[: len(data) // 2]
+        assert not cut.endswith(b"\n")
+        path.write_bytes(cut)
+        lines = [json.loads(line) for line in cut[: cut.rfind(b"\n") + 1].splitlines()]
+        assert summarize_results(path) == {
+            "kind": "max-rt-census",
+            "config": {"n": 4, "mode": "exhaustive"},
+            "complete": False,
+            "max_rt": max(line["rt"] for line in lines if line["type"] == "record"),
+            "blocks_done": sum(line["type"] == "block" for line in lines),
+            "records": sum(line["type"] == "record" for line in lines),
+        }
+
     def test_records_load_and_verify(self, tmp_path):
         path = tmp_path / "census.jsonl"
         max_reset_threshold_exhaustive(4, output_path=path)
         records = load_records(path)
         assert records, "census journal should hold at least one record"
         assert max(rec.rt for rec in records) == 8
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            max_reset_threshold_exhaustive(EXHAUSTIVE_STATE_CAP + 1)
 
 
 class TestRandomExperiment:
@@ -407,7 +419,7 @@ class TestPairDiameterExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             summary = random_pair_diameter_experiment(
-                SearchConfig(n=EXHAUSTIVE_STATE_CAP + 1, mode=SearchMode.EXHAUSTIVE)
+                SearchConfig(n=8, mode=SearchMode.EXHAUSTIVE)
             )
         assert summary["trials"] == 1 and summary["strongly_connected"] == 1
 

@@ -12,12 +12,9 @@ from synchrokit.families import cb, cerny, f, rystsov, v
 from synchrokit import core, sync
 from synchrokit.sync import (
     NOT_SYNCHRONIZING,
-    ExtensionStratification,
     Method,
     ResetResult,
-    build_extension_stratification,
     cb_reset_word,
-    cb_round_trace,
     extension_reset_word,
     is_synchronizing,
     pairchase_reset_word,
@@ -244,9 +241,12 @@ class TestExtension:
             extension_reset_word(f(7))
 
 
-def reference_stratification(d: Dfa) -> ExtensionStratification:
+def reference_stratification(
+    d: Dfa,
+) -> tuple[list[list[tuple[int, int]]], dict[tuple[int, int], tuple[int, Word]]]:
     """The stratification as a queue-order loop over (edge, letter) steps that
-    stores a whole witness word per edge in a plain dict."""
+    stores a whole witness word per edge in a plain dict: the non-empty levels
+    of (q, p) edges, and edge -> (seed letter, witness word) in discovery order."""
     n = d.n
     seeds = d.rank_n_minus_one_letters()
     if not seeds:
@@ -254,7 +254,6 @@ def reference_stratification(d: Dfa) -> ExtensionStratification:
     perms = [(i, d.transformation(i).images) for i in d.permutation_letters()]
     if not perms:
         raise ValueError("no permutation letters to grow the stratification")
-    max_level = 2 * n - 3
     witnesses: dict[tuple[int, int], tuple[int, Word]] = {}
     first: list[tuple[int, int]] = []
     for letter in seeds:
@@ -263,27 +262,39 @@ def reference_stratification(d: Dfa) -> ExtensionStratification:
         if edge not in witnesses:
             witnesses[edge] = (letter, Word(()))
             first.append(edge)
-    levels = [tuple(first)]
-    frontier = first
-    for _ in range(max_level):
+    levels = [first]
+    for _ in range(2 * n - 3):
         fresh: list[tuple[int, int]] = []
-        for q, p in frontier:
+        for q, p in levels[-1]:
             seed, w = witnesses[(q, p)]
             for letter, images in perms:
                 img = (images[q], images[p])
                 if img not in witnesses:
                     witnesses[img] = (seed, w + Word((letter,)))
                     fresh.append(img)
-        levels.append(tuple(fresh))
-        frontier = fresh
         if not fresh:
             break
-    while len(levels) <= max_level:
-        levels.append(())
-    return ExtensionStratification(n, max_level, tuple(levels), witnesses)
+        levels.append(fresh)
+    return levels, witnesses
 
 
-def reference_extension_letters(d: Dfa, strat, x: int) -> list[int]:
+def stratification_witnesses(
+    n: int, levels, seed, parent, letter
+) -> dict[tuple[int, int], tuple[int, Word]]:
+    """``sync._stratify``'s output read as edge -> (seed letter, witness word)
+    in discovery order, walking each edge's parent chain back to its seed edge."""
+    witnesses = {}
+    for code in (code for level in levels for code in level.tolist()):
+        root, word = code, []
+        while parent[root] >= 0:
+            word.append(letter[root])
+            root = parent[root]
+        witnesses[divmod(code, n)] = (seed[root], Word(tuple(reversed(word))))
+    assert sum(p != sync._UNSEEN for p in parent) == len(witnesses)
+    return witnesses
+
+
+def reference_extension_letters(d: Dfa, witnesses, x: int) -> list[int]:
     """Extension chain ending in ``x``, rescanning every witness on each step
     for the least (word length, q, p) among the edges crossing into ``r``."""
     n = d.n
@@ -293,7 +304,7 @@ def reference_extension_letters(d: Dfa, strat, x: int) -> list[int]:
     while len(r) < n:
         best = None
         best_edge = None
-        for (q, p), (_, w) in strat.witnesses.items():
+        for (q, p), (_, w) in witnesses.items():
             if p in r and q not in r:
                 key = (len(w), q, p)
                 if best is None or key < best:
@@ -304,7 +315,7 @@ def reference_extension_letters(d: Dfa, strat, x: int) -> list[int]:
                 "no crossing edge in the stratification; "
                 "the permutation letters do not act 2-transitively"
             )
-        seed, w = strat.witnesses[best_edge]
+        seed, w = witnesses[best_edge]
         u = [seed, *w]
         r = word_transformation(d, Word(tuple(u))).preimage_of(r)
         word = u + word
@@ -325,10 +336,10 @@ def reference_extension(d: Dfa) -> ResetResult:
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"
         )
-    strat = reference_stratification(d)
+    _, witnesses = reference_stratification(d)
     best = None
     for x in d.rank_n_minus_one_letters():
-        letters = reference_extension_letters(d, strat, x)
+        letters = reference_extension_letters(d, witnesses, x)
         if best is None or len(letters) < len(best):
             best = letters
     w = Word(tuple(best))
@@ -406,14 +417,16 @@ class TestExtensionAgainstReference:
 class TestStratificationAgainstReference:
     @staticmethod
     def _agrees(d: Dfa) -> None:
-        strat = build_extension_stratification(d)
-        reference = reference_stratification(d)
-        assert (strat.n, strat.max_level) == (reference.n, reference.max_level)
-        assert strat.new_edges_by_level == reference.new_edges_by_level
-        assert all(type(s) is int for level in strat.new_edges_by_level for e in level for s in e)
-        witnesses = dict(strat.witnesses)
-        assert witnesses == reference.witnesses
-        assert list(witnesses) == list(reference.witnesses)  # discovery order
+        n = d.n
+        levels, seed, parent, letter = sync._stratify(d)
+        reference_levels, reference_witnesses = reference_stratification(d)
+        assert len(levels) <= 2 * n - 2  # levels 0 .. 2n - 3
+        assert all(level.dtype.kind == "i" for level in levels)
+        edges = [[divmod(code, n) for code in level.tolist()] for level in levels]
+        assert edges == reference_levels
+        witnesses = stratification_witnesses(n, levels, seed, parent, letter)
+        assert witnesses == reference_witnesses
+        assert list(witnesses) == list(reference_witnesses)  # discovery order
         assert all(type(a) is int for seed, w in witnesses.values() for a in (seed, *w))
 
     @pytest.mark.parametrize("n", range(2, 41))
@@ -451,13 +464,13 @@ class TestStratificationAgainstReference:
     def test_refusals(self, letters, message):
         d = Dfa(3, tuple((f"x{i}", t) for i, t in enumerate(letters)))
         errors = []
-        for stratify in (reference_stratification, build_extension_stratification):
+        for stratify in (reference_stratification, sync._stratify):
             with pytest.raises(ValueError, match=message) as exc:
                 stratify(d)
             errors.append(str(exc.value))
         assert errors[1] == errors[0]
 
-    def test_witness_words_built_on_access(self, monkeypatch):
+    def test_stratify_builds_no_word(self, monkeypatch):
         built = []
         post_init = Word.__post_init__
 
@@ -465,39 +478,38 @@ class TestStratificationAgainstReference:
             built.append(1)
             post_init(self)
 
-        monkeypatch.setattr(Word, "__post_init__", counting)
         d = v(100)
-        strat = build_extension_stratification(d)
-        assert len(built) < d.n
-        assert len(strat.witnesses) == d.n * (d.n - 1)
-        before = len(built)
-        _, w = strat.witnesses[(0, 1)]
-        assert len(built) == before + 1 and len(w) > 0
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        levels, _, _, _ = sync._stratify(d)
+        assert built == []
+        assert sum(level.size for level in levels) == d.n * (d.n - 1)
 
 
 class TestExtensionStratification:
     def test_seed_level_holds_merge_edges(self):
         d = v(6)
-        strat = build_extension_stratification(d)
+        levels, _, _, _ = sync._stratify(d)
         # the merge letter excludes state 1 and duplicates state 0
-        assert strat.new_edges_by_level[0] == ((1, 0),)
+        assert [divmod(code, d.n) for code in levels[0].tolist()] == [(1, 0)]
 
     def test_levels_cover_all_pairs_within_bound(self):
         for n in (4, 6, 9):
-            strat = build_extension_stratification(v(n))
-            assert strat.max_level <= 2 * n - 3
-            assert len(edges_at(strat, strat.max_level)) == n * (n - 1)
-            assert strongly_connected_at(strat, 2 * n - 3)
+            levels, _, _, _ = sync._stratify(v(n))
+            assert len(levels) <= 2 * n - 2  # levels 0 .. 2n - 3
+            assert len(edges_at(levels, n)) == n * (n - 1)
+            assert strongly_connected_at(levels[: 2 * n - 2], n)
 
     def test_edges_monotone(self):
-        strat = build_extension_stratification(v(7))
-        for lvl in range(strat.max_level):
-            assert edges_at(strat, lvl) <= edges_at(strat, lvl + 1)
+        n = 7
+        levels, _, _, _ = sync._stratify(v(n))
+        for lvl in range(2 * n - 3):
+            assert edges_at(levels[: lvl + 1], n) <= edges_at(levels[: lvl + 2], n)
 
     def test_witnesses_carry_seed_onto_pair(self):
         d = v(6)
-        strat = build_extension_stratification(d)
-        for pair, (seed, w) in strat.witnesses.items():
+        witnesses = stratification_witnesses(d.n, *sync._stratify(d))
+        assert len(witnesses) == d.n * (d.n - 1)
+        for pair, (seed, w) in witnesses.items():
             t = word_transformation(d, w)
             seed_t = d.transformation(seed)
             assert (t(seed_t.excluded_state()), t(seed_t.duplicate_state())) == pair
@@ -522,25 +534,53 @@ class TestCbWords:
         assert resets(cb(n, k), r.word)
         assert r.length < 4 * n * math.ceil(math.log2(n))
 
+    @staticmethod
+    def replay_rounds(n: int, k: int) -> list[tuple[str, set[int], int, int]]:
+        """Replay the word on a plain set of token states, counting isolated
+        tokens from scratch: a merging round ends once every token is
+        isolated, a pairing round once at most one is.  Returns per round
+        its kind, the letters it used, and the token count before and after."""
+        word = cb_reset_word(n, k).word
+        assert list(word) == sync._simulate_cb(n, k)
+        images = [t.images for t in cb(n, k).transformations()]
+
+        def isolated(tokens):
+            return sum((q - 1) % n not in tokens and (q + 1) % n not in tokens for q in tokens)
+
+        tokens, letters = set(range(n)), iter(word)
+        rounds = []
+        while len(tokens) > 1:
+            kind = "pairing" if isolated(tokens) == len(tokens) else "merging"
+            size_before, used = len(tokens), set()
+            while True:
+                a = next(letters)
+                used.add(a)
+                tokens = {images[a][q] for q in tokens}
+                iso = isolated(tokens)
+                if (kind == "merging" and iso == len(tokens)) or (kind == "pairing" and iso <= 1):
+                    break
+            rounds.append((kind, used, size_before, len(tokens)))
+        assert next(letters, None) is None  # the last round ends the word
+        return rounds
+
     def test_round_trace_structure(self):
-        n, k = 8, 3
-        rounds = cb_round_trace(n, k)
-        word_len = cb_reset_word(n, k).length
-        assert rounds[0].kind == "merging"
-        assert rounds[0].start == 0
-        for prev, cur in zip(rounds, rounds[1:]):
-            assert cur.start == prev.end
-            assert cur.kind != prev.kind  # merging and pairing alternate
-            assert cur.size_before == prev.size_after
-        assert rounds[-1].end == word_len
-        assert rounds[-1].size_after == 1
-        # merging rounds after the first at least halve the live tokens
-        for idx, rd in enumerate(rounds):
-            if rd.kind == "merging" and idx > 0:
-                assert rd.size_after <= (rd.size_before + 1) // 2
-            if rd.kind == "pairing":
-                assert rd.size_after == rd.size_before
-            assert len(rd.members_after) == rd.size_after
+        for n, k in ((8, 3), (15, 7), (40, 13), (40, 39)):
+            rounds = self.replay_rounds(n, k)
+            assert rounds[0][0] == "merging"
+            for prev, cur in zip(rounds, rounds[1:]):
+                assert cur[0] != prev[0]  # merging and pairing alternate
+            assert rounds[-1][3] == 1
+            for idx, (kind, used, size_before, size_after) in enumerate(rounds):
+                if kind == "merging":
+                    # cycle and merge letters only; merging rounds after the
+                    # first at least halve the live tokens
+                    assert used <= {0, 1}
+                    if idx > 0:
+                        assert size_after <= (size_before + 1) // 2
+                else:
+                    # cycle and swap letters only, keeping every token
+                    assert used <= {0, 2}
+                    assert size_after == size_before
 
     def test_validation(self):
         with pytest.raises(ValueError):
