@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +46,7 @@ from .monoid import _generates_symmetric, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
     NOT_SYNCHRONIZING,
+    _require_memory,
     _reset_distance,
     _resets,
     _subset_table,
@@ -248,6 +250,23 @@ def _census_context(n: int) -> tuple[tuple[_Perm, ...], tuple, tuple[_Perm, ...]
     return perms, _residual_group(n), rank_letters, moves
 
 
+def _census_bytes(n: int, workers: int) -> int:
+    """Upper estimate of the census's memory at ``n`` states.
+
+    The parent's pending ``(n, p1)`` tuples take 104 + 8n bytes per
+    permutation.  Each of the ``workers`` processes running blocks holds its
+    own :func:`_census_context`: the n! sorted permutations (48 + 8n bytes
+    each), n!/2 rank letters (as much each) and, for each of the
+    C(2n-1, n-1) + C(2n-2, n-2) subset moves, 200 bytes of entry and a mask
+    of up to n!/2 bits at 7.5 bits per byte.  At n = 8 that is 34 MB per
+    context, where tracemalloc measured a 31 MB peak; at n = 10 it is 34 GB.
+    """
+    perms = math.factorial(n)
+    moves = math.comb(2 * n - 1, n - 1) + math.comb(2 * n - 2, n - 2)
+    context = perms * (48 + 8 * n) * 3 // 2 + moves * (200 + perms // 15)
+    return perms * (104 + 8 * n) + workers * context
+
+
 def _dead_pair(p1: _Perm, p2: _Perm, residual: Sequence[tuple[_Perm, _Perm]]) -> bool:
     """Whether some residual symmetry maps every triple ``(p1, p2, t)`` to a
     strictly smaller one, whatever ``t`` is."""
@@ -365,6 +384,17 @@ def _census_header(n: int) -> str:
     )
 
 
+def _complete_lines(path: Path) -> tuple[list[str], bytes]:
+    """The complete lines of a journal, and the bytes after the last newline.
+
+    Those bytes are a final line cut off mid-write, as after a crash; every
+    journal reader leaves them out.
+    """
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    return data[:complete].decode("ascii").splitlines(), data[complete:]
+
+
 def _read_census_journal(
     path: Path, n: int
 ) -> tuple[set[_Perm], int, SearchRecord | None, bool] | None:
@@ -376,17 +406,16 @@ def _read_census_journal(
     off mid-write, as after a crash, is truncated away once the complete
     lines have been read.
     """
-    data = path.read_bytes()
-    complete = data.rfind(b"\n") + 1
-    if complete == 0:
-        if not _census_header(n).encode("ascii").startswith(data):
+    lines, cut = _complete_lines(path)
+    if not lines:
+        if not _census_header(n).encode("ascii").startswith(cut):
             raise ValueError(f"{path} is not a census journal")
         return None
     done: set[_Perm] = set()
     best_rt = -1
     best: SearchRecord | None = None
     finished = False
-    for line_no, line in enumerate(data[:complete].decode("ascii").splitlines()):
+    for line_no, line in enumerate(lines):
         obj = json.loads(line)
         kind = obj.get("type")
         if line_no == 0:
@@ -403,9 +432,8 @@ def _read_census_journal(
             best_rt = record.rt
         elif kind == "result":
             finished = True
-    if complete < len(data):
-        with path.open("rb+") as fh:
-            fh.truncate(complete)
+    if cut:
+        os.truncate(path, path.stat().st_size - len(cut))
     return done, best_rt, best, finished
 
 
@@ -429,15 +457,17 @@ def max_reset_threshold_exhaustive(
     and its work redone, so the resumed journal ends byte-identical to an
     uninterrupted run's.
 
-    No state count is refused: time is the limit, as each of the n! first
-    letters makes one block.  On a 2-core host n = 7 took 266 s with two
-    workers, and at n = 8 the per-n context alone (the 8! permutations, the
-    residual group and the rank letters' subset moves) took 3.3-3.9 s and
-    peaked near 70 MB of RSS.
+    Each of the n! first letters makes one block: on a 2-core host n = 7
+    took 266 s with two workers, and the n = 8 context alone 3.3-3.9 s and
+    about 70 MB of RSS.  A run whose :func:`_census_bytes` estimate (1 GB at
+    n = 9, 34 GB at n = 10, one context more per extra worker) exceeds
+    physical memory is refused with ``ValueError`` before it allocates or
+    writes anything.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
     SearchConfig(n=n, mode=SearchMode.EXHAUSTIVE, output_path=output_path)  # validates n
+    _require_memory(n, _census_bytes(n, workers))
     done: set[_Perm] = set()
     best_rt = -1
     best: SearchRecord | None = None
@@ -795,21 +825,19 @@ def random_pair_diameter_experiment(cfg: SearchConfig) -> dict:
 
 
 def load_records(path: str | Path) -> list[SearchRecord]:
-    """All census records in a journal, each re-verified while loading."""
+    """Census records of a journal's complete lines, each re-verified on load."""
     records = []
-    with Path(path).open("r", encoding="ascii") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            if obj.get("type") == "record":
-                records.append(record_from_json_dict(obj))
+    for line in _complete_lines(Path(path))[0]:
+        obj = json.loads(line)
+        if obj.get("type") == "record":
+            records.append(record_from_json_dict(obj))
     return records
 
 
 def summarize_results(path: str | Path) -> dict:
     """Digest of a results file: kind, config, best values, completeness.
 
-    A final line cut off mid-write, as after a crash, is left out, as the
-    census resume does; such a file reads as not complete.
+    A final line cut off mid-write is left out; the file reads as not complete.
     """
     header = None
     best_rt = None
@@ -817,8 +845,7 @@ def summarize_results(path: str | Path) -> dict:
     records = 0
     summary_line = None
     finished = False
-    data = Path(path).read_bytes()
-    for line in data[: data.rfind(b"\n") + 1].decode("ascii").splitlines():
+    for line in _complete_lines(Path(path))[0]:
         obj = json.loads(line)
         kind = obj.get("type")
         if kind == "header":

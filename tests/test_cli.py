@@ -270,6 +270,16 @@ class TestSearch:
             code, obj, _ = run_json(capsys, "search", "--n", "8", "--mode", "exhaustive", "--workers", "1")
         assert code == 0 and obj["max_rt"] == 49
 
+    def test_exhaustive_past_physical_memory_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 8 << 30)
+        out_path = tmp_path / "census.jsonl"
+        code, out, err = run(
+            capsys, "search", "--n", "10", "--mode", "exhaustive", "--workers", "1", "--out", str(out_path)
+        )
+        assert code == 2 and out == ""
+        assert "more than the 8589934592 bytes of physical memory" in err
+        assert not out_path.exists()
+
     def test_allow_large_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--n", "8", "--mode", "exhaustive", "--allow-large"])

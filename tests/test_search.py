@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synchrokit import search
+from synchrokit import search, sync
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
 from synchrokit.monoid import PermutationGroup, _generates_symmetric, generates_symmetric_group
@@ -144,6 +145,31 @@ class TestSearchConfig:
             warnings.simplefilter("error")
             with pytest.raises(CensusStarted):
                 max_reset_threshold_exhaustive(8)
+
+    def test_exhaustive_refuses_more_than_physical_memory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sync, "_physical_memory", lambda: search._census_bytes(5, 1))
+        assert max_reset_threshold_exhaustive(5)[0] == 14
+        path = tmp_path / "census.jsonl"
+        need = search._census_bytes(5, 2)
+        with pytest.raises(ValueError, match=f"needs up to {need} bytes"):
+            max_reset_threshold_exhaustive(5, workers=2, output_path=path)
+        assert not path.exists()
+
+        # 34 GB at ten states: refused before the 10! permutations are listed
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 8 << 30)
+        with pytest.raises(ValueError, match="more than the 8589934592 bytes"):
+            max_reset_threshold_exhaustive(10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_memory_estimate_bounds_the_context(self, n):
+        one_context = search._census_bytes(n, 2) - search._census_bytes(n, 1)
+        tracemalloc.start()
+        try:
+            search._census_context.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= one_context
 
 
 class TestCanonicalForm:
@@ -326,6 +352,20 @@ class TestExhaustiveCensus:
             "blocks_done": sum(line["type"] == "block" for line in lines),
             "records": sum(line["type"] == "record" for line in lines),
         }
+
+    def test_load_records_of_a_journal_cut_mid_write(self, tmp_path):
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(4, output_path=path)
+        data = path.read_bytes()
+        cut = data[: len(data) // 2]
+        assert not cut.endswith(b"\n")
+        path.write_bytes(cut)
+        expected = [
+            record_from_json_dict(obj)
+            for obj in map(json.loads, cut[: cut.rfind(b"\n") + 1].splitlines())
+            if obj["type"] == "record"
+        ]
+        assert expected and load_records(path) == expected
 
     def test_records_load_and_verify(self, tmp_path):
         path = tmp_path / "census.jsonl"
