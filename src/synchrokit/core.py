@@ -10,13 +10,17 @@ Conventions used throughout the package:
 * Words act left to right: applying ``uv`` means applying ``u`` first.
 * Subsets of states are ``StateSet`` values, bit masks held in a Python
   int, so any ``n`` is allowed.  :func:`apply_word` is the one rule for
-  moving a state set under a word.
+  moving a state set under a word.  It reads the word one run a^k of a
+  repeated letter at a time: a permutation letter moves each state k places
+  along its cycle at once, and any other letter is applied until the set
+  maps onto itself or the run ends.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 
@@ -225,19 +229,53 @@ class StateSet:
         return self.cardinality()
 
 
+def _cycle_positions(t: tuple[int, ...]) -> list[tuple[list[int], int]] | None:
+    """``where[q] = (cycle, j)`` with ``cycle[j] == q`` for a permutation ``t``;
+    ``None`` if ``t`` is not a permutation."""
+    if len(set(t)) != len(t):
+        return None
+    where: list = [None] * len(t)
+    for q in range(len(t)):
+        if where[q] is None:
+            cycle = [q]
+            while (x := t[cycle[-1]]) != q:
+                cycle.append(x)
+            for j, x in enumerate(cycle):
+                where[x] = (cycle, j)
+    return where
+
+
 def apply_word(s: StateSet, d: Dfa, w: Word) -> StateSet:
-    """Image of a state set under a word, applied left to right."""
+    """Image of a state set under a word, applied left to right.
+
+    The word is read one run a^k of a repeated letter at a time.  Under a
+    permutation letter each state moves k places along its cycle in one
+    step, from cycle positions built once per letter and call; any other
+    letter is applied again and again, stopping early once the set maps
+    onto itself, after which the rest of the run changes nothing.
+    """
     if d.n != s.n:
         raise ValueError("state set and automaton have different state counts")
     m = d.m
-    for i in w:
+    images = [t.images for t in d.transformations()]
+    positions: dict[int, list | None] = {}
+    current = set(s.members())
+    for i, run in groupby(w.letters):
         if not 0 <= i < m:
             raise ValueError(f"letter index {i} out of range")
-    images = [t.images for t in d.transformations()]
-    current = set(s.members())
-    for i in w:
+        k = len([*run])
         t = images[i]
-        current = {t[q] for q in current}
+        if k > 1:
+            if i not in positions:
+                positions[i] = _cycle_positions(t)
+            if (where := positions[i]) is not None:
+                current = {c[(j + k) % len(c)] for c, j in map(where.__getitem__, current)}
+                continue
+        # image is t(current); k counts the applications left, this one included
+        image = {t[q] for q in current}
+        while k > 1 and image != current:
+            current, image, k = image, {t[q] for q in image}, k - 1
+        current = image
     return StateSet.of(s.n, current)
 
 
@@ -304,7 +342,7 @@ def dfa_to_json_dict(d: Dfa) -> dict:
 def _json_int(x: object) -> int:
     """``x`` itself if it is a JSON integer; booleans and floats are refused."""
     if type(x) is not int:
-        raise ValueError(f"malformed automaton JSON: {x!r} is not an integer")
+        raise ValueError(f"malformed JSON: {x!r} is not an integer")
     return x
 
 

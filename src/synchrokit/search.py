@@ -39,6 +39,7 @@ from .core import (
     Dfa,
     Transformation,
     Word,
+    _json_int,
     dfa_from_json_dict,
     dfa_to_json_dict,
 )
@@ -133,7 +134,7 @@ def record_from_json_dict(obj: Mapping[str, object]) -> SearchRecord:
     letters = [d.letter_index(name) for name in obj["witness"]]
     record = SearchRecord(
         dfa=d,
-        rt=int(obj["rt"]),
+        rt=_json_int(obj["rt"]),
         witness=Word(tuple(letters)),
         timestamp=obj.get("timestamp"),
         config=obj.get("config"),
@@ -241,11 +242,20 @@ def _census_context(n: int) -> tuple[tuple[_Perm, ...], tuple, tuple[_Perm, ...]
     subset ``S`` onto ``X``.
     """
     rank_letters = _normalized_rank_letters(n)
-    targets: list[dict[int, int]] = [{} for _ in range(1 << n)]
+    # each mask's bits are set in a bytearray and made an int once, as an
+    # int OR per letter would copy the whole mask every time
+    size = (len(rank_letters) + 7) // 8
+    targets: list[dict[int, bytearray]] = [{} for _ in range(1 << n)]
     for r, t in enumerate(rank_letters):
-        for s, x in enumerate(_subset_table([1 << q for q in t])):
-            targets[s][x] = targets[s].get(x, 0) | 1 << r
-    moves = [tuple(row.items()) for row in targets]
+        byte, bit = r >> 3, 1 << (r & 7)
+        for row, x in zip(targets, _subset_table([1 << q for q in t])):
+            if (bits := row.get(x)) is None:
+                bits = row[x] = bytearray(size)
+            bits[byte] |= bit
+    moves = []
+    for row in targets:
+        moves.append(tuple((x, int.from_bytes(bits, "little")) for x, bits in row.items()))
+        row.clear()  # frees the row's bytearrays before the next row's ints are made
     perms = tuple(sorted(itertools.permutations(range(n))))
     return perms, _residual_group(n), rank_letters, moves
 

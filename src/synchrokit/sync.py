@@ -260,8 +260,10 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     shortest collapsing word (smallest ``(i, j)`` on ties) and applies the
     lexicographically least such word: from the pair, the least letter
     whose image is one step closer to the merged vertex, until it is
-    reached.  The pairs are sorted by distance once; each round scans that
-    order from the start, as the new image need not lie inside the old one.
+    reached; that letter depends on the pair alone, so it is found on the
+    pair's first visit and reused.  The pairs are sorted by distance once;
+    each round scans that order from the start, as the new image need not
+    lie inside the old one.
     The image loses a state every round, so there are at most n - 1 rounds.
 
     Raises:
@@ -274,6 +276,7 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     merged = len(rows) - 1
     pair_bits = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n)]
     ranked = sorted(range(merged), key=dist.__getitem__)
+    toward = [-1] * merged  # the least slot moving pair v one step closer
     image = StateSet.full(n)
     letters: list[int] = []
     while image.cardinality() > 1:
@@ -281,7 +284,10 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
         v = next(v for v in ranked if pair_bits[v] & mask == pair_bits[v])
         step: list[int] = []
         while v != merged:
-            slot = next(s for s, w in enumerate(rows[v]) if dist[w] == dist[v] - 1)
+            if (slot := toward[v]) < 0:
+                slot = toward[v] = next(
+                    s for s, w in enumerate(rows[v]) if dist[w] == dist[v] - 1
+                )
             step.append(slot)
             v = rows[v][slot]
         image = apply_word(image, d, Word(tuple(step)))

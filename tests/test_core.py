@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -20,7 +22,10 @@ from synchrokit.core import (
     word_transformation,
 )
 
-from conftest import random_dfa, random_transformation
+from synchrokit.families import cerny
+from synchrokit.sync import pairchase_reset_word
+
+from conftest import random_dfa, random_permutation, random_transformation
 
 
 # A fixed 4-state automaton reused across tests: one cyclic permutation
@@ -28,6 +33,28 @@ from conftest import random_dfa, random_transformation
 CYCLE4 = Transformation((1, 2, 3, 0))
 MERGE4 = Transformation((0, 0, 2, 3))
 D4 = Dfa(4, (("a", CYCLE4), ("b", MERGE4)))
+
+
+def letter_by_letter(s: StateSet, d: Dfa, w: Word) -> StateSet:
+    """Image of ``s`` under ``w`` by one plain set map per letter: the oracle for runs."""
+    images = [t.images for t in d.transformations()]
+    current = set(s.members())
+    for i in w:
+        t = images[i]
+        current = {t[q] for q in current}
+    return StateSet.of(s.n, current)
+
+
+def cycle_lengths_of(t: Transformation) -> list[int]:
+    lengths, seen = [], set()
+    for q in range(t.n):
+        length = 0
+        while q not in seen:
+            seen.add(q)
+            q, length = t(q), length + 1
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def inverse(t: Transformation) -> Transformation:
@@ -207,6 +234,75 @@ def test_apply_word_on_the_full_set_is_the_word_image(data):
     w = Word(tuple(r.randrange(d.m) for _ in range(r.randint(0, 8))))
     image = apply_word(StateSet.full(n), d, w)
     assert set(image.members()) == set(word_transformation(d, w).images)
+
+
+@given(st.data())
+def test_apply_word_reads_runs_like_single_letters(data):
+    """Runs a^k of every kind of letter map a set as k single letters do.
+
+    The letters are a random permutation, a permutation whose cycles have
+    1 to 4 states (so the lcm of its cycle lengths is at most 12), a random
+    map, and ``down`` (q to q - 1, 0 to 0), whose only fixed set is {0}.
+    A run has 1 to 3n letters, or k is a cycle length of a permutation
+    letter, a multiple of its cycle-length lcm, or, for a non-permutation,
+    twice the number of steps after which the set maps onto itself, so that
+    the run reaches its fixed set halfway through.
+    """
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    r = random.Random(seed)
+    n = r.randint(1, 100)
+    # cut a shuffled order of the states into cycles of 1 to 4 states
+    order = list(range(n))
+    r.shuffle(order)
+    cycles, lo = list(range(n)), 0
+    while lo < n:
+        hi = min(n, lo + r.randint(1, 4))
+        for x in range(lo, hi):
+            cycles[order[x]] = order[x + 1 if x + 1 < hi else lo]
+        lo = hi
+    d = Dfa(n, (
+        ("p", random_permutation(r, n)),
+        ("c", Transformation(tuple(cycles))),
+        ("t", random_transformation(r, n)),
+        ("down", Transformation((0, *range(n - 1)))),
+    ))
+    s = StateSet(n, r.getrandbits(n))
+    letters: list[int] = []
+    current = set(s.members())
+    for _ in range(r.randint(1, 6)):
+        i = r.randrange(d.m)
+        t = d.transformation(i)
+        ks = [r.randint(1, 3 * n)]
+        if t.is_permutation():
+            lengths = cycle_lengths_of(t)
+            ks.append(r.choice(lengths))
+            if (lcm := math.lcm(*lengths)) <= 3 * n:
+                ks.append(lcm * r.randint(1, 3 * n // lcm))
+        else:
+            x, steps = current, 0
+            while (y := {t(q) for q in x}) != x and steps < n:
+                x, steps = y, steps + 1
+            if y == x:
+                ks.append(max(1, 2 * steps))
+        k = r.choice(ks)
+        letters += [i] * k
+        for _ in range(k):
+            current = {t(q) for q in current}
+    w = Word(tuple(letters))
+    assert apply_word(s, d, w) == StateSet.of(n, current)
+
+
+def test_apply_word_on_the_frozen_cerny_200_chase():
+    # frozen when the run rule came in: 108,662 letters in 1,463 runs
+    d = cerny(200)
+    r = pairchase_reset_word(d)
+    assert r.verified and r.length == 108_662
+    digest = hashlib.sha256(bytes(r.word.letters)).hexdigest()
+    assert digest == "d0ba507716756a1705fbc655f3fe3af3350f4ca386896108d227db2fe94f7a20"
+    full = StateSet.full(200)
+    image = apply_word(full, d, r.word)
+    assert image.cardinality() == 1 and image == letter_by_letter(full, d, r.word)
+
 
 @given(st.data())
 def test_word_transformation_is_composition(data):

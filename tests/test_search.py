@@ -367,6 +367,18 @@ class TestExhaustiveCensus:
         ]
         assert expected and load_records(path) == expected
 
+    def test_load_records_refuses_a_fractional_rt(self, tmp_path):
+        # a witness of 14 letters must not pass for rt 14.9 by truncation
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(5, output_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines) if '"type":"record"' in line)
+        assert '"rt":14,' in lines[last]
+        lines[last] = lines[last].replace('"rt":14,', '"rt":14.9,')
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="14.9 is not an integer"):
+            load_records(path)
+
     def test_records_load_and_verify(self, tmp_path):
         path = tmp_path / "census.jsonl"
         max_reset_threshold_exhaustive(4, output_path=path)

@@ -141,15 +141,19 @@ def reference_merge_distances(d: Dfa) -> tuple[dict, dict]:
 
 
 def reference_pairchase(d: Dfa) -> tuple[int, ...]:
-    """Greedy pair chasing with a per-round minimum over every image pair."""
+    """Greedy pair chasing with a per-round minimum over every image pair.
+
+    The image moves one letter at a time through a plain set, independent of
+    the run-length word action in :func:`core.apply_word`.
+    """
     dist, merge_letter = reference_merge_distances(d)
     if len(dist) < d.n * (d.n - 1) // 2:
         raise ValueError("automaton is not synchronizing")
     images = [t.images for t in d.transformations()]
-    image = StateSet.full(d.n)
+    image = set(range(d.n))
     letters: list[int] = []
-    while image.cardinality() > 1:
-        states = image.members()
+    while len(image) > 1:
+        states = sorted(image)
         remaining, i, j = min(
             (dist[(i, j)], i, j) for x, i in enumerate(states) for j in states[x + 1 :]
         )
@@ -162,7 +166,9 @@ def reference_pairchase(d: Dfa) -> tuple[int, ...]:
                     (i, j), remaining = key, remaining - 1
                     break
         step.append(merge_letter[(i, j)])
-        image = apply_word(image, d, Word(tuple(step)))
+        for letter in step:
+            img = images[letter]
+            image = {img[q] for q in image}
         letters.extend(step)
     return tuple(letters)
 
