@@ -43,7 +43,7 @@ from .core import (
     dfa_from_json_dict,
     dfa_to_json_dict,
 )
-from .monoid import _generates_symmetric, cycle_lengths
+from .monoid import _generates_symmetric, _transitive_with_odd, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
     NOT_SYNCHRONIZING,
@@ -230,16 +230,19 @@ def _residual_group(n: int) -> tuple[tuple[_Perm, _Perm], ...]:
 
 def _conjugate(p: _Perm, g: _Perm, ginv: _Perm) -> _Perm:
     """Image rows of ``p`` after relabeling every state ``q`` as ``g[q]``."""
-    return tuple(g[p[q]] for q in ginv)
+    return tuple([g[p[q]] for q in ginv])
 
 
 @lru_cache(maxsize=4)
-def _census_context(n: int) -> tuple[tuple[_Perm, ...], tuple, tuple[_Perm, ...], list]:
-    """Permutations, residual group, rank letters, and the letters' moves.
+def _census_context(n: int) -> tuple:
+    """Permutations, residual group, rank letters, the letters' moves, and
+    the permutations' ``rank`` and ``least`` tables.
 
     ``moves[S]`` lists the pairs ``(X, mask)`` where bit r of ``mask`` is set
     when rank letter r (in :func:`_normalized_rank_letters` order) maps the
-    subset ``S`` onto ``X``.
+    subset ``S`` onto ``X``.  ``rank[p]`` is the index of ``p`` in the sorted
+    permutations and ``least[r]`` the rank of the least residual conjugate
+    of permutation r.
     """
     rank_letters = _normalized_rank_letters(n)
     # each mask's bits are set in a bytearray and made an int once, as an
@@ -257,7 +260,14 @@ def _census_context(n: int) -> tuple[tuple[_Perm, ...], tuple, tuple[_Perm, ...]
         moves.append(tuple((x, int.from_bytes(bits, "little")) for x, bits in row.items()))
         row.clear()  # frees the row's bytearrays before the next row's ints are made
     perms = tuple(sorted(itertools.permutations(range(n))))
-    return perms, _residual_group(n), rank_letters, moves
+    residual = _residual_group(n)
+    rank = {p: r for r, p in enumerate(perms)}
+    least = [-1] * len(perms)
+    for r, p in enumerate(perms):
+        if least[r] < 0:  # orbits are met in sorted order: r is its least
+            for g, ginv in residual:
+                least[rank[_conjugate(p, g, ginv)]] = r
+    return perms, residual, rank_letters, moves, rank, least
 
 
 def _census_bytes(n: int, workers: int) -> int:
@@ -266,14 +276,16 @@ def _census_bytes(n: int, workers: int) -> int:
     The parent's pending ``(n, p1)`` tuples take 104 + 8n bytes per
     permutation.  Each of the ``workers`` processes running blocks holds its
     own :func:`_census_context`: the n! sorted permutations (48 + 8n bytes
-    each), n!/2 rank letters (as much each) and, for each of the
+    each) with their ``rank`` and ``least`` entries (128 bytes: a dict entry
+    of up to 58 bytes while it resizes, an int and a list slot), n!/2 rank
+    letters (48 + 8n bytes each) and, for each of the
     C(2n-1, n-1) + C(2n-2, n-2) subset moves, 200 bytes of entry and a mask
-    of up to n!/2 bits at 7.5 bits per byte.  At n = 8 that is 34 MB per
-    context, where tracemalloc measured a 31 MB peak; at n = 10 it is 34 GB.
+    of up to n!/2 bits at 7.5 bits per byte.  At n = 8 that is 39 MB per
+    context, where tracemalloc measured a 33 MB peak; at n = 10 it is 35 GB.
     """
     perms = math.factorial(n)
     moves = math.comb(2 * n - 1, n - 1) + math.comb(2 * n - 2, n - 2)
-    context = perms * (48 + 8 * n) * 3 // 2 + moves * (200 + perms // 15)
+    context = perms * ((48 + 8 * n) * 3 // 2 + 128) + moves * (200 + perms // 15)
     return perms * (104 + 8 * n) + workers * context
 
 
@@ -288,14 +300,17 @@ def _dead_pair(p1: _Perm, p2: _Perm, residual: Sequence[tuple[_Perm, _Perm]]) ->
     return False
 
 
-def _last_resets(table1: list[int], table2: list[int], moves: list, live: int) -> tuple[int, int]:
+def _last_resets(
+    table1: list[int], table2: list[int], moves: list, live: int
+) -> tuple[int, int] | None:
     """One subset BFS for the automata ``(p1, p2, t_r)`` of every bit r of ``live``.
 
     ``rows[S]`` has bit r set when ``S`` is on the current level of
     automaton r, and ``seen[S]`` holds the bits that have visited ``S``.  A
     bit retires once its automaton reaches a singleton.  Returns the level
     at which the last live bit retires, that is the largest reset threshold,
-    and the bits that retire there.
+    and the bits that retire there; or ``None`` when the levels run out with
+    a bit still live, as that bit's automaton never resets.
     """
     size = len(table1)
     seen = [0] * size
@@ -309,13 +324,12 @@ def _last_resets(table1: list[int], table2: list[int], moves: list, live: int) -
             reached[table1[s]] |= bits
             reached[table2[s]] |= bits
             for x, mask in moves[s]:
-                if bits & mask:
-                    reached[x] |= bits & mask
+                if hit := bits & mask:
+                    reached[x] |= hit
         rows = []
         retired = 0
         for x, bits in enumerate(reached):
-            bits &= ~seen[x]
-            if bits:
+            if bits and (bits := bits & ~seen[x]):
                 seen[x] |= bits
                 if x & (x - 1):
                     rows.append((x, bits))
@@ -326,7 +340,7 @@ def _last_resets(table1: list[int], table2: list[int], moves: list, live: int) -
             if not live:
                 return level, retired
             rows = [(x, bits & live) for x, bits in rows if bits & live]
-    raise AssertionError("every automaton of the census resets")
+    return None
 
 
 def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _Perm | None]:
@@ -336,23 +350,43 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _P
     first enumeration-order candidate attaining the block maximum (``-1``
     and ``None`` when the block is empty).  One subset BFS per ``p2`` covers
     all rank letters, and the lowest retiring bit is the first of them.
+
+    The filters run cheapest first.  ``p1`` must be least in its residual
+    orbit, and the pair must survive :func:`_dead_pair`, which the least
+    conjugate ranks settle unless ``p2`` lies in the orbit of ``p1`` or a
+    residual symmetry other than the identity fixes ``p1``.  Then the pair
+    must be transitive with an odd letter, steps 1-2 of the recognizer.
+    The recognizer itself runs only on a pair whose BFS beats the block
+    maximum so far: a pair that does not can never change the result,
+    whether it generates the symmetric group or not.  A pair with an
+    automaton that never resets cannot generate it, as then the transition
+    monoid would be full; that is asserted.
     """
     n, p1 = args
-    perms, residual, rank_letters, moves = _census_context(n)
-    for g, ginv in residual[1:]:
-        if _conjugate(p1, g, ginv) < p1:
-            return p1, -1, None, None
+    perms, residual, rank_letters, moves, rank, least = _census_context(n)
+    r1 = rank[p1]
+    if least[r1] != r1:
+        return p1, -1, None, None
+    fixed = any(_conjugate(p1, g, ginv) == p1 for g, ginv in residual[1:])
     table1 = _subset_table([1 << q for q in p1])
     everyone = (1 << len(rank_letters)) - 1
     best_rt = -1
     best_p2: _Perm | None = None
     best_t: _Perm | None = None
-    for p2 in perms:
-        if p2 < p1 or _dead_pair(p1, p2, residual) or not _generates_symmetric((p1, p2), n):
+    for r2 in range(r1, len(perms)):
+        l2 = least[r2]
+        if l2 < r1:
             continue
-        rt, retired = _last_resets(table1, _subset_table([1 << q for q in p2]), moves, everyone)
-        if rt > best_rt:
-            best_rt = rt
+        p2 = perms[r2]
+        if (fixed or l2 == r1) and _dead_pair(p1, p2, residual):
+            continue
+        if not _transitive_with_odd((p1, p2), n):
+            continue
+        found = _last_resets(table1, _subset_table([1 << q for q in p2]), moves, everyone)
+        if found is None:
+            assert not _generates_symmetric((p1, p2), n), "a full-monoid automaton never resets"
+        elif found[0] > best_rt and _generates_symmetric((p1, p2), n):
+            best_rt, retired = found
             best_p2 = p2
             best_t = rank_letters[(retired & -retired).bit_length() - 1]
     return p1, best_rt, best_p2, best_t
@@ -467,12 +501,14 @@ def max_reset_threshold_exhaustive(
     and its work redone, so the resumed journal ends byte-identical to an
     uninterrupted run's.
 
-    Each of the n! first letters makes one block: on a 2-core host n = 7
-    took 266 s with two workers, and the n = 8 context alone 3.3-3.9 s and
-    about 70 MB of RSS.  A run whose :func:`_census_bytes` estimate (1 GB at
-    n = 9, 34 GB at n = 10, one context more per extra worker) exceeds
-    physical memory is refused with ``ValueError`` before it allocates or
-    writes anything.
+    Each of the n! first letters makes one block, whose cheap filters run
+    before its subset BFS and whose symmetric-group test runs only on a new
+    block maximum (see :func:`_census_block`).  On a 2-core host n = 6 took
+    5.4-6.4 s in one process, n = 7 206 s with two workers, and the n = 8
+    context alone 1.4-1.6 s.  A run whose :func:`_census_bytes` estimate
+    (1 GB at n = 9, 35 GB at n = 10, one context more per extra worker)
+    exceeds physical memory is refused with ``ValueError`` before it
+    allocates or writes anything.
     """
     if workers < 1:
         raise ValueError("workers must be positive")

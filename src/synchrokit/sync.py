@@ -37,7 +37,8 @@ from .pairgraph import _bfs, _pair_rows, _predecessors
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
-#: their fresh copy and its sort (12), byte indices (8) and array headers (1).
+#: their fresh copy and its unique part (12), byte indices (8) and the flags
+#: of the neighbour test (1).
 _EXACT_BYTES = 2 + 1 + 4 + 12 + 8 + 1
 #: Bytes per letter: image tables (4 bytes x 256 x 4) and chunk scratch (20 x 256).
 _EXACT_LETTER_BYTES = 4 * 256 * 4 + 20 * 256
@@ -131,22 +132,30 @@ def _by_chunks(fn, subsets: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def _images(tables: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Images of every subset under every letter, shape (letters, subsets)."""
-    img = tables[0][:, subsets & 0xFF]
+    # take() gathers about twice as fast as the equivalent [:, index] here
+    img = tables[0].take(subsets & 0xFF, axis=1)
     for b in range(1, len(tables)):
-        img |= tables[b][:, (subsets >> (8 * b)) & 0xFF]
+        img |= tables[b].take((subsets >> (8 * b)) & 0xFF, axis=1)
     return img
 
 
 def _fresh_images(
-    tables: np.ndarray, dist: np.ndarray, subsets: np.ndarray, level: int
+    tables: np.ndarray, dist: np.ndarray, subsets: np.ndarray, level: int, keep: np.ndarray
 ) -> np.ndarray:
-    """Unvisited images of ``subsets``, sorted and unique, marked in ``dist``."""
+    """Unvisited images of ``subsets``, sorted and unique, marked in ``dist``.
+
+    ``keep`` is scratch for the neighbour test, one flag per image at least.
+    """
     img = _images(tables, subsets).ravel()
-    fresh = np.sort(img[dist[img] == 0])
+    fresh = img[dist[img] == 0]
     if fresh.size:
-        # np.sort plus a neighbour test: np.unique is an order of magnitude
-        # slower on these arrays under numpy 2.4
-        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+        # an in-place sort plus a neighbour test: np.unique is an order of
+        # magnitude slower on these arrays under numpy 2.4
+        fresh.sort()
+        new = keep[: fresh.size]
+        new[0] = True
+        np.not_equal(fresh[1:], fresh[:-1], out=new[1:])
+        fresh = fresh[new]
         dist[fresh] = level
     return fresh
 
@@ -162,15 +171,20 @@ def _forward_bfs(
     last ``uint16`` value; only non-synchronizing automata get that deep,
     since a shortest reset word has at most (n^3 - n) / 6 letters.  A level
     is mapped in chunks (see :func:`_by_chunks`).
+    The first level holding a singleton is the first after which ``dist``
+    marks one, so the singletons are looked up, not the level scanned.
     """
     full = (1 << n) - 1
+    m = tables.shape[1]
+    keep = np.empty(max(256 * m, 1 << n), dtype=bool)  # a chunk's images at most
+    singles = np.uint32(1) << np.arange(n, dtype=np.uint32)
     dist = np.zeros(1 << n, dtype=np.uint16)
     dist[full] = 1
     frontier = np.array([full], dtype=np.uint32)
-    levels, m = [frontier], tables.shape[1]
-    while not np.any((frontier & (frontier - 1)) == 0):
+    levels = [frontier]
+    while not dist[singles].any():
         level = min(len(levels) + 1, 0xFFFF)
-        frontier = _by_chunks(lambda s: _fresh_images(tables, dist, s, level), frontier, n, m)
+        frontier = _by_chunks(lambda s: _fresh_images(tables, dist, s, level, keep), frontier, n, m)
         if frontier.size == 0:
             return None
         levels.append(frontier)

@@ -163,10 +163,7 @@ class TestJordanBranch:
     """The walk-then-chain branch against the chain alone.
 
     The branch's precondition is an odd generator; pairs without one are
-    checked to lie outside the symmetric group.  Its answer never depends on
-    the walk budget, so a short one keeps the proper 2-transitive groups,
-    which have no Jordan element, from each spending the default 2048 steps
-    before the fallback.
+    checked to lie outside the symmetric group.
     """
 
     def _agrees(self, pairs, n):
@@ -178,13 +175,11 @@ class TestJordanBranch:
                 assert not expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_every_pair(self, monkeypatch, n):
-        monkeypatch.setattr(monoid, "_WALK_STEPS", 64)
+    def test_every_pair(self, n):
         perms = list(itertools.permutations(range(n)))
         self._agrees(itertools.product(perms, repeat=2), n)
 
-    def test_six_points_from_each_conjugacy_class(self, monkeypatch):
-        monkeypatch.setattr(monoid, "_WALK_STEPS", 64)
+    def test_six_points_from_each_conjugacy_class(self):
         perms = list(itertools.permutations(range(6)))
         least = {}
         for p in perms:

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synchrokit import search, sync
+from synchrokit import monoid, search, sync
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
 from synchrokit.monoid import PermutationGroup, _generates_symmetric, generates_symmetric_group
@@ -92,7 +92,7 @@ def pair_symmetry(p1, p2, residual):
 def oracle_census_block(n: int, p1):
     """The census block of ``p1`` one candidate at a time: a symmetry check
     per rank letter and a subset BFS per surviving automaton."""
-    perms, residual, rank_letters, _ = search._census_context(n)
+    perms, residual, rank_letters = search._census_context(n)[:3]
     for g, ginv in residual[1:]:
         if search._conjugate(p1, g, ginv) < p1:
             return p1, -1, None, None
@@ -155,7 +155,7 @@ class TestSearchConfig:
             max_reset_threshold_exhaustive(5, workers=2, output_path=path)
         assert not path.exists()
 
-        # 34 GB at ten states: refused before the 10! permutations are listed
+        # 35 GB at ten states: refused before the 10! permutations are listed
         monkeypatch.setattr(sync, "_physical_memory", lambda: 8 << 30)
         with pytest.raises(ValueError, match="more than the 8589934592 bytes"):
             max_reset_threshold_exhaustive(10)
@@ -299,6 +299,46 @@ class TestExhaustiveCensus:
     def test_blocks_match_the_per_candidate_oracle(self, n):
         for p1 in search._census_context(n)[0]:
             assert search._census_block((n, p1)) == oracle_census_block(n, p1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_least_conjugate_ranks_match_brute_force(self, n):
+        perms, residual, _, _, rank, least = search._census_context(n)
+        assert [rank[p] for p in perms] == list(range(len(perms)))
+        for r, p in enumerate(perms):
+            smallest = min(search._conjugate(p, g, ginv) for g, ginv in residual)
+            assert perms[least[r]] == smallest
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rank_filters_pass_exactly_the_live_pairs(self, n, monkeypatch):
+        # a dead pair cannot change its block's result, so the oracle does not
+        # see a filter that lets one through; this compares the pairs themselves
+        perms, residual = search._census_context(n)[:2]
+        passed = []
+        check = monoid._transitive_with_odd
+        monkeypatch.setattr(
+            search, "_transitive_with_odd", lambda gens, n: passed.append(gens) or check(gens, n)
+        )
+        for p1 in perms:
+            search._census_block((n, p1))
+        live = [
+            (p1, p2)
+            for p1 in perms
+            if all(search._conjugate(p1, g, ginv) >= p1 for g, ginv in residual)
+            for p2 in perms
+            if p2 >= p1 and not pair_symmetry(p1, p2, residual)[0]
+        ]
+        assert passed == live
+
+    def test_a_pair_with_an_automaton_that_never_resets(self):
+        # a 4-cycle and the identity: transitive with an odd letter, but the
+        # group is C4, and some rank letter leaves the automaton unsynchronized
+        n, p1, p2 = 4, (0, 1, 2, 3), (2, 3, 1, 0)
+        assert monoid._transitive_with_odd((p1, p2), n)
+        assert not _generates_symmetric((p1, p2), n)
+        _, _, rank_letters, moves, _, _ = search._census_context(n)
+        everyone = (1 << len(rank_letters)) - 1
+        tables = [_subset_table([1 << q for q in p]) for p in (p1, p2)]
+        assert search._last_resets(*tables, moves, everyone) is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_after_torn_line(self, tmp_path, workers):
