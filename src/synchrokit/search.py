@@ -48,7 +48,7 @@ from .pairgraph import build_pair_digraph, diameter
 from .sync import (
     NOT_SYNCHRONIZING,
     _require_memory,
-    _reset_distance,
+    _reset_distances,
     _resets,
     _subset_table,
     pairchase_reset_word,
@@ -280,12 +280,15 @@ def _census_bytes(n: int, workers: int) -> int:
     of up to 58 bytes while it resizes, an int and a list slot), n!/2 rank
     letters (48 + 8n bytes each) and, for each of the
     C(2n-1, n-1) + C(2n-2, n-2) subset moves, 200 bytes of entry and a mask
-    of up to n!/2 bits at 7.5 bits per byte.  At n = 8 that is 39 MB per
-    context, where tracemalloc measured a 33 MB peak; at n = 10 it is 35 GB.
+    of up to n!/2 bits at 7.5 bits per byte, plus 1 KB for the fixed parts
+    of its containers (the empty lists, dicts and tuples themselves), which
+    dominate at n = 2: tracemalloc measured a 1,550-byte peak there against
+    1,248 bytes from the other terms.  At n = 8 that is 39 MB per context,
+    where tracemalloc measured a 33 MB peak; at n = 10 it is 35 GB.
     """
     perms = math.factorial(n)
     moves = math.comb(2 * n - 1, n - 1) + math.comb(2 * n - 2, n - 2)
-    context = perms * ((48 + 8 * n) * 3 // 2 + 128) + moves * (200 + perms // 15)
+    context = 1024 + perms * ((48 + 8 * n) * 3 // 2 + 128) + moves * (200 + perms // 15)
     return perms * (104 + 8 * n) + workers * context
 
 
@@ -629,9 +632,12 @@ def random_rt_experiment(
     roughly a ``1/n`` fraction fail to synchronize.  Up to
     :data:`_EXACT_TRIALS_MAX_N` states the reset threshold is exact: the
     forward pass of the subset BFS behind ``reset_threshold_exact``
-    computes the length only, with no witness word, and raises
-    ``ValueError`` like that function when the search cannot fit in
-    memory.  Beyond that the recorded value is the pair-chase word length,
+    computes the lengths only, with no witness words, for all trials of
+    the call together, in batches of at most ``sync._BATCH_SUBSETS``
+    (2^16) subsets and at least one automaton, so from 16 states up one
+    trial at a time.  Each batch checks its memory before it allocates and
+    raises ``ValueError`` like ``reset_threshold_exact`` when it cannot
+    fit.  Beyond that the recorded value is the pair-chase word length,
     an upper bound.  The summary reports
     max/mean/99th-percentile and the fraction of synchronizing samples at
     or below ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the trials
@@ -642,7 +648,7 @@ def random_rt_experiment(
         raise ValueError("random_rt_experiment needs a RANDOM-mode config")
     n = cfg.n
     rng = random.Random(cfg.seed)
-    samples: list[tuple[_Perm, _Perm, _Perm]] = []
+    dfas: list[Dfa] = []
     resampled = 0
     for _ in range(cfg.trials):
         p1 = _sampled_permutation(rng, n)
@@ -652,19 +658,13 @@ def random_rt_experiment(
             p1 = _sampled_permutation(rng, n)
             p2 = _sampled_permutation(rng, n)
         t = _sampled_rank_letter(rng, n) if sample_nonperm else _default_merge_letter(n)
-        samples.append((p1, p2, t))
-    method = "exact_bfs" if n <= _EXACT_TRIALS_MAX_N else "pairchase"
+        dfas.append(_census_dfa(n, p1, p2, t))
+    exact = n <= _EXACT_TRIALS_MAX_N
+    method = "exact_bfs" if exact else "pairchase"
+    distances = _reset_distances(dfas) if exact else map(_pairchase_length, dfas)
     trials_out: list[dict] = []
     lengths: list[int] = []
-    for index, (p1, p2, t) in enumerate(samples):
-        d = _census_dfa(n, p1, p2, t)
-        if n <= _EXACT_TRIALS_MAX_N:
-            length = _reset_distance(d)
-        else:
-            try:
-                length = pairchase_reset_word(d).length
-            except ValueError:  # not synchronizing
-                length = None
+    for index, length in enumerate(distances):
         if length is not None:
             lengths.append(length)
         trials_out.append(
@@ -680,6 +680,13 @@ def random_rt_experiment(
     if cfg.output_path is not None:
         _write_experiment_file(cfg, "random-rt", trials_out, summary)
     return summary
+
+
+def _pairchase_length(d: Dfa) -> int | None:
+    try:
+        return pairchase_reset_word(d).length
+    except ValueError:  # not synchronizing
+        return None
 
 
 def _rt_summary(cfg: SearchConfig, method: str, lengths: list[int], resampled: int) -> dict:

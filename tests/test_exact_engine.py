@@ -3,7 +3,9 @@
 The oracle is the straightforward breadth-first search with a dict of
 parents: with letters tried in index order, it discovers every subset along
 the lexicographically least of its shortest paths, so the first singleton
-it reaches carries the canonical witness.
+it reaches carries the canonical witness.  The same BFS runs over batches of
+automata (``_reset_distances``); the oracle checks them one automaton at a
+time.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 from synchrokit import sync
 from synchrokit.core import Dfa, Word, word_transformation
 from synchrokit.families import cerny, rystsov, v
-from synchrokit.sync import NOT_SYNCHRONIZING, _reset_distance, reset_threshold_exact
+from synchrokit.sync import NOT_SYNCHRONIZING, _reset_distances, reset_threshold_exact
 
 from conftest import random_permutation, random_transformation
 
@@ -58,14 +60,17 @@ def oracle_levels(d: Dfa, depth: int) -> list[list[int]]:
     return levels
 
 
+def oracle_distance(d: Dfa) -> int | None:
+    expected = oracle_reset_threshold(d)
+    return None if expected is NOT_SYNCHRONIZING else expected[0]
+
+
 def assert_matches_oracle(d: Dfa) -> None:
     expected = oracle_reset_threshold(d)
-    assert reset_threshold_exact(d) == expected
-    distance = _reset_distance(d)
-    if expected is NOT_SYNCHRONIZING:
-        assert distance is None
-    else:
-        assert distance == expected[0]
+    result = reset_threshold_exact(d)
+    assert result == expected
+    # a batch of one gives the length of the witness search
+    assert _reset_distances([d]) == [None if result is NOT_SYNCHRONIZING else result[0]]
 
 
 def seeded_automata():
@@ -89,37 +94,103 @@ def test_seeded_random_automata_match_oracle():
     assert outcomes == {True, False}, "the sample must hold both kinds of automata"
 
 
-def test_many_letters_map_levels_in_chunks(monkeypatch):
-    # with many letters a level is mapped in several chunks (of 256 subsets
-    # here), and the backward sweep marks a level only after all its chunks
+def test_seeded_batches_match_oracle():
+    # batches mixing automata that never reset with others of different
+    # thresholds, each checked one automaton at a time
+    groups: dict[tuple[int, int], list[Dfa]] = {}
+    for d in seeded_automata():
+        groups.setdefault((d.n, d.m), []).append(d)
+    mixed = 0
+    for group in groups.values():
+        expected = [oracle_distance(d) for d in group]
+        assert _reset_distances(group) == expected
+        mixed += None in expected and len(set(expected)) > 2
+    assert mixed >= 10
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1 << 16])
+def test_batch_size_does_not_change_the_distances(monkeypatch, size):
+    rng = random.Random(20261018)
+    dfas = [
+        Dfa(7, (("a", random_permutation(rng, 7)), ("b", random_transformation(rng, 7))))
+        for _ in range(9)
+    ]
+    expected = [oracle_distance(d) for d in dfas]
+    assert None in expected and len(set(expected)) > 3
+    monkeypatch.setattr(sync, "_BATCH_SUBSETS", size << 7)
+    assert _reset_distances(dfas) == expected
+
+
+def _spy_chunks(monkeypatch) -> list[bool]:
+    """Record, per ``_by_chunks`` call, whether it mapped several chunks."""
     by_chunks = sync._by_chunks
     split = []
 
-    def spy(fn, subsets, n, m):
+    def spy(fn, codes, span, m):
         pieces = []
-        out = by_chunks(lambda s: pieces.append(s.size) or fn(s), subsets, n, m)
+        out = by_chunks(lambda s: pieces.append(s.size) or fn(s), codes, span, m)
         split.append(len(pieces) > 1)
         return out
 
     monkeypatch.setattr(sync, "_by_chunks", spy)
-    rng = random.Random(20240611)
-    chunked = 0
-    for index in range(16):
-        n = 9 + index % 2
-        m = rng.randint(8, 40)
+    return split
+
+
+def _many_letter_automata(rng: random.Random, count: int, n: int, m: int) -> list[Dfa]:
+    dfas = []
+    for _ in range(count):
         letters = []
         for i in range(m):
             draw = random_permutation if rng.random() < 0.9 else random_transformation
             letters.append((f"x{i}", draw(rng, n)))
-        d = Dfa(n, tuple(letters))
+        dfas.append(Dfa(n, tuple(letters)))
+    return dfas
+
+
+def test_many_letters_map_levels_in_chunks(monkeypatch):
+    # with many letters a level is mapped in several chunks (of 256 subsets
+    # here), and the backward sweep marks a level only after all its chunks
+    split = _spy_chunks(monkeypatch)
+    rng = random.Random(20240611)
+    chunked = 0
+    for index in range(16):
+        n = 9 + index % 2
+        (d,) = _many_letter_automata(rng, 1, n, rng.randint(8, 40))
         split.clear()
         assert_matches_oracle(d)
         chunked += any(split)
-        bfs = sync._forward_bfs(sync._letter_tables(d), n)
-        if bfs is not None:
-            levels = [sorted(level.tolist()) for level in bfs[0]]
+        distances, levels, _ = sync._forward_bfs(sync._letter_tables([d]), n)
+        if distances[0] is not None:
+            levels = [sorted(level.tolist()) for level in levels]
             assert levels == oracle_levels(d, len(levels) - 1)
     assert chunked >= 6
+
+
+def test_batched_levels_mapped_in_chunks(monkeypatch):
+    # each automaton's codes on a batched level are its own level, up to
+    # the level where it resets and empty after (all levels for one that
+    # never resets); levels over 256 codes are mapped in several chunks
+    split = _spy_chunks(monkeypatch)
+    rng = random.Random(20261019)
+    chunked = retired_early = never = 0
+    for index in range(4):
+        n, m = 9 + index % 2, rng.randint(8, 24)
+        dfas = _many_letter_automata(rng, 4, n, m)
+        split.clear()
+        distances, levels, _ = sync._forward_bfs(sync._letter_tables(dfas), n)
+        chunked += any(split)
+        full = (1 << n) - 1
+        for t, d in enumerate(dfas):
+            expected = oracle_distance(d)
+            assert distances[t] == expected
+            depth = len(levels) - 1 if expected is None else expected
+            own = [sorted(c & full for c in level.tolist() if c >> n == t) for level in levels]
+            assert own[: depth + 1] == oracle_levels(d, depth)
+            assert not any(own[depth + 1 :])
+            retired_early += depth < len(levels) - 1
+            never += expected is None
+    assert chunked == 4
+    assert retired_early >= 6 and never >= 2
 
 
 @pytest.mark.parametrize("family", [cerny, v, rystsov])

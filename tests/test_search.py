@@ -160,7 +160,7 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="more than the 8589934592 bytes"):
             max_reset_threshold_exhaustive(10)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_memory_estimate_bounds_the_context(self, n):
         one_context = search._census_bytes(n, 2) - search._census_bytes(n, 1)
         tracemalloc.start()
@@ -452,6 +452,29 @@ class TestRandomExperiment:
             cfg = SearchConfig(n=7, mode=SearchMode.RANDOM, trials=25, seed=9, output_path=out)
             random_rt_experiment(cfg)
         assert out1.read_bytes() == out2.read_bytes()
+
+    # sha256 of the experiment files as written before the trials were
+    # searched in batches, one automaton at a time: the four sampling modes
+    # (n = 7, with automata that never reset when unconditioned), n = 14 in
+    # three batches, and n = 16 in batches of one
+    @pytest.mark.parametrize(
+        "n,trials,seed,sample_nonperm,require_symmetric,digest",
+        [
+            (7, 16, 6, False, True, "78a910fc939870dd1aec47e46d6d73c52ba08db4056b534e0afc1379271d5f24"),
+            (7, 16, 6, True, True, "27c81d0bbab095a478569eb272b8e7ffe5b6bb619ccd8218e418561c97c09d42"),
+            (7, 16, 6, False, False, "65f658e01b91e95296ff743ba691b3d521f46cdae9068d9f67193261a9492d11"),
+            (7, 16, 6, True, False, "b8b4f183eb3505008aa1b677593ec3f2bcc5cab5548429a932b10031e261f50c"),
+            (14, 10, 6, True, False, "2c0707ca1686b2a656251b9a15f09b6a3d7840c623ecc225fbb9c0e3f7758025"),
+            (16, 3, 7, False, True, "18d294f1756eb1685e8a6cc7030dcb1a06c97085f83b652b39a43784255032cc"),
+        ],
+    )
+    def test_experiment_bytes_are_frozen(
+        self, tmp_path, n, trials, seed, sample_nonperm, require_symmetric, digest
+    ):
+        out = tmp_path / "rrt.jsonl"
+        cfg = SearchConfig(n=n, mode=SearchMode.RANDOM, trials=trials, seed=seed, output_path=out)
+        random_rt_experiment(cfg, sample_nonperm=sample_nonperm, require_symmetric=require_symmetric)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_conditioning_keeps_every_trial_synchronizing(self):
         cfg = SearchConfig(n=9, mode=SearchMode.RANDOM, trials=40, seed=3)

@@ -73,12 +73,25 @@ class TestResetThresholdExact:
         # the only cap is memory: 28 * 2^12 + 9216 * 2 = 133120 bytes for cerny(12)
         monkeypatch.setattr(sync, "_physical_memory", lambda: 133120)
         assert reset_threshold_exact(cerny(12))[0] == 121
+        assert sync._reset_distances([cerny(12)]) == [121]
         monkeypatch.setattr(sync, "_physical_memory", lambda: 133119)
         refuse_allocation(monkeypatch)
         with pytest.raises(ValueError, match="133120 bytes, more than the 133119 bytes of physical memory"):
             reset_threshold_exact(cerny(12))
         with pytest.raises(ValueError, match="133120 bytes"):
-            sync._reset_distance(cerny(12))
+            sync._reset_distances([cerny(12)])
+
+    def test_cap_covers_the_whole_batch(self, monkeypatch):
+        # one batch of three cerny(12) needs 3 * (133120 + 4 * 2^12) bytes
+        # with the codes' table offsets, refused one byte short although
+        # each automaton alone would fit
+        batch = [cerny(12)] * 3
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 448512)
+        assert sync._reset_distances(batch) == [121] * 3
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 448511)
+        refuse_allocation(monkeypatch)
+        with pytest.raises(ValueError, match="448512 bytes, more than the 448511 bytes"):
+            sync._reset_distances(batch)
 
     def test_more_than_32_states_is_a_value_error_whatever_the_cap(self, monkeypatch):
         monkeypatch.setattr(sync, "_physical_memory", lambda: 1 << 62)
