@@ -43,7 +43,7 @@ from .core import (
     dfa_from_json_dict,
     dfa_to_json_dict,
 )
-from .monoid import _generates_symmetric, _transitive_with_odd, cycle_lengths
+from .monoid import _generates_symmetric, _inv, _transitive_with_odd, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
     NOT_SYNCHRONIZING,
@@ -129,16 +129,21 @@ def record_to_json_dict(record: SearchRecord) -> dict:
 
 
 def record_from_json_dict(obj: Mapping[str, object]) -> SearchRecord:
-    """Rebuild a record from its JSON form and re-verify the witness."""
-    d = dfa_from_json_dict(obj["dfa"])
-    letters = [d.letter_index(name) for name in obj["witness"]]
-    record = SearchRecord(
-        dfa=d,
-        rt=_json_int(obj["rt"]),
-        witness=Word(tuple(letters)),
-        timestamp=obj.get("timestamp"),
-        config=obj.get("config"),
-    )
+    """Rebuild a record from its JSON form and re-verify the witness.
+
+    A missing or malformed field raises ``ValueError``, as a bad witness does.
+    """
+    try:
+        d = dfa_from_json_dict(obj["dfa"])
+        record = SearchRecord(
+            dfa=d,
+            rt=_json_int(obj["rt"]),
+            witness=Word(tuple(d.letter_index(name) for name in obj["witness"])),
+            timestamp=obj.get("timestamp"),
+            config=obj.get("config"),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed record JSON: {exc}") from exc
     record.verify()
     return record
 
@@ -218,14 +223,8 @@ def _normalized_rank_letters(n: int) -> tuple[_Perm, ...]:
 
 def _residual_group(n: int) -> tuple[tuple[_Perm, _Perm], ...]:
     """Pairs ``(g, g^{-1})`` for every state bijection fixing 0 and 1."""
-    out = []
-    for tail in itertools.permutations(range(2, n)):
-        g = (0, 1) + tail
-        ginv = [0] * n
-        for i, v in enumerate(g):
-            ginv[v] = i
-        out.append((g, tuple(ginv)))
-    return tuple(out)
+    fixing = ((0, 1) + tail for tail in itertools.permutations(range(2, n)))
+    return tuple((g, _inv(g)) for g in fixing)
 
 
 def _conjugate(p: _Perm, g: _Perm, ginv: _Perm) -> _Perm:
@@ -442,6 +441,14 @@ def _complete_lines(path: Path) -> tuple[list[str], bytes]:
     return data[:complete].decode("ascii").splitlines(), data[complete:]
 
 
+def _journal_object(line: str) -> dict:
+    """The JSON object on a complete journal line; any other line raises ``ValueError``."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"journal line is not a JSON object: {line[:60]}")
+    return obj
+
+
 def _read_census_journal(
     path: Path, n: int
 ) -> tuple[set[_Perm], int, SearchRecord | None, bool] | None:
@@ -463,16 +470,19 @@ def _read_census_journal(
     best: SearchRecord | None = None
     finished = False
     for line_no, line in enumerate(lines):
-        obj = json.loads(line)
+        obj = _journal_object(line)
         kind = obj.get("type")
         if line_no == 0:
             if kind != "header" or obj.get("format") != FORMAT_VERSION:
                 raise ValueError(f"{path} is not a census journal")
-            if obj.get("config", {}).get("n") != n:
+            if not isinstance(config := obj.get("config"), dict) or config.get("n") != n:
                 raise ValueError(f"{path} was produced for a different n")
             continue
         if kind == "block":
-            done.add(tuple(obj["p1"]))
+            try:
+                done.add(tuple(obj["p1"]))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed block line in {path}: {exc}") from exc
         elif kind == "record":
             record = record_from_json_dict(obj)
             best = record
@@ -768,10 +778,7 @@ def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm], list[tuple[_Per
         centralizer = []
         for g in itertools.permutations(range(n)):
             if all(g[rep[q]] == rep[g[q]] for q in range(n)):
-                ginv = [0] * n
-                for i, v in enumerate(g):
-                    ginv[v] = i
-                centralizer.append((g, tuple(ginv)))
+                centralizer.append((g, _inv(g)))
         out.append((rep, group, centralizer))
     out.sort(key=lambda item: item[0])
     return out
@@ -881,7 +888,7 @@ def load_records(path: str | Path) -> list[SearchRecord]:
     """Census records of a journal's complete lines, each re-verified on load."""
     records = []
     for line in _complete_lines(Path(path))[0]:
-        obj = json.loads(line)
+        obj = _journal_object(line)
         if obj.get("type") == "record":
             records.append(record_from_json_dict(obj))
     return records
@@ -891,6 +898,8 @@ def summarize_results(path: str | Path) -> dict:
     """Digest of a results file: kind, config, best values, completeness.
 
     A final line cut off mid-write is left out; the file reads as not complete.
+    A line that is not a JSON object, a threshold that is not an integer, or
+    a missing header raises ``ValueError``.
     """
     header = None
     best_rt = None
@@ -899,7 +908,7 @@ def summarize_results(path: str | Path) -> dict:
     summary_line = None
     finished = False
     for line in _complete_lines(Path(path))[0]:
-        obj = json.loads(line)
+        obj = _journal_object(line)
         kind = obj.get("type")
         if kind == "header":
             header = obj
@@ -907,9 +916,9 @@ def summarize_results(path: str | Path) -> dict:
             blocks += 1
         elif kind == "record":
             records += 1
-            best_rt = obj["rt"]
+            best_rt = _json_int(obj.get("rt"))
         elif kind == "result":
-            best_rt = obj["max_rt"]
+            best_rt = _json_int(obj.get("max_rt"))
             finished = True
         elif kind == "summary":
             summary_line = {k: v for k, v in obj.items() if k != "type"}

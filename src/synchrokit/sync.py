@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import Dfa, StateSet, Word, apply_word
 from .families import cb
-from .monoid import is_two_transitive
+from .monoid import _inv, is_two_transitive
 from .pairgraph import _bfs, _pair_rows, _predecessors
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
@@ -471,9 +471,7 @@ def _extension_letters(
     seed letter through :meth:`Transformation.preimage_of`.
     """
     n = d.n
-    # the argsort of a permutation's images is its inverse
-    perms = d.permutation_letters()
-    inverses = {i: np.argsort(d.transformation(i).images).tolist() for i in perms}
+    inverses = {i: _inv(d.transformation(i).images) for i in d.permutation_letters()}
     qs, ps = np.divmod(order, n)
     t = d.transformation(x)
     r = t.preimage_of((t.duplicate_state(),))
@@ -547,103 +545,55 @@ def extension_reset_word(d: Dfa) -> ResetResult:
     return ResetResult(w, len(w), Method.EXTENSION, _resets(d, w))
 
 
-class _TokenRing:
-    """Token set on the rotation cycle with O(1) isolation bookkeeping.
-
-    Token positions are stored relative to a rotating offset, making the
-    cyclic letter a constant-time operation; a token is isolated when both
-    stored neighbours are free, a property rotation preserves.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.base = set(range(n))
-        self.offset = 0
-        self.isolated = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.base)
-
-    def holds(self, state: int) -> bool:
-        return (state - self.offset) % self.n in self.base
-
-    def rotate(self) -> None:
-        self.offset = (self.offset + 1) % self.n
-
-    def _count_isolated(self, positions: set[int]) -> int:
-        count = 0
-        for p in positions:
-            if p in self.base:
-                if (p - 1) % self.n not in self.base and (p + 1) % self.n not in self.base:
-                    count += 1
-        return count
-
-    def _mutate(self, remove: int, add: int) -> None:
-        """Discard one position, insert another, and patch the isolated count."""
-        touched = set()
-        for p in (remove, add):
-            touched.update({(p - 1) % self.n, p, (p + 1) % self.n})
-        before = self._count_isolated(touched)
-        self.base.discard(remove)
-        self.base.add(add)
-        self.isolated += self._count_isolated(touched) - before
-
-    def move(self, src_state: int, dst_state: int) -> None:
-        """Send the token on ``src_state`` to ``dst_state`` (merging if held)."""
-        src = (src_state - self.offset) % self.n
-        dst = (dst_state - self.offset) % self.n
-        if src not in self.base:
-            return
-        self._mutate(src, dst)
-
-    def swap(self, state_u: int, state_v: int) -> None:
-        u = (state_u - self.offset) % self.n
-        v = (state_v - self.offset) % self.n
-        if (u in self.base) == (v in self.base):
-            return
-        if u in self.base:
-            self._mutate(u, v)
-        else:
-            self._mutate(v, u)
-
-
 def _simulate_cb(n: int, k: int) -> list[int]:
-    """Letters of alternating merging/pairing rounds on the three-letter family."""
-    ring = _TokenRing(n)
-    letters: list[int] = []
+    """Letters of alternating merging/pairing rounds on the three-letter family.
+
+    The rounds act on one int bitmask ``s``, the image of the state set under
+    the letters emitted so far: ``a`` rotates it, ``b`` clears bit 0 when
+    bits 0 and 1 are both set, and ``c`` swaps bits k-1 and k.  A state of
+    ``s`` is an isolated token when neither cyclic neighbour is in ``s``; a
+    rotation keeps their count, so it is recomputed only after a ``b`` or a
+    ``c``.
+    """
+    full = (1 << n) - 1
     limit = 4 * n * math.ceil(math.log2(n))
     a, b, c = 0, 1, 2
-    swap_lo, swap_hi = k - 1, k % n
-    probe = (k + 1) % n
-    while ring.size > 1:
-        if ring.isolated == ring.size:
+    hi = 1 << k
+    swap = hi | 1 << (k - 1)
+    window = swap | 1 << (k + 1) % n  # states k-1, k and k+1
+
+    def isolated(s: int) -> int:
+        return (s & ~(s << 1 | s >> (n - 1)) & ~(s >> 1 | s << (n - 1))).bit_count()
+
+    letters: list[int] = []
+    s, size, iso = full, n, 0
+    while size > 1:
+        if iso == size:
             # pairing: tokens drift until one reaches the swapped slot alone,
             # then shuffles backwards, welding couples one by one
-            while ring.isolated > 1:
-                if (
-                    ring.holds(swap_hi)
-                    and not ring.holds(swap_lo)
-                    and not ring.holds(probe)
-                ):
+            while iso > 1:
+                if s & window == hi:
                     letters.append(c)
-                    ring.swap(swap_lo, swap_hi)
+                    s ^= swap
+                    iso = isolated(s)
                 else:
                     letters.append(a)
-                    ring.rotate()
+                    s = (s << 1 | s >> (n - 1)) & full
                 if len(letters) > limit:  # pragma: no cover - bound is proven
                     raise AssertionError("pairing rounds exceeded the length bound")
         else:
             # merging: couples rotate onto the merge edge and collapse; a
             # merging round only ever begins with at most one isolated token
-            assert ring.isolated <= 1
-            while ring.isolated < ring.size:
-                if ring.holds(0) and ring.holds(1):
+            assert iso <= 1
+            while iso < size:
+                if s & 3 == 3:
                     letters.append(b)
-                    ring.move(0, 1)
+                    s ^= 1
+                    size -= 1
+                    iso = isolated(s)
                 else:
                     letters.append(a)
-                    ring.rotate()
+                    s = (s << 1 | s >> (n - 1)) & full
                 if len(letters) > limit:  # pragma: no cover - bound is proven
                     raise AssertionError("merging rounds exceeded the length bound")
     return letters

@@ -286,6 +286,40 @@ class TestSearch:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == "" and "--allow-large" in captured.err
 
+    @staticmethod
+    def journal_with(tmp_path, edit) -> tuple:
+        """An n = 4 census journal whose first record line is replaced by
+        ``edit(record)``, a JSON value, and which ends in a line cut off
+        mid-write; and the journal's bytes."""
+        path = tmp_path / "census.jsonl"
+        search.max_reset_threshold_exhaustive(4, output_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if '"type":"record"' in line)
+        lines[i] = json.dumps(edit(json.loads(lines[i]))) + "\n"
+        path.write_text("".join(lines[:-1]) + lines[-1][:5])
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: {**obj, "witness": ["zz"] + obj["witness"][1:]},
+            lambda obj: {key: value for key, value in obj.items() if key != "witness"},
+            lambda obj: [1, 2],
+            lambda obj: {"type": "block"},
+        ],
+        ids=["unknown-letter", "no-witness", "not-an-object", "block-without-p1"],
+    )
+    def test_resume_from_a_malformed_journal_is_usage_error(self, capsys, tmp_path, edit):
+        path, data = self.journal_with(tmp_path, edit)
+        code, out, err = run(capsys, "search", "--mode", "exhaustive", "--n", "4", "--out", str(path))
+        assert code == 2 and out == "" and "error" in err
+        assert path.read_bytes() == data
+
+    def test_summarize_a_record_without_rt_is_usage_error(self, capsys, tmp_path):
+        path, _ = self.journal_with(tmp_path, lambda obj: {"type": "record"})
+        code, out, err = run(capsys, "search", "summarize", str(path))
+        assert code == 2 and out == "" and "not an integer" in err
+
     def test_summarize_needs_file(self, capsys):
         code, out, _ = run(capsys, "search", "summarize")
         assert code == 2 and out == ""

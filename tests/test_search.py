@@ -243,6 +243,9 @@ class TestSearchRecord:
             record_from_json_dict(obj2)
 
 
+ONE_STATE = '{"n":1,"letters":[{"name":"a","images":[0]}]}'
+
+
 class TestExhaustiveCensus:
     # largest reset threshold over two symmetric-group-generating permutation
     # letters plus one rank n-1 letter, verified against an unreduced
@@ -419,6 +422,23 @@ class TestExhaustiveCensus:
         with pytest.raises(ValueError, match="14.9 is not an integer"):
             load_records(path)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"type":"record"}', "malformed record JSON: 'dfa'"),
+            ('{"type":"record","dfa":%s,"rt":0,"witness":["zz"]}' % ONE_STATE, "no letter named"),
+            ('{"type":"record","dfa":%s,"rt":0,"witness":7}' % ONE_STATE, "not iterable"),
+            ("[1,2]", "not a JSON object"),
+        ],
+        ids=["no-fields", "unknown-letter", "witness-not-a-list", "not-an-object"],
+    )
+    def test_load_records_refuses_a_malformed_line(self, tmp_path, line, message):
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(3, output_path=path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_records(path)
+
     def test_records_load_and_verify(self, tmp_path):
         path = tmp_path / "census.jsonl"
         max_reset_threshold_exhaustive(4, output_path=path)
@@ -521,6 +541,21 @@ class TestPairDiameterExperiment:
     def test_exhaustive_five_states(self):
         summary = random_pair_diameter_experiment(SearchConfig(n=5, mode=SearchMode.EXHAUSTIVE))
         assert summary["max"] == 7
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (5, "8151f57004c471701d9ac067d588486af1b55d70f9037b176d7e65b0becd1ebe"),
+            (6, "c58dfc5f69aa3e4d1db379cdcbd3248feffc808501eacaa775f478affc28443f"),
+        ],
+    )
+    def test_exhaustive_file_bytes_are_frozen(self, tmp_path, n, digest):
+        # computed before the centralizer inverses went through monoid._inv;
+        # a wrong inverse keeps or drops the wrong orbit representatives
+        path = tmp_path / "pairs.jsonl"
+        cfg = SearchConfig(n=n, mode=SearchMode.EXHAUSTIVE, output_path=path)
+        random_pair_diameter_experiment(cfg)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_exhaustive_mode_is_hard_capped(self):
         cfg = SearchConfig(n=PAIR_DIAMETER_CAP + 1, mode=SearchMode.EXHAUSTIVE)

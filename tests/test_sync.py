@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -552,6 +553,30 @@ class TestCbWords:
         assert r.verified
         assert resets(cb(n, k), r.word)
         assert r.length < 4 * n * math.ceil(math.log2(n))
+
+    @pytest.mark.parametrize(
+        "pairs,digest",
+        [
+            (
+                [(n, k) for n in range(3, 61) for k in range(1, n)],
+                "1ee30f8b75b188244e211f00ef4a47ad6f516774166033b9049375b3a1c9395d",
+            ),
+            (
+                [(n, k) for n in range(50, 201, 25) for k in sorted({2, n // 3, n // 2, n - 1})],
+                "4c1d603e510bfc70ec36478bd95876e45fba5a6d62ac0ccada639e3c546ab91f",
+            ),
+        ],
+        ids=["all-k-up-to-60", "perfbench-construct"],
+    )
+    def test_round_letters_are_frozen(self, pairs, digest):
+        # sha256 of the simulated letters, computed with the token-set
+        # simulation (a rotating offset and a patched isolated count) before
+        # the rounds moved onto the image bitmask
+        h = hashlib.sha256()
+        for n, k in pairs:
+            letters = "".join("abc"[x] for x in sync._simulate_cb(n, k))
+            h.update(f"{n} {k} {letters}\n".encode())
+        assert h.hexdigest() == digest
 
     @staticmethod
     def replay_rounds(n: int, k: int) -> list[tuple[str, set[int], int, int]]:
