@@ -6,9 +6,6 @@ lower-bounds how fast any word can bring two states together, and a "descent
 certificate" (a value per pair that drops by at most one along every edge)
 turns a claimed distance into a machine-checkable proof.
 
-Pair chasing (:mod:`synchrokit.sync`) runs ``_bfs`` on rows from the same
-builder, ``_pair_rows``, over all letters plus a "merged" vertex.
-
 Certificates are available for the two-letter family ``f``: the 7-state
 values are a fixed table, and for ``n % 4 == 3, n >= 11`` they come from a
 closed-form dispatch.  :func:`extremal_pair_word` builds an explicit word
@@ -56,10 +53,10 @@ class PairDigraph:
 def _pair_rows(n: int, images) -> list[tuple[int, ...]]:
     """Successor rows of the unordered pairs, in :func:`pair_index` order.
 
-    ``row[slot]`` is the index of the pair's image under the map
-    ``images[slot]``, or ``n(n-1)/2``, the "merged" vertex, where that map
-    sends both states to one.  Entries are taken from an n x n table, so
-    each index is one shared int object however many rows hold it.
+    ``row[slot]`` is the index of the pair's image under the permutation
+    ``images[slot]``; a map sending both states to one would give
+    ``n(n-1)/2``, past the last vertex.  Entries are taken from an n x n
+    table, so each index is one shared int object however many rows hold it.
     """
     pairs = list(combinations(range(n), 2))
     merged = len(pairs)
@@ -89,8 +86,9 @@ def _bfs(adj, source: int) -> tuple[list[int], list[int]]:
 
     ``adj[v]`` lists the neighbours of ``v``: ``PairDigraph.succ`` for the
     forward direction, the lists of :func:`_predecessors` for the backward
-    one.  Neighbours are tried in slot order, so the first slot of a parent
-    that reaches its child spells the lexicographically least shortest word.
+    one, which only :func:`diameter` runs.  Neighbours are tried in slot
+    order, so the first slot of a parent that reaches its child spells the
+    lexicographically least shortest word.
     """
     dist = [-1] * len(adj)
     parent = [-1] * len(adj)

@@ -131,14 +131,17 @@ def record_to_json_dict(record: SearchRecord) -> dict:
 def record_from_json_dict(obj: Mapping[str, object]) -> SearchRecord:
     """Rebuild a record from its JSON form and re-verify the witness.
 
-    A missing or malformed field raises ``ValueError``, as a bad witness does.
+    A missing or malformed field, including a witness that is not a JSON
+    list of letter names, raises ``ValueError``, as a bad witness does.
     """
     try:
         d = dfa_from_json_dict(obj["dfa"])
+        if not isinstance(names := obj["witness"], list):
+            raise TypeError(f"witness {names!r} is not a list")
         record = SearchRecord(
             dfa=d,
             rt=_json_int(obj["rt"]),
-            witness=Word(tuple(d.letter_index(name) for name in obj["witness"])),
+            witness=Word(tuple(d.letter_index(name) for name in names)),
             timestamp=obj.get("timestamp"),
             config=obj.get("config"),
         )
@@ -898,7 +901,8 @@ def summarize_results(path: str | Path) -> dict:
     """Digest of a results file: kind, config, best values, completeness.
 
     A final line cut off mid-write is left out; the file reads as not complete.
-    A line that is not a JSON object, a threshold that is not an integer, or
+    A line that is not a JSON object, a threshold that is not an integer, a
+    record the resume would refuse (see :func:`record_from_json_dict`), or
     a missing header raises ``ValueError``.
     """
     header = None
@@ -917,6 +921,7 @@ def summarize_results(path: str | Path) -> dict:
         elif kind == "record":
             records += 1
             best_rt = _json_int(obj.get("rt"))
+            record_from_json_dict(obj)  # the resume's rule for a record
         elif kind == "result":
             best_rt = _json_int(obj.get("max_rt"))
             finished = True

@@ -1,8 +1,8 @@
 """Reset thresholds and reset-word synthesis.
 
 Four synthesizers are provided: exact subset BFS (optimal, exponential),
-pair chasing (greedy merging guided by one BFS on the pair rows of
-:mod:`synchrokit.pairgraph`, towards a "merged" vertex), subset
+pair chasing (greedy merging guided by one backward BFS over pairs of
+states from the collapsed ones, read off per-letter preimage lists), subset
 extension through the excluded/duplicate stratification (quadratic bound
 for automata whose transition monoid is all transformations), and the
 merging/pairing round simulation for the three-letter cyclic family.
@@ -43,7 +43,6 @@ import numpy as np
 from .core import Dfa, StateSet, Word, apply_word
 from .families import cb
 from .monoid import _inv, is_two_transitive
-from .pairgraph import _bfs, _pair_rows, _predecessors
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
@@ -326,15 +325,40 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | _NotSynchronizing:
     return rt, Word(tuple(letters))
 
 
-def _merge_distances(d: Dfa) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Pair rows over every letter, the merged vertex's empty row last, and
-    ``dist[v]``: the length of a shortest word collapsing pair ``v`` (-1 if none).
+def _merge_distances(d: Dfa) -> tuple[list[int], list[set[int]]]:
+    """``dist[p * n + q]``, the length of a shortest word collapsing states p
+    and q (0 where p == q, -1 if none), and ``touch[s]``, the letters whose
+    preimage of s is not ``[s]``.
+
+    A backward BFS from the pairs {s, s} over per-letter preimage lists:
+    {p, q} is reached from the pairs of ``a^-1(p) x a^-1(q)`` for the
+    letters a in ``touch[p] | touch[q]``; any other letter fixes both states.
     """
-    rows = _pair_rows(d.n, [t.images for t in d.transformations()])
-    merged = len(rows)
-    rows.append(())
-    dist, _ = _bfs(_predecessors(rows), merged)
-    return rows, dist
+    n = d.n
+    dist = [-1] * (n * n)
+    dist[:: n + 1] = [0] * n
+    touch: list[set[int]] = [set() for _ in range(n)]
+    pre = []  # pre[a][s]: the states letter a maps to s
+    for a, t in enumerate(d.transformations()):
+        blocks: list[list[int]] = [[] for _ in range(n)]
+        for x, s in enumerate(t.images):
+            blocks[s].append(x)
+        pre.append(blocks)
+        for s, block in enumerate(blocks):
+            if block != [s]:
+                touch[s].add(a)
+    queue = [(s, s) for s in range(n)]
+    for p, q in queue:
+        step = dist[p * n + q] + 1
+        tp, tq = touch[p], touch[q]
+        for a in tp if tp == tq else tp | tq:
+            blocks = pre[a]
+            for x in blocks[p]:
+                for y in blocks[q]:
+                    if dist[x * n + y] < 0:
+                        dist[x * n + y] = dist[y * n + x] = step
+                        queue.append((x, y))
+    return dist, touch
 
 
 def is_synchronizing(d: Dfa) -> bool:
@@ -343,7 +367,7 @@ def is_synchronizing(d: Dfa) -> bool:
     Decided on pairs of states: the automaton is synchronizing iff every
     pair of distinct states can be mapped to a single state by some word.
     """
-    return min(_merge_distances(d)[1]) >= 0
+    return min(_merge_distances(d)[0]) >= 0
 
 
 def pairchase_reset_word(d: Dfa) -> ResetResult:
@@ -352,37 +376,43 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     Each round picks, among the pairs of the current image, one with the
     shortest collapsing word (smallest ``(i, j)`` on ties) and applies the
     lexicographically least such word: from the pair, the least letter
-    whose image is one step closer to the merged vertex, until it is
-    reached; that letter depends on the pair alone, so it is found on the
-    pair's first visit and reused.  The pairs are sorted by distance once;
-    each round scans that order from the start, as the new image need not
-    lie inside the old one.
+    whose image is one step closer to collapsing, until it collapses; that
+    letter depends on the pair alone, so it is found on the pair's first
+    visit, among the letters of :func:`_merge_distances`' ``touch`` lists
+    (any other letter fixes the pair), and reused.  The pairs are sorted by
+    distance once; each round scans that order from the start, as the new
+    image need not lie inside the old one.
     The image loses a state every round, so there are at most n - 1 rounds.
 
     Raises:
         ValueError: if the automaton is not synchronizing.
     """
     n = d.n
-    rows, dist = _merge_distances(d)
+    dist, touch = _merge_distances(d)
     if min(dist) < 0:
         raise ValueError("automaton is not synchronizing")
-    merged = len(rows) - 1
-    pair_bits = [1 << i | 1 << j for i in range(n) for j in range(i + 1, n)]
-    ranked = sorted(range(merged), key=dist.__getitem__)
-    toward = [-1] * merged  # the least slot moving pair v one step closer
+    images = [t.images for t in d.transformations()]
+    ranked = sorted(
+        ((1 << i | 1 << j, i * n + j) for i in range(n) for j in range(i + 1, n)),
+        key=lambda pair: dist[pair[1]],
+    )
+    toward: list = [None] * (n * n)  # pair v -> (least letter, next pair)
     image = StateSet.full(n)
     letters: list[int] = []
     while image.cardinality() > 1:
         mask = image.mask
-        v = next(v for v in ranked if pair_bits[v] & mask == pair_bits[v])
+        v = next(v for bits, v in ranked if bits & mask == bits)
         step: list[int] = []
-        while v != merged:
-            if (slot := toward[v]) < 0:
-                slot = toward[v] = next(
-                    s for s, w in enumerate(rows[v]) if dist[w] == dist[v] - 1
-                )
-            step.append(slot)
-            v = rows[v][slot]
+        while dist[v]:
+            if (move := toward[v]) is None:
+                p, q = divmod(v, n)
+                for a in sorted(touch[p] | touch[q]):
+                    w = images[a][p] * n + images[a][q]
+                    if dist[w] == dist[v] - 1:
+                        break
+                move = toward[v] = a, w
+            a, v = move
+            step.append(a)
         image = apply_word(image, d, Word(tuple(step)))
         letters.extend(step)
     w = Word(tuple(letters))

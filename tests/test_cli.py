@@ -306,8 +306,9 @@ class TestSearch:
             lambda obj: {key: value for key, value in obj.items() if key != "witness"},
             lambda obj: [1, 2],
             lambda obj: {"type": "block"},
+            lambda obj: {**obj, "witness": "".join(obj["witness"])},
         ],
-        ids=["unknown-letter", "no-witness", "not-an-object", "block-without-p1"],
+        ids=["unknown-letter", "no-witness", "not-an-object", "block-without-p1", "witness-a-string"],
     )
     def test_resume_from_a_malformed_journal_is_usage_error(self, capsys, tmp_path, edit):
         path, data = self.journal_with(tmp_path, edit)
@@ -319,6 +320,12 @@ class TestSearch:
         path, _ = self.journal_with(tmp_path, lambda obj: {"type": "record"})
         code, out, err = run(capsys, "search", "summarize", str(path))
         assert code == 2 and out == "" and "not an integer" in err
+
+    def test_summarize_refuses_a_record_the_resume_refuses(self, capsys, tmp_path):
+        # the record's rt is a valid 8, but its witness names no letter
+        path, _ = self.journal_with(tmp_path, lambda obj: {**obj, "witness": ["zz"] + obj["witness"][1:]})
+        code, out, err = run(capsys, "search", "summarize", str(path))
+        assert code == 2 and out == "" and "no letter named 'zz'" in err
 
     def test_summarize_needs_file(self, capsys):
         code, out, _ = run(capsys, "search", "summarize")

@@ -427,10 +427,12 @@ class TestExhaustiveCensus:
         [
             ('{"type":"record"}', "malformed record JSON: 'dfa'"),
             ('{"type":"record","dfa":%s,"rt":0,"witness":["zz"]}' % ONE_STATE, "no letter named"),
-            ('{"type":"record","dfa":%s,"rt":0,"witness":7}' % ONE_STATE, "not iterable"),
+            ('{"type":"record","dfa":%s,"rt":0,"witness":7}' % ONE_STATE, "malformed record JSON: witness 7 is not a list"),
+            # the letters spelled as one string would reset in rt steps
+            ('{"type":"record","dfa":%s,"rt":1,"witness":"a"}' % ONE_STATE, "malformed record JSON: witness 'a' is not a list"),
             ("[1,2]", "not a JSON object"),
         ],
-        ids=["no-fields", "unknown-letter", "witness-not-a-list", "not-an-object"],
+        ids=["no-fields", "unknown-letter", "witness-not-a-list", "witness-a-string", "not-an-object"],
     )
     def test_load_records_refuses_a_malformed_line(self, tmp_path, line, message):
         path = tmp_path / "census.jsonl"

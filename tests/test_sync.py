@@ -194,7 +194,77 @@ def chase_or_error(chase, d: Dfa):
         return str(exc)
 
 
+#: Letter kinds of :func:`shaped_dfa`, each fixing most states as v(n)'s do.
+SHAPED_KINDS = ("transposition", "3-cycle", "identity", "move-one", "constant", "block")
+
+
+def shaped_letter(rng: random.Random, n: int, kind: str) -> tuple[int, ...]:
+    """Images of one letter of ``kind`` on ``n`` states, at random places."""
+    images = list(range(n))
+    x, y, z = rng.sample(range(n), 3) if n >= 3 else (0, n - 1, 0)
+    if kind == "transposition":
+        images[x], images[y] = y, x
+    elif kind == "3-cycle" and n >= 3:
+        images[x], images[y], images[z] = y, z, x
+    elif kind == "move-one":
+        images[x] = y
+    elif kind == "constant":
+        images = [rng.randrange(n)] * n
+    elif kind == "block":
+        # a preimage block of 3 or more states (all of them below 3) onto one
+        block = rng.sample(range(n), rng.randint(min(n, 3), n))
+        for q in block:
+            images[q] = block[0]
+    return tuple(images)
+
+
+def shaped_dfa(rng: random.Random, n: int) -> tuple[Dfa, list[str]]:
+    """An automaton shaped like v(n), and its letter kinds: some adjacent
+    transpositions along a random order of the states, plus one to three
+    letters of :data:`SHAPED_KINDS`, in shuffled letter order.  Dropped
+    transpositions and letters that merge nothing make some of them
+    non-synchronizing."""
+    order = rng.sample(range(n), n)
+    letters = []
+    for i in range(n - 1):
+        if rng.random() < 0.8:
+            images = list(range(n))
+            images[order[i]], images[order[i + 1]] = order[i + 1], order[i]
+            letters.append(("transposition", tuple(images)))
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(SHAPED_KINDS)
+        letters.append((kind, shaped_letter(rng, n, kind)))
+    rng.shuffle(letters)
+    d = Dfa(n, tuple((f"x{i}", Transformation(images)) for i, (_, images) in enumerate(letters)))
+    return d, [kind for kind, _ in letters]
+
+
 class TestPairchaseAgainstReference:
+    def test_automata_shaped_like_v(self):
+        # letters that fix most states, so that most pairs are skipped
+        rng = random.Random(2017)
+        kinds: set[str] = set()
+        outcomes = {True: 0, False: 0}
+        for n in range(1, 13):
+            for _ in range(60):
+                d, letter_kinds = shaped_dfa(rng, n)
+                kinds.update(letter_kinds)
+                expected = chase_or_error(reference_pairchase, d)
+                assert chase_or_error(lambda d: pairchase_reset_word(d).word, d) == expected
+                synchronizing = not isinstance(expected, str)
+                assert is_synchronizing(d) == synchronizing
+                outcomes[synchronizing] += 1
+                dist, _ = sync._merge_distances(d)
+                reference, _ = reference_merge_distances(d)
+                assert {
+                    (i, j): dist[i * n + j] - 1
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if dist[i * n + j] > 0
+                } == reference
+        assert kinds == set(SHAPED_KINDS)
+        assert min(outcomes.values()) >= 100
+
     def test_seeded_random_automata(self):
         rng = random.Random(20171)
         for _ in range(500):
@@ -225,6 +295,16 @@ class TestPairchase:
         # frozen run: greedy chase on the 50-state three-letter automaton
         r = pairchase_reset_word(cb(50, 25))
         assert r.verified and r.length == 930
+
+    def test_large_words_are_frozen(self):
+        # sha256 of the chase words, computed with the pair-row BFS and its
+        # predecessor lists before the BFS moved onto letter preimages
+        h = hashlib.sha256()
+        for family, n in ((cerny, 100), (cerny, 150), (v, 60), (v, 80), (v, 100)):
+            r = pairchase_reset_word(family(n))
+            assert r.verified
+            h.update(f"{family.__name__}({n}) {' '.join(map(str, r.word))}\n".encode())
+        assert h.hexdigest() == "f1564861936e41bdb42d8e7dda75589c09bbc112c0c7a374528e248c3ae670de"
 
     def test_cycle_family_is_quadratic_not_worse(self):
         for n in (5, 9, 13):
