@@ -9,17 +9,19 @@ Conventions used throughout the package:
   ``images`` with ``images[q]`` the successor of state ``q``.
 * Words act left to right: applying ``uv`` means applying ``u`` first.
 * Subsets of states are ``StateSet`` values, bit masks held in a Python
-  int, so any ``n`` is allowed.  :func:`apply_word` is the one rule for
-  moving a state set under a word.  It reads the word one run a^k of a
-  repeated letter at a time: a permutation letter moves each state k places
-  along its cycle at once, and any other letter is applied until the set
-  maps onto itself or the run ends.
+  int, so any ``n`` is allowed.  :func:`apply_word`, the one rule for moving
+  a state set under a word, acts on the mask through each letter's shift
+  groups (``_Groups``), one shift per group, so a letter costs as many
+  shifts as it has groups: a few for the paper's families, up to n for a
+  random permutation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -38,10 +40,6 @@ class Transformation:
             if not isinstance(x, int) or not 0 <= x < n:
                 raise ValueError(f"image {x!r} out of range for n={n}")
         object.__setattr__(self, "images", tuple(self.images))
-
-    @classmethod
-    def identity(cls, n: int) -> "Transformation":
-        return cls(tuple(range(n)))
 
     @property
     def n(self) -> int:
@@ -77,15 +75,28 @@ class Transformation:
             seen.add(x)
         raise AssertionError("unreachable: rank n-1 map has a repeated image")
 
-    def then(self, other: "Transformation") -> "Transformation":
-        """Composition acting left to right: ``self`` first, then ``other``."""
-        if other.n != self.n:
-            raise ValueError("cannot compose transformations of different sizes")
-        return Transformation(tuple(other.images[x] for x in self.images))
+    def __getstate__(self) -> dict:
+        # pickles carry the images only, not the caches below
+        return {"images": self.images}
 
-    def preimage_of(self, states: Iterable[int]) -> frozenset[int]:
-        targets = set(states)
-        return frozenset(q for q in range(self.n) if self.images[q] in targets)
+    @cached_property
+    def _groups(self) -> _Groups:
+        return _shift_groups(self.images)
+
+    @cached_property
+    def _powers(self) -> tuple[int, list[list[int]], dict[int, _Groups]] | None:
+        """A permutation's order, its cycles of two or more states and the
+        groups of the powers :func:`_power_groups` kept; ``None`` for other maps."""
+        t, seen, cycles = self.images, set(), []
+        if len(set(t)) != len(t):
+            return None
+        for q in range(len(t)):
+            if q not in seen and t[q] != q:
+                cycles.append(cycle := [q])
+                while (x := t[cycle[-1]]) != q:
+                    cycle.append(x)
+                seen.update(cycle)
+        return math.lcm(*map(len, cycles)), cycles, {}
 
 
 def _check_letter_name(name: str) -> None:
@@ -150,9 +161,6 @@ class Dfa:
     def rank_n_minus_one_letters(self) -> tuple[int, ...]:
         return tuple(i for i, (_, t) in enumerate(self.letters) if t.rank() == self.n - 1)
 
-    def relabeled(self, labels: Sequence[str] | None) -> "Dfa":
-        return Dfa(self.n, self.letters, tuple(labels) if labels is not None else None)
-
 
 @dataclass(frozen=True)
 class Word:
@@ -162,10 +170,6 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-
-    @classmethod
-    def empty(cls) -> "Word":
-        return cls(())
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -211,13 +215,7 @@ class StateSet:
         return cls.of(n, (state,))
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return tuple(q for q in range(self.n) if self.mask >> q & 1)
 
     def cardinality(self) -> int:
         return self.mask.bit_count()
@@ -229,54 +227,80 @@ class StateSet:
         return self.cardinality()
 
 
-def _cycle_positions(t: tuple[int, ...]) -> list[tuple[list[int], int]] | None:
-    """``where[q] = (cycle, j)`` with ``cycle[j] == q`` for a permutation ``t``;
-    ``None`` if ``t`` is not a permutation."""
-    if len(set(t)) != len(t):
-        return None
-    where: list = [None] * len(t)
-    for q in range(len(t)):
-        if where[q] is None:
-            cycle = [q]
-            while (x := t[cycle[-1]]) != q:
-                cycle.append(x)
-            for j, x in enumerate(cycle):
-                where[x] = (cycle, j)
-    return where
+#: Shift groups of a map: the mask of its fixed states, then ``(src, d)``
+#: per offset d > 0 and per offset -d < 0, ``src`` the states sent d up
+#: (respectively d down).  A merge of two states has one group, a
+#: transposition and every power of the n-cycle two.
+_Groups = tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
+def _shift_groups(images: Sequence[int]) -> _Groups:
+    by_offset: dict[int, int] = {}
+    for q, x in enumerate(images):
+        by_offset[x - q] = by_offset.get(x - q, 0) | 1 << q
+    fixed = by_offset.pop(0, 0)
+    ups = tuple((src, d) for d, src in by_offset.items() if d > 0)
+    return fixed, ups, tuple((src, -d) for d, src in by_offset.items() if d < 0)
+
+
+def _power_groups(t: Transformation, k: int) -> _Groups:
+    """Groups of ``t^k`` for a permutation ``t``, kept with ``t`` by k modulo
+    its order until the kept ones hold 4n groups: all n powers of an n-cycle
+    are kept, few of a permutation with many groups per power."""
+    order, cycles, kept = t._powers
+    if (groups := kept.get(k := k % order)) is None:
+        images = list(range(t.n))
+        for cycle in cycles:
+            j = k % len(cycle)
+            for q, x in zip(cycle, cycle[j:] + cycle[:j]):
+                images[q] = x
+        groups = _shift_groups(images)
+        if sum(1 + len(ups) + len(downs) for _, ups, downs in kept.values()) < 4 * t.n:
+            kept[k] = groups
+    return groups
+
+
+def _preimage(t: Transformation, mask: int) -> int:
+    """The states ``t`` sends into ``mask``: each group shifted back by its offset."""
+    fixed, ups, downs = t._groups
+    out = mask & fixed
+    for src, d in ups:
+        out |= mask >> d & src
+    for src, d in downs:
+        out |= mask << d & src
+    return out
 
 
 def apply_word(s: StateSet, d: Dfa, w: Word) -> StateSet:
     """Image of a state set under a word, applied left to right.
 
-    The word is read one run a^k of a repeated letter at a time.  Under a
-    permutation letter each state moves k places along its cycle in one
-    step, from cycle positions built once per letter and call; any other
-    letter is applied again and again, stopping early once the set maps
-    onto itself, after which the rest of the run changes nothing.
+    The mask moves one run a^k of a repeated letter at a time: a permutation
+    maps the run in one step through the groups of a^k; any other letter is
+    applied again and again, stopping early once the mask maps onto itself,
+    after which the rest of the run changes nothing.
     """
     if d.n != s.n:
         raise ValueError("state set and automaton have different state counts")
-    m = d.m
-    images = [t.images for t in d.transformations()]
-    positions: dict[int, list | None] = {}
-    current = set(s.members())
+    letters = d.transformations()
+    mask = s.mask
     for i, run in groupby(w.letters):
-        if not 0 <= i < m:
+        if not 0 <= i < len(letters):
             raise ValueError(f"letter index {i} out of range")
-        k = len([*run])
-        t = images[i]
-        if k > 1:
-            if i not in positions:
-                positions[i] = _cycle_positions(t)
-            if (where := positions[i]) is not None:
-                current = {c[(j + k) % len(c)] for c, j in map(where.__getitem__, current)}
-                continue
-        # image is t(current); k counts the applications left, this one included
-        image = {t[q] for q in current}
-        while k > 1 and image != current:
-            current, image, k = image, {t[q] for q in image}, k - 1
-        current = image
-    return StateSet.of(s.n, current)
+        k, t = len([*run]), letters[i]
+        if k > 1 and t._powers is not None:
+            fixed, ups, downs = _power_groups(t, k)
+            k = 1
+        else:
+            fixed, ups, downs = t._groups
+        while k:  # k counts the applications left, 0 once the mask maps onto itself
+            image = mask & fixed
+            for src, shift in ups:
+                image |= (mask & src) << shift
+            for src, shift in downs:
+                image |= (mask & src) >> shift
+            k = k - 1 if image != mask else 0
+            mask = image
+    return StateSet(s.n, mask)
 
 
 def word_transformation(d: Dfa, w: Word) -> Transformation:

@@ -161,17 +161,7 @@ class PermutationGroup:
                 i -= 1
 
     def order(self) -> int:
-        result = 1
-        for orbit in self._orbits:
-            result *= len(orbit)
-        return result
-
-    def contains(self, p: Transformation | Sequence[int]) -> bool:
-        images = tuple(p.images) if isinstance(p, Transformation) else tuple(p)
-        if len(images) != self.n or sorted(images) != list(range(self.n)):
-            raise ValueError("membership is defined for permutations only")
-        residue, _ = self._strip(images, 0)
-        return residue == self._identity
+        return math.prod(len(orbit) for orbit in self._orbits)
 
 
 def _permutation_images(perms: Sequence[Transformation], n: int) -> list[_Perm]:

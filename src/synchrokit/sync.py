@@ -9,25 +9,14 @@ merging/pairing round simulation for the three-letter cyclic family.
 Every synthesizer machine-checks its output and reports the check in the
 ``verified`` flag of the returned :class:`ResetResult`.
 
-The stratification behind the quadratic bound, levels of (excluded,
-duplicate) pairs with parent pointers, is the private :func:`_stratify`,
-and the round simulation :func:`_simulate_cb` returns letters only; the
-tests check both through these private functions.
-
 The searches over all 2^n state subsets (``reset_threshold_exact``,
 ``potential_lower_bound``) check, before allocating anything, that their
 bytes fit in physical memory; the exact one also stops at 32 states, as
-its subsets are ``uint32`` masks.
-
-One forward subset BFS, :func:`_forward_bfs`, serves both the exact search
-and the reset distances of many automata at once (:func:`_reset_distances`,
-behind the random reset-threshold experiment of :mod:`synchrokit.search`).
-It maps a batch of automata with the same state and letter counts level by
-level, automaton t's subset S as the code ``t << n | S``; a batch spans at
-most ``_BATCH_SUBSETS`` (2^16) subsets but always holds one automaton, so
-from 16 states up it holds exactly one, and its memory is checked for the
-whole batch.  ``reset_threshold_exact`` runs it on a batch of one, which
-reads its tables with no automaton offset.
+its subsets are ``uint32`` masks.  One forward subset BFS,
+:func:`_forward_bfs`, serves both the exact search (a batch of one
+automaton) and the reset distances of many automata at once
+(:func:`_reset_distances`, behind the random reset-threshold experiment of
+:mod:`synchrokit.search`).
 """
 
 from __future__ import annotations
@@ -40,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dfa, StateSet, Word, apply_word
+from .core import Dfa, StateSet, Word, _preimage, apply_word
 from .families import cb
-from .monoid import _inv, is_two_transitive
+from .monoid import is_two_transitive
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
@@ -494,22 +483,19 @@ def _extension_letters(
 
     ``order`` lists the reached edge codes by (witness length, q, p), and
     ``seed``, ``parent`` and ``letter`` are the pointers of
-    :func:`_stratify`; each step takes the first edge crossing into ``r``.
-    The preimage of ``r`` under the step's word follows the edge's parent
-    chain, which meets the witness letters last first, the order a preimage
-    needs: each permutation letter maps ``r`` through its inverse, and the
-    seed letter through :meth:`Transformation.preimage_of`.
+    :func:`_stratify`; each step takes the first edge crossing into the
+    state mask ``r``, and pulls ``r`` back through the letters of the edge's
+    parent chain, which meets them last first, the order a preimage needs.
     """
     n = d.n
-    inverses = {i: _inv(d.transformation(i).images) for i in d.permutation_letters()}
     qs, ps = np.divmod(order, n)
     t = d.transformation(x)
-    r = t.preimage_of((t.duplicate_state(),))
+    r = _preimage(t, 1 << t.duplicate_state())
     word = [x]
     steps = 0
-    while len(r) < n:
-        inside = np.zeros(n, dtype=bool)
-        inside[list(r)] = True
+    while r.bit_count() < n:
+        raw = np.frombuffer(r.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        inside = np.unpackbits(raw, count=n, bitorder="little").view(bool)
         crossing = inside[ps] & ~inside[qs]
         i = int(crossing.argmax())
         if not crossing[i]:
@@ -519,11 +505,10 @@ def _extension_letters(
             )
         code, chain = int(order[i]), []
         while parent[code] >= 0:
-            inv = inverses[letter[code]]
-            r = [inv[s] for s in r]
+            r = _preimage(d.transformation(letter[code]), r)
             chain.append(letter[code])
             code = parent[code]
-        r = d.transformation(seed[code]).preimage_of(r)
+        r = _preimage(d.transformation(seed[code]), r)
         word = [seed[code], *reversed(chain), *word]
         steps += 1
         if steps > n - 2:  # pragma: no cover - each step grows r strictly

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from synchrokit.core import Dfa, Transformation
+from synchrokit.monoid import PermutationGroup
 from synchrokit.pairgraph import PairDigraph, _bfs, _predecessors
 
 settings.register_profile(
@@ -12,6 +13,35 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def identity(n: int) -> Transformation:
+    return Transformation(tuple(range(n)))
+
+
+def then(s: Transformation, t: Transformation) -> Transformation:
+    """Composition acting left to right: ``s`` first, then ``t``."""
+    if s.n != t.n:
+        raise ValueError("cannot compose transformations of different sizes")
+    return Transformation(tuple(t.images[x] for x in s.images))
+
+
+def preimage_of(t: Transformation, states) -> frozenset[int]:
+    targets = set(states)
+    return frozenset(q for q in range(t.n) if t.images[q] in targets)
+
+
+def relabeled(d: Dfa, labels) -> Dfa:
+    return Dfa(d.n, d.letters, tuple(labels) if labels is not None else None)
+
+
+def group_contains(g: PermutationGroup, p) -> bool:
+    """Membership by sifting ``p`` through the stabilizer chain of ``g``."""
+    images = tuple(p.images) if isinstance(p, Transformation) else tuple(p)
+    if len(images) != g.n or sorted(images) != list(range(g.n)):
+        raise ValueError("membership is defined for permutations only")
+    residue, _ = g._strip(images, 0)
+    return residue == tuple(range(g.n))
 
 
 def random_transformation(rng: random.Random, n: int) -> Transformation:

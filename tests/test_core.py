@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -25,7 +26,15 @@ from synchrokit.core import (
 from synchrokit.families import cerny
 from synchrokit.sync import pairchase_reset_word
 
-from conftest import random_dfa, random_permutation, random_transformation
+from conftest import (
+    identity,
+    preimage_of,
+    random_dfa,
+    random_permutation,
+    random_transformation,
+    relabeled,
+    then,
+)
 
 
 # A fixed 4-state automaton reused across tests: one cyclic permutation
@@ -68,7 +77,7 @@ def inverse(t: Transformation) -> Transformation:
 
 class TestTransformation:
     def test_identity(self):
-        t = Transformation.identity(5)
+        t = identity(5)
         assert t.images == (0, 1, 2, 3, 4)
         assert t.is_permutation()
         assert t.rank() == 5
@@ -93,19 +102,19 @@ class TestTransformation:
 
     def test_then_is_left_to_right(self):
         # q --CYCLE4--> q+1 --MERGE4--> image
-        t = CYCLE4.then(MERGE4)
+        t = then(CYCLE4, MERGE4)
         assert t.images == tuple(MERGE4.images[CYCLE4.images[q]] for q in range(4))
 
     def test_inverse_round_trip(self):
         inv = inverse(CYCLE4)
-        assert CYCLE4.then(inv) == Transformation.identity(4)
-        assert inv.then(CYCLE4) == Transformation.identity(4)
+        assert then(CYCLE4, inv) == identity(4)
+        assert then(inv, CYCLE4) == identity(4)
         with pytest.raises(ValueError):
             inverse(MERGE4)
 
     def test_preimage(self):
-        assert MERGE4.preimage_of({0}) == frozenset({0, 1})
-        assert MERGE4.preimage_of({1}) == frozenset()
+        assert preimage_of(MERGE4, {0}) == frozenset({0, 1})
+        assert preimage_of(MERGE4, {1}) == frozenset()
 
     def test_rejects_out_of_range_images(self):
         with pytest.raises(ValueError):
@@ -142,12 +151,12 @@ class TestDfa:
             Dfa(4, (("", CYCLE4),))
 
     def test_state_labels(self):
-        labeled = D4.relabeled(("q1", "q2", "q3", "q4"))
+        labeled = relabeled(D4, ("q1", "q2", "q3", "q4"))
         assert labeled.state_labels == ("q1", "q2", "q3", "q4")
         # labels are display-only metadata
         assert labeled == D4
         with pytest.raises(ValueError):
-            D4.relabeled(("q1",))
+            relabeled(D4, ("q1",))
 
 
 class TestWord:
@@ -156,7 +165,7 @@ class TestWord:
         assert len(w) == 3
         assert list(w) == [0, 1, 0]
         assert w.names(D4) == ("a", "b", "a")
-        assert len(Word.empty()) == 0
+        assert len(Word(())) == 0
 
     def test_word_transformation_matches_pointwise(self):
         w = Word((0, 1, 0, 0, 1))
@@ -241,16 +250,19 @@ def test_apply_word_reads_runs_like_single_letters(data):
     """Runs a^k of every kind of letter map a set as k single letters do.
 
     The letters are a random permutation, a permutation whose cycles have
-    1 to 4 states (so the lcm of its cycle lengths is at most 12), a random
-    map, and ``down`` (q to q - 1, 0 to 0), whose only fixed set is {0}.
-    A run has 1 to 3n letters, or k is a cycle length of a permutation
-    letter, a multiple of its cycle-length lcm, or, for a non-permutation,
-    twice the number of steps after which the set maps onto itself, so that
-    the run reaches its fixed set halfway through.
+    1 to 4 states (so the lcm of its cycle lengths is at most 12), the
+    n-cycle ``rot`` (q to q + 1 mod n), a random map, and ``down`` (q to
+    q - 1, 0 to 0), whose only fixed set is {0}.  A run has 1 to 3n
+    letters, or k is a cycle length of a permutation letter, a multiple of
+    its cycle-length lcm, or, for a non-permutation, twice the number of
+    steps after which the set maps onto itself, so that the run reaches its
+    fixed set halfway through.  n is drawn up to 100, or from 60 to 200 so
+    that the masks cross the 64- and 128-bit boundaries.
     """
     seed = data.draw(st.integers(0, 2**32 - 1))
+    lo, hi = data.draw(st.sampled_from(((1, 100), (60, 200))))
     r = random.Random(seed)
-    n = r.randint(1, 100)
+    n = r.randint(lo, hi)
     # cut a shuffled order of the states into cycles of 1 to 4 states
     order = list(range(n))
     r.shuffle(order)
@@ -263,6 +275,7 @@ def test_apply_word_reads_runs_like_single_letters(data):
     d = Dfa(n, (
         ("p", random_permutation(r, n)),
         ("c", Transformation(tuple(cycles))),
+        ("rot", Transformation((*range(1, n), 0))),
         ("t", random_transformation(r, n)),
         ("down", Transformation((0, *range(n - 1)))),
     ))
@@ -304,6 +317,27 @@ def test_apply_word_on_the_frozen_cerny_200_chase():
     assert image.cardinality() == 1 and image == letter_by_letter(full, d, r.word)
 
 
+def test_cached_groups_leave_equality_hash_repr_and_pickles_alone():
+    # a Transformation crosses process pools and is digested by its repr,
+    # so the groups apply_word caches on it must not show
+    r = random.Random(7)
+    n = 150
+    letters = (("rot", Transformation((*range(1, n), 0))), ("p", random_permutation(r, n)))
+    d = Dfa(n, (*letters, ("down", Transformation((0, *range(n - 1))))))
+    w = Word(tuple(x for k in range(1, 2 * n) for x in [0] * k + [1] * (k % 13) + [2]))
+    assert apply_word(StateSet.full(n), d, w) == letter_by_letter(StateSet.full(n), d, w)
+    for t in d.transformations():
+        fresh = Transformation(t.images)
+        assert "_groups" in vars(t) and "_groups" not in vars(fresh)
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+        assert pickle.dumps(t) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(t)) == fresh
+    # the kept powers hold about 4n groups at most: all n of the n-cycle, few of p
+    rot, p = (vars(t)["_powers"][2] for t in d.transformations()[:2])
+    assert len(rot) == n
+    assert 0 < sum(1 + len(ups) + len(downs) for _, ups, downs in p.values()) < 5 * n
+
+
 @given(st.data())
 def test_word_transformation_is_composition(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -311,9 +345,9 @@ def test_word_transformation_is_composition(data):
     n = r.randint(1, 7)
     d = random_dfa(r, n, 2)
     w = Word(tuple(r.randrange(2) for _ in range(r.randint(0, 8))))
-    t = Transformation.identity(n)
+    t = identity(n)
     for i in w:
-        t = t.then(d.transformation(i))
+        t = then(t, d.transformation(i))
     assert word_transformation(d, w) == t
 
 

@@ -17,7 +17,7 @@ from synchrokit.monoid import (
     is_two_transitive,
 )
 
-from conftest import pair_orbit_two_transitive, random_permutation
+from conftest import group_contains, identity, pair_orbit_two_transitive, random_permutation
 
 
 def monoid_closure_size(transformations) -> int:
@@ -68,17 +68,17 @@ class TestPermutationGroup:
         assert g.order() == 6
 
     def test_trivial_group(self):
-        g = PermutationGroup(4, [Transformation.identity(4)])
+        g = PermutationGroup(4, [identity(4)])
         assert g.order() == 1
-        assert g.contains(Transformation.identity(4))
-        assert not g.contains(Transformation((1, 0, 2, 3)))
+        assert group_contains(g, identity(4))
+        assert not group_contains(g, Transformation((1, 0, 2, 3)))
 
     def test_membership(self):
         g = PermutationGroup(5, [Transformation((1, 2, 3, 4, 0))])
-        assert g.contains((2, 3, 4, 0, 1))
-        assert not g.contains((1, 0, 2, 3, 4))
+        assert group_contains(g, (2, 3, 4, 0, 1))
+        assert not group_contains(g, (1, 0, 2, 3, 4))
         with pytest.raises(ValueError):
-            g.contains((0, 0, 2, 3, 4))
+            group_contains(g, (0, 0, 2, 3, 4))
 
     def test_rejects_non_permutations(self):
         with pytest.raises(ValueError):
@@ -100,11 +100,11 @@ class TestPermutationGroup:
         group = PermutationGroup(n, perms)
         assert group.order() == len(closure)
         for p in list(closure)[:20]:
-            assert group.contains(p)
+            assert group_contains(group, p)
         # a permutation outside the closure must be rejected
         for _ in range(20):
             q = tuple(random_permutation(r, n).images)
-            assert group.contains(q) == (q in closure)
+            assert group_contains(group, q) == (q in closure)
 
 
 class TestGeneratesSymmetricGroup:
@@ -116,7 +116,7 @@ class TestGeneratesSymmetricGroup:
         assert not generates_symmetric_group([Transformation((1, 2, 3, 0))], 4)
 
     def test_single_state(self):
-        assert generates_symmetric_group([Transformation.identity(1)], 1)
+        assert generates_symmetric_group([identity(1)], 1)
 
     def test_even_generators_stay_in_alternating(self):
         # two 3-cycles on 5 points generate at most A_5
@@ -296,7 +296,7 @@ class TestIsTwoTransitive:
 
     def test_needs_two_states(self):
         with pytest.raises(ValueError):
-            is_two_transitive([Transformation.identity(1)], 1)
+            is_two_transitive([identity(1)], 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_generator_and_generator_pair(self, n):

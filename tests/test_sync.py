@@ -26,6 +26,7 @@ from synchrokit.sync import (
 from conftest import (
     edges_at,
     pair_orbit_two_transitive,
+    preimage_of,
     random_dfa,
     random_permutation,
     strongly_connected_at,
@@ -341,6 +342,35 @@ class TestExtension:
             extension_reset_word(f(7))
 
 
+@pytest.mark.parametrize(
+    "make,length,digest",
+    [
+        (lambda: extension_reset_word(v(60)), 1770,
+         "4420e41ab77575891a1a971441880fc4179c9b4802696a8a552315fee51351ff"),
+        (lambda: extension_reset_word(v(80)), 3160,
+         "0f19bee151b639b7a900336180f7cf96b7cfbf6462cedbc1561b55cc1b36d3ef"),
+        (lambda: extension_reset_word(v(100)), 4950,
+         "02d4e2d4a3dac96b866bb701cafadb97b12751582c5110ebd13943dad08f1f54"),
+        (lambda: cb_reset_word(200, 2), 3110,
+         "8479d9119f6e6245b253edb547d20368bf137910dff7e98ca6cbfdfc507cb44e"),
+        (lambda: cb_reset_word(200, 66), 3393,
+         "0fb4f8d22be92e0c6b3ea0eb301232b8adfd0b833fa000278589036f12152cd4"),
+        (lambda: cb_reset_word(200, 100), 3358,
+         "7c95d47446e592d17fe09a2d4f7177a09348465618443a21584d72ea7d7805bf"),
+        (lambda: cb_reset_word(200, 199), 3258,
+         "4f76167ddfa4dba64e121e6a9f615bc6b15ddf02eaba6676a199dcfa7efb2ed2"),
+    ],
+    ids=["ext-v60", "ext-v80", "ext-v100", "cb200-2", "cb200-66", "cb200-100", "cb200-199"],
+)
+def test_benchmark_words_are_frozen(make, length, digest):
+    # sha256 of the letter indices of the extension and cb words of the
+    # construct benchmark, computed before the word action moved onto
+    # shift groups of the state mask
+    r = make()
+    assert r.verified and r.length == length
+    assert hashlib.sha256(bytes(r.word.letters)).hexdigest() == digest
+
+
 def reference_stratification(
     d: Dfa,
 ) -> tuple[list[list[tuple[int, int]]], dict[tuple[int, int], tuple[int, Word]]]:
@@ -399,7 +429,7 @@ def reference_extension_letters(d: Dfa, witnesses, x: int) -> list[int]:
     for the least (word length, q, p) among the edges crossing into ``r``."""
     n = d.n
     t = d.transformation(x)
-    r = t.preimage_of((t.duplicate_state(),))
+    r = preimage_of(t, (t.duplicate_state(),))
     word = [x]
     while len(r) < n:
         best = None
@@ -417,7 +447,7 @@ def reference_extension_letters(d: Dfa, witnesses, x: int) -> list[int]:
             )
         seed, w = witnesses[best_edge]
         u = [seed, *w]
-        r = word_transformation(d, Word(tuple(u))).preimage_of(r)
+        r = preimage_of(word_transformation(d, Word(tuple(u))), r)
         word = u + word
     return word
 
