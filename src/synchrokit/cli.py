@@ -4,7 +4,8 @@ Every subcommand prints a single JSON document on standard output, except
 ``gen`` and ``export-dot`` which emit automaton text or DOT when asked.
 Exit codes: 0 on success, 1 when the queried property fails to hold (no
 reset word, digraph not strongly connected, check came back false), 2 on
-usage errors — and nothing is printed to standard output on exit 2.
+usage errors, a malformed results file or a path the system refuses — and
+nothing is printed to standard output on exit 2.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise _UsageError("search summarize needs a results file")
         try:
             _print_json(summarize_results(args.file))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise _UsageError(str(exc))
         return 0
     if args.file is not None:
@@ -472,11 +473,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"synchrokit: error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 1
+    except (_UsageError, OSError) as exc:  # OSError: a path the system refuses
+        print(f"synchrokit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -210,10 +210,6 @@ class StateSet:
             mask |= 1 << q
         return cls(n, mask)
 
-    @classmethod
-    def singleton(cls, n: int, state: int) -> "StateSet":
-        return cls.of(n, (state,))
-
     def members(self) -> tuple[int, ...]:
         return tuple(q for q in range(self.n) if self.mask >> q & 1)
 

@@ -155,6 +155,22 @@ def _json_line(obj: Mapping[str, object]) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+#: The line types after the header, per kind of results file.
+_LINE_TYPES = {
+    "max-rt-census": ("block", "record", "result"),
+    "random-rt": ("trial", "summary"),
+    "pair-diameter": ("trial", "summary"),
+}
+#: The line types that close a results file.
+_CLOSING = ("result", "summary")
+#: How every header line begins, as its keys are sorted.
+_HEADER_START = b'{"config":{'
+
+
+def _header_line(kind: str, config: dict) -> str:
+    return _json_line({"type": "header", "format": FORMAT_VERSION, "kind": kind, "config": config})
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -422,79 +438,25 @@ def _census_record(n: int, p1: _Perm, p2: _Perm, t: _Perm, expected_rt: int) -> 
     )
 
 
-def _census_header(n: int) -> str:
-    return _json_line(
-        {
-            "type": "header",
-            "format": FORMAT_VERSION,
-            "kind": "max-rt-census",
-            "config": {"n": n, "mode": SearchMode.EXHAUSTIVE.value},
-        }
-    )
+def _read_census_journal(path: Path, header: str, n: int) -> list[tuple[str, object]]:
+    """The entries of an interrupted census journal for ``n`` states, whose
+    header line is ``header``; none when not even that line is complete.
 
-
-def _complete_lines(path: Path) -> tuple[list[str], bytes]:
-    """The complete lines of a journal, and the bytes after the last newline.
-
-    Those bytes are a final line cut off mid-write, as after a crash; every
-    journal reader leaves them out.
+    A final line cut off mid-write, as after a crash, is truncated away once
+    :func:`_journal` has checked the complete lines.
     """
-    data = path.read_bytes()
-    complete = data.rfind(b"\n") + 1
-    return data[:complete].decode("ascii").splitlines(), data[complete:]
-
-
-def _journal_object(line: str) -> dict:
-    """The JSON object on a complete journal line; any other line raises ``ValueError``."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError(f"journal line is not a JSON object: {line[:60]}")
-    return obj
-
-
-def _read_census_journal(
-    path: Path, n: int
-) -> tuple[set[_Perm], int, SearchRecord | None, bool] | None:
-    """Replay an interrupted census journal.
-
-    Returns the set of completed first-letter blocks, the running maximum,
-    the best record so far, and whether a final result line is present; or
-    ``None`` when not even the header line is complete.  A final line cut
-    off mid-write, as after a crash, is truncated away once the complete
-    lines have been read.
-    """
-    lines, cut = _complete_lines(path)
-    if not lines:
-        if not _census_header(n).encode("ascii").startswith(cut):
+    entries, cut = _journal(path)
+    if not entries:
+        if not header.encode("ascii").startswith(cut):
             raise ValueError(f"{path} is not a census journal")
-        return None
-    done: set[_Perm] = set()
-    best_rt = -1
-    best: SearchRecord | None = None
-    finished = False
-    for line_no, line in enumerate(lines):
-        obj = _journal_object(line)
-        kind = obj.get("type")
-        if line_no == 0:
-            if kind != "header" or obj.get("format") != FORMAT_VERSION:
-                raise ValueError(f"{path} is not a census journal")
-            if not isinstance(config := obj.get("config"), dict) or config.get("n") != n:
-                raise ValueError(f"{path} was produced for a different n")
-            continue
-        if kind == "block":
-            try:
-                done.add(tuple(obj["p1"]))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed block line in {path}: {exc}") from exc
-        elif kind == "record":
-            record = record_from_json_dict(obj)
-            best = record
-            best_rt = record.rt
-        elif kind == "result":
-            finished = True
+        return []
+    if entries[0][1]["kind"] != "max-rt-census":
+        raise ValueError(f"{path} is not a census journal")
+    if entries[0][1]["config"].get("n") != n:
+        raise ValueError(f"{path} was produced for a different n")
     if cut:
         os.truncate(path, path.stat().st_size - len(cut))
-    return done, best_rt, best, finished
+    return entries
 
 
 def max_reset_threshold_exhaustive(
@@ -530,25 +492,25 @@ def max_reset_threshold_exhaustive(
         raise ValueError("workers must be positive")
     SearchConfig(n=n, mode=SearchMode.EXHAUSTIVE, output_path=output_path)  # validates n
     _require_memory(n, _census_bytes(n, workers))
-    done: set[_Perm] = set()
-    best_rt = -1
-    best: SearchRecord | None = None
-    finished = False
-    sink = None
+    header = _header_line("max-rt-census", {"n": n, "mode": SearchMode.EXHAUSTIVE.value})
     path = Path(output_path) if output_path is not None else None
-    replay = (
-        _read_census_journal(path, n)
-        if path is not None and resume and path.exists() else None
+    entries = (
+        _read_census_journal(path, header, n)
+        if path is not None and resume and path.exists() else []
     )
-    if replay is not None:
-        done, best_rt, best, finished = replay
+    done = {p1 for kind, p1 in entries if kind == "block"}
+    records = [record for kind, record in entries if kind == "record"]
+    best = records[-1] if records else None
+    best_rt = best.rt if best is not None else -1
+    sink = None
+    if entries:
         sink = path.open("a", encoding="ascii")
     elif path is not None:
         sink = path.open("w", encoding="ascii")
-        sink.write(_census_header(n))
+        sink.write(header)
         sink.flush()
     try:
-        if not finished:
+        if not entries or entries[-1][0] != "result":
             pending = [(n, p1) for p1 in itertools.permutations(range(n)) if p1 not in done]
             if workers > 1 and len(pending) > 1:
                 with multiprocessing.Pool(workers) as pool:
@@ -565,8 +527,6 @@ def max_reset_threshold_exhaustive(
             if sink is not None:
                 sink.write(_json_line({"type": "result", "max_rt": best_rt}))
                 sink.flush()
-        if best is None:
-            raise RuntimeError("census journal is finished but holds no record")
     finally:
         if sink is not None:
             sink.close()
@@ -734,22 +694,9 @@ def _write_experiment_file(
     cfg: SearchConfig, kind: str, lines: list[dict], summary: dict
 ) -> None:
     path = Path(cfg.output_path)
+    config = {"n": cfg.n, "mode": cfg.mode.value, "trials": cfg.trials, "seed": cfg.seed}
     with path.open("w", encoding="ascii") as fh:
-        fh.write(
-            _json_line(
-                {
-                    "type": "header",
-                    "format": FORMAT_VERSION,
-                    "kind": kind,
-                    "config": {
-                        "n": cfg.n,
-                        "mode": cfg.mode.value,
-                        "trials": cfg.trials,
-                        "seed": cfg.seed,
-                    },
-                }
-            )
-        )
+        fh.write(_header_line(kind, config))
         for line in lines:
             fh.write(_json_line(line))
         fh.write(_json_line({"type": "summary", **summary}))
@@ -887,60 +834,111 @@ def random_pair_diameter_experiment(cfg: SearchConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
+    """Each complete line of a results file as a checked ``(type, value)``
+    entry, and the bytes after the last newline: a final line cut off
+    mid-write, as after a crash, which makes no entry.
+
+    The values are the header's dict, a block's ``p1`` tuple, a record's
+    :class:`SearchRecord`, a result's ``max_rt``, and the other fields of a
+    trial or summary.  Each line's own content is checked before its place
+    in the file, and a broken rule raises ``ValueError`` naming the line:
+
+    - the header comes first and only there, with format
+      :data:`FORMAT_VERSION`, a kind of :data:`_LINE_TYPES` and a dict config;
+    - every other line has a type of the header's kind;
+    - a block's ``p1`` is a permutation of ``range(n)`` not seen before;
+    - a record passes :func:`record_from_json_dict`, and its rt exceeds the
+      rt of the record before it;
+    - a result's ``max_rt`` is the rt of the last record, and one exists;
+    - nothing follows a closing ``result`` or ``summary`` line.
+
+    A file with no complete line must begin like a header line.
+    """
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    cut = data[complete:]
+    if not complete and not (cut.startswith(_HEADER_START) or _HEADER_START.startswith(cut)):
+        raise ValueError(f"{path} is not a results file")
+    entries: list[tuple[str, object]] = []
+    header: dict | None = None
+    blocks: set[_Perm] = set()
+    last_rt = -1
+    for number, line in enumerate(data[:complete].decode("ascii").splitlines(), 1):
+        try:
+            if not isinstance(obj := json.loads(line), dict):
+                raise ValueError("not a JSON object")
+            kind = obj.get("type")
+            if kind == "header":
+                # a tuple of kinds: a kind may be a JSON list, which cannot be hashed
+                if obj.get("format") != FORMAT_VERSION or obj.get("kind") not in tuple(_LINE_TYPES):
+                    raise ValueError("not a header of a known format and kind")
+                if not isinstance(obj.get("config"), dict):
+                    raise ValueError("a header whose config is not an object")
+                if entries:
+                    raise ValueError("a header after the first line")
+                value = header = obj
+            elif header is None:
+                raise ValueError(f"a {kind!r} line before the header")
+            elif kind not in _LINE_TYPES[header["kind"]]:
+                raise ValueError(f"a {kind!r} line in a {header['kind']} file")
+            elif kind == "block":
+                p1 = obj.get("p1")
+                if (
+                    not isinstance(p1, list)
+                    or len(p1) != header["config"].get("n")
+                    or sorted(map(_json_int, p1)) != list(range(len(p1)))
+                ):
+                    raise ValueError(f"p1 {p1!r} is not a permutation of range(n)")
+                if (value := tuple(p1)) in blocks:
+                    raise ValueError(f"a second block for p1 {p1}")
+                blocks.add(value)
+            elif kind == "record":
+                value = record_from_json_dict(obj)
+                if value.rt <= last_rt:
+                    raise ValueError(f"record rt {value.rt} after a record of rt {last_rt}")
+                last_rt = value.rt
+            elif kind == "result":
+                if (value := _json_int(obj.get("max_rt"))) != last_rt or last_rt < 0:
+                    raise ValueError(f"max_rt {value} is not the last record's rt")
+            else:
+                value = {key: field for key, field in obj.items() if key != "type"}
+            if entries and entries[-1][0] in _CLOSING:
+                raise ValueError(f"a line after the {entries[-1][0]} line")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from exc
+        entries.append((kind, value))
+    return entries, cut
+
+
 def load_records(path: str | Path) -> list[SearchRecord]:
-    """Census records of a journal's complete lines, each re-verified on load."""
-    records = []
-    for line in _complete_lines(Path(path))[0]:
-        obj = _journal_object(line)
-        if obj.get("type") == "record":
-            records.append(record_from_json_dict(obj))
-    return records
+    """The records of a results file, each re-verified; :func:`_journal`
+    reads the file and raises ``ValueError`` on any line it refuses."""
+    return [record for kind, record in _journal(Path(path))[0] if kind == "record"]
 
 
 def summarize_results(path: str | Path) -> dict:
     """Digest of a results file: kind, config, best values, completeness.
 
-    A final line cut off mid-write is left out; the file reads as not complete.
-    A line that is not a JSON object, a threshold that is not an integer, a
-    record the resume would refuse (see :func:`record_from_json_dict`), or
-    a missing header raises ``ValueError``.
+    :func:`_journal` reads the file and raises ``ValueError`` on any line it
+    refuses.  A final line cut off mid-write is left out, and the file reads
+    as not complete; so does a file with no complete header line yet, whose
+    kind and config are ``None``.
     """
-    header = None
-    best_rt = None
-    blocks = 0
-    records = 0
-    summary_line = None
-    finished = False
-    for line in _complete_lines(Path(path))[0]:
-        obj = _journal_object(line)
-        kind = obj.get("type")
-        if kind == "header":
-            header = obj
-        elif kind == "block":
-            blocks += 1
-        elif kind == "record":
-            records += 1
-            best_rt = _json_int(obj.get("rt"))
-            record_from_json_dict(obj)  # the resume's rule for a record
-        elif kind == "result":
-            best_rt = _json_int(obj.get("max_rt"))
-            finished = True
-        elif kind == "summary":
-            summary_line = {k: v for k, v in obj.items() if k != "type"}
-            finished = True
-    if header is None:
-        raise ValueError(f"{path} has no header line")
+    entries, _ = _journal(Path(path))
+    header = entries[0][1] if entries else {}
     out = {
         "kind": header.get("kind"),
         "config": header.get("config"),
-        "complete": finished,
+        "complete": bool(entries) and entries[-1][0] in _CLOSING,
     }
-    if summary_line is not None:
-        out["summary"] = summary_line
+    if entries and entries[-1][0] == "summary":
+        out["summary"] = entries[-1][1]
     else:
-        out["max_rt"] = best_rt
-        out["blocks_done"] = blocks
-        out["records"] = records
+        records = [record for kind, record in entries if kind == "record"]
+        out["max_rt"] = records[-1].rt if records else None
+        out["blocks_done"] = sum(kind == "block" for kind, _ in entries)
+        out["records"] = len(records)
     return out
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from synchrokit.core import Dfa, Transformation
+from synchrokit.core import Dfa, StateSet, Transformation
 from synchrokit.monoid import PermutationGroup
 from synchrokit.pairgraph import PairDigraph, _bfs, _predecessors
 
@@ -17,6 +17,10 @@ settings.load_profile("default")
 
 def identity(n: int) -> Transformation:
     return Transformation(tuple(range(n)))
+
+
+def singleton(n: int, state: int) -> StateSet:
+    return StateSet.of(n, (state,))
 
 
 def then(s: Transformation, t: Transformation) -> Transformation:

@@ -42,7 +42,7 @@ from synchrokit.sync import (
     reset_threshold_exact,
 )
 
-from conftest import random_dfa, strongly_connected_at
+from conftest import random_dfa, singleton, strongly_connected_at
 
 
 def _verdict(num: int, description: str, failures: list[str]) -> None:
@@ -110,7 +110,7 @@ def test_criterion_2_merge_family_thresholds_with_certified_lower_bounds():
         if exact is NOT_SYNCHRONIZING or exact[0] != want:
             failures.append(f"n={n}: rt != {want}")
             continue
-        pb = potential_lower_bound(d, list(range(n)), StateSet.singleton(n, 0))
+        pb = potential_lower_bound(d, list(range(n)), singleton(n, 0))
         if not pb.valid:
             failures.append(f"n={n}: potential bound invalid: {pb.counterexample}")
         elif pb.bound != want:

@@ -4,10 +4,11 @@ import warnings
 
 import pytest
 
-from synchrokit import search, sync
+from synchrokit import cli, search, sync
 from synchrokit.cli import main
 from synchrokit.core import loads_dfa
 from synchrokit.families import v
+from synchrokit.sync import reset_threshold_exact
 
 
 def run(capsys, *argv):
@@ -319,7 +320,7 @@ class TestSearch:
     def test_summarize_a_record_without_rt_is_usage_error(self, capsys, tmp_path):
         path, _ = self.journal_with(tmp_path, lambda obj: {"type": "record"})
         code, out, err = run(capsys, "search", "summarize", str(path))
-        assert code == 2 and out == "" and "not an integer" in err
+        assert code == 2 and out == "" and "malformed record JSON: 'dfa'" in err
 
     def test_summarize_refuses_a_record_the_resume_refuses(self, capsys, tmp_path):
         # the record's rt is a valid 8, but its witness names no letter
@@ -338,6 +339,101 @@ class TestSearch:
     def test_stray_positional(self, capsys):
         code, out, _ = run(capsys, "search", "summarize", "x.jsonl", "--n", "4")
         assert code == 2 and out == ""
+
+
+def lines_edited(change):
+    """An edit of a journal's bytes that applies ``change`` to its list of
+    line objects and writes them back as the census writes its lines."""
+    def edit(data: bytes) -> bytes:
+        objs = [json.loads(line) for line in data.splitlines()]
+        return "".join(map(search._json_line, change(objs))).encode("ascii")
+    return edit
+
+
+def smaller_record() -> dict:
+    """A valid 4-state record of rt 3, below the census maximum of 8."""
+    d = loads_dfa("4 1\na 0 0 1 2\n")
+    rt, word = reset_threshold_exact(d)
+    return search.record_to_json_dict(search.SearchRecord(d, rt, word))
+
+
+# Edits of the clean n = 4 census journal (header, 24 blocks with the one
+# record after the first, and the result line), and a foreign file with no
+# newline.  Every reader refuses them.
+REFUSED_JOURNALS = {
+    "block-without-p1": lines_edited(lambda o: o[:1] + [{"type": "block"}] + o[2:]),
+    "wrong-format": lines_edited(lambda o: [{**o[0], "format": 2}] + o[1:]),
+    "kind-a-list": lines_edited(lambda o: [{**o[0], "kind": ["max-rt-census"]}] + o[1:]),
+    "header-not-first": lines_edited(lambda o: [o[1], o[0]] + o[2:]),
+    "no-header": lines_edited(lambda o: o[1:]),
+    "max-rt-not-an-integer": lines_edited(lambda o: o[:-1] + [{**o[-1], "max_rt": "x"}]),
+    "max-rt-not-the-record's": lines_edited(lambda o: o[:-1] + [{**o[-1], "max_rt": 99}]),
+    "unknown-type": lines_edited(lambda o: o[:2] + [{"type": "note"}] + o[2:]),
+    "two-headers": lines_edited(lambda o: o[:1] + o),
+    "line-after-result": lines_edited(lambda o: o + o[-1:]),
+    "rt-goes-down": lines_edited(lambda o: o[:3] + [smaller_record()] + o[3:]),
+    "p1-a-string": lines_edited(lambda o: o[:1] + [{"type": "block", "p1": "0123"}] + o[2:]),
+    "p1-of-wrong-length": lines_edited(lambda o: o[:1] + [{"type": "block", "p1": [0, 1, 2]}] + o[2:]),
+    "p1-twice": lines_edited(lambda o: o[:2] + o[1:]),
+    "trial-in-a-census": lines_edited(lambda o: o[:2] + [{"type": "trial", "trial": 0}] + o[2:]),
+    "result-without-record": lines_edited(lambda o: [obj for obj in o if obj["type"] != "record"]),
+    "not-a-journal": lambda data: b"not a journal",
+}
+# Journals a crash can leave before any block is done: every reader takes them.
+PARTIAL_JOURNALS = {
+    "header-only": lambda data: data[: data.index(b"\n") + 1],
+    "cut-inside-header": lambda data: data[:20],
+}
+
+
+class TestOneJournalReader:
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory) -> bytes:
+        path = tmp_path_factory.mktemp("census") / "census.jsonl"
+        search.max_reset_threshold_exhaustive(4, output_path=path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit,accepted",
+        [pytest.param(edit, False, id=name) for name, edit in REFUSED_JOURNALS.items()]
+        + [pytest.param(edit, True, id=name) for name, edit in PARTIAL_JOURNALS.items()],
+    )
+    def test_every_reader_gives_one_verdict(self, capsys, tmp_path, clean, edit, accepted):
+        path = tmp_path / "census.jsonl"
+        path.write_bytes(edit(clean))
+        data = path.read_bytes()
+        summary_code, summary_out, _ = run(capsys, "search", "summarize", str(path))
+        resume = ("search", "--mode", "exhaustive", "--n", "4", "--out", str(path))
+        if accepted:
+            assert search.load_records(path) == []
+            summary = search.summarize_results(path)
+            assert summary["records"] == summary["blocks_done"] == 0 and not summary["complete"]
+            assert summary_code == 0 and json.loads(summary_out) == summary
+            code, out, _ = run(capsys, *resume)
+            assert code == 0 and json.loads(out)["max_rt"] == 8
+            assert path.read_bytes() == clean
+        else:
+            with pytest.raises(ValueError):
+                search.load_records(path)
+            with pytest.raises(ValueError):
+                search.summarize_results(path)
+            assert (summary_code, summary_out) == (2, "")
+            code, out, err = run(capsys, *resume)
+            assert (code, out) == (2, "") and "error" in err
+            assert path.read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [search.random_rt_experiment, search.random_pair_diameter_experiment],
+        ids=["random-rt", "pair-diameter"],
+    )
+    def test_census_resume_refuses_an_experiment_file(self, capsys, tmp_path, experiment):
+        path = tmp_path / "experiment.jsonl"
+        experiment(search.SearchConfig(n=4, mode=search.SearchMode.RANDOM, trials=3, output_path=path))
+        data = path.read_bytes()
+        code, out, err = run(capsys, "search", "--mode", "exhaustive", "--n", "4", "--out", str(path))
+        assert (code, out) == (2, "") and "not a census journal" in err
+        assert path.read_bytes() == data
 
 
 class TestExportDot:
@@ -385,6 +481,26 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--n", "4", "--mode", "exhaustive", "--out"),
+            ("search", "--n", "4", "--mode", "exhaustive", "--no-resume", "--out"),
+            ("search", "--n", "4", "--mode", "random", "--trials", "3", "--out"),
+            ("gen", "--family", "cerny", "--n", "4", "-o"),
+        ],
+        ids=["census", "census-no-resume", "random", "gen"],
+    )
+    def test_an_output_path_the_system_refuses_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert code == 2 and out == "" and str(tmp_path) in err
+
+    def test_a_broken_pipe_still_exits_1(self, capsys, monkeypatch):
+        def broken(args):
+            raise BrokenPipeError
+        monkeypatch.setattr(cli, "_cmd_gen", broken)
+        assert run(capsys, "gen", "--family", "cerny", "--n", "4") == (1, "", "")
 
     def test_module_entry_point(self):
         import subprocess

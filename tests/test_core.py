@@ -33,6 +33,7 @@ from conftest import (
     random_permutation,
     random_transformation,
     relabeled,
+    singleton,
     then,
 )
 
@@ -171,7 +172,7 @@ class TestWord:
         w = Word((0, 1, 0, 0, 1))
         t = word_transformation(D4, w)
         for q in range(4):
-            s = apply_word(StateSet.singleton(4, q), D4, w)
+            s = apply_word(singleton(4, q), D4, w)
             assert s.members() == (t(q),)
 
     def test_word_transformation_indexes_letters_like_a_tuple(self):
@@ -185,7 +186,7 @@ class TestStateSet:
     def test_constructors(self):
         assert StateSet.full(4).members() == (0, 1, 2, 3)
         assert StateSet.of(4, (2, 0)).members() == (0, 2)
-        assert StateSet.singleton(4, 3).members() == (3,)
+        assert singleton(4, 3).members() == (3,)
         assert StateSet.of(4, ()).cardinality() == 0
 
     def test_membership(self):

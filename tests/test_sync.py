@@ -29,6 +29,7 @@ from conftest import (
     preimage_of,
     random_dfa,
     random_permutation,
+    singleton,
     strongly_connected_at,
 )
 
@@ -748,24 +749,24 @@ class TestCbWords:
 class TestPotentialBound:
     def test_merge_family_weights_certify_quadratic_bound(self):
         for n in (3, 5, 8):
-            pb = potential_lower_bound(v(n), list(range(n)), StateSet.singleton(n, 0))
+            pb = potential_lower_bound(v(n), list(range(n)), singleton(n, 0))
             assert pb.valid
             assert pb.bound == n * (n - 1) // 2
             assert pb.counterexample is None
 
     def test_bound_is_sound(self):
         n = 6
-        pb = potential_lower_bound(v(n), list(range(n)), StateSet.singleton(n, 0))
+        pb = potential_lower_bound(v(n), list(range(n)), singleton(n, 0))
         assert pb.bound <= reset_threshold_exact(v(n))[0]
 
     def test_cycle_family_violates_linear_weights(self):
-        pb = potential_lower_bound(cerny(4), [0, 1, 2, 3], StateSet.singleton(4, 0))
+        pb = potential_lower_bound(cerny(4), [0, 1, 2, 3], singleton(4, 0))
         assert not pb.valid and pb.bound is None
         subset, letter = pb.counterexample
         assert subset.members() == (3,) and letter == 0  # {q4} under a drops weight 3 -> 0
 
     def test_counterexample_is_a_real_violation(self):
-        pb = potential_lower_bound(cerny(5), [0, 1, 2, 3, 4], StateSet.singleton(5, 0))
+        pb = potential_lower_bound(cerny(5), [0, 1, 2, 3, 4], singleton(5, 0))
         assert not pb.valid
         subset, letter = pb.counterexample
         weights = [0, 1, 2, 3, 4]
@@ -799,15 +800,15 @@ class TestPotentialBound:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            potential_lower_bound(v(3), [0, 1], StateSet.singleton(3, 0))
+            potential_lower_bound(v(3), [0, 1], singleton(3, 0))
         with pytest.raises(ValueError):
-            potential_lower_bound(v(3), [0, -1, 2], StateSet.singleton(3, 0))
+            potential_lower_bound(v(3), [0, -1, 2], singleton(3, 0))
         with pytest.raises(ValueError):
-            potential_lower_bound(v(3), [0, 1, 2], StateSet.singleton(4, 0))
+            potential_lower_bound(v(3), [0, 1, 2], singleton(4, 0))
 
     def test_memory_limit(self, monkeypatch):
         # 34 bytes per subset: 34 * 2^12 = 139264 for n = 12
-        args = (v(12), list(range(12)), StateSet.singleton(12, 0))
+        args = (v(12), list(range(12)), singleton(12, 0))
         monkeypatch.setattr(sync, "_physical_memory", lambda: 139264)
         assert potential_lower_bound(*args).bound == 66
         monkeypatch.setattr(sync, "_physical_memory", lambda: 139263)
