@@ -19,8 +19,9 @@ from pathlib import Path
 from . import __version__
 from .core import Dfa, dfa_to_json_dict, format_dfa_text, loads_dfa
 from .families import FAMILY_CODES, build_family, cb, f
-from .monoid import generates_symmetric_group
+from .monoid import generates_symmetric_group, has_full_transition_monoid
 from .pairgraph import (
+    _dot,
     build_pair_digraph,
     diameter,
     pair_certificate,
@@ -41,6 +42,7 @@ from .sync import (
     NOT_SYNCHRONIZING,
     Method,
     ResetResult,
+    _resets,
     cb_reset_word,
     extension_reset_word,
     pairchase_reset_word,
@@ -63,17 +65,38 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="ascii")
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("SYNCHROKIT_WORKERS")
-    if raw is None:
-        return 1
+def _failed(payload: dict, message: str) -> int:
+    """Print ``payload`` and ``message`` for a property that does not hold."""
+    _print_json(payload)
+    print(message, file=sys.stderr)
+    return 1
+
+
+def _workers(args: argparse.Namespace) -> int:
+    """``--workers``, else ``SYNCHROKIT_WORKERS``, else 1; the census checks the value."""
+    if args.workers is not None:
+        return args.workers
+    raw = os.environ.get("SYNCHROKIT_WORKERS", "1")
     try:
-        workers = int(raw)
+        return int(raw)
     except ValueError:
         raise _UsageError(f"SYNCHROKIT_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise _UsageError("SYNCHROKIT_WORKERS must be positive")
-    return workers
+
+
+def _search_config(args: argparse.Namespace, mode: SearchMode) -> SearchConfig:
+    return SearchConfig(n=args.n, mode=mode, trials=args.trials, seed=args.seed, output_path=args.out)
+
+
+def _exact(d: Dfa) -> ResetResult | None:
+    """The exact BFS's shortest reset word, checked; ``None`` if ``d`` does not synchronize."""
+    try:
+        result = reset_threshold_exact(d)
+    except ValueError as exc:  # too many states or too little memory
+        raise _UsageError(str(exc))
+    if result is NOT_SYNCHRONIZING:
+        return None
+    rt, word = result
+    return ResetResult(word, rt, Method.EXACT_BFS, _resets(d, word))
 
 
 def _build_family(family: str, n: int | None, k: int) -> Dfa:
@@ -132,22 +155,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_rt(args: argparse.Namespace) -> int:
     d = _load_input(args)
-    try:
-        result = reset_threshold_exact(d)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    if result is NOT_SYNCHRONIZING:
-        _print_json({"n": d.n, "synchronizing": False, "rt": None, "word": None})
-        print("automaton is not synchronizing", file=sys.stderr)
-        return 1
-    rt, word = result
+    result = _exact(d)
+    if result is None:
+        payload = {"n": d.n, "synchronizing": False, "rt": None, "word": None}
+        return _failed(payload, "automaton is not synchronizing")
     _print_json(
         {
             "n": d.n,
             "synchronizing": True,
-            "rt": rt,
-            "word": list(word.names(d)),
-            "method": "exact_bfs",
+            "rt": result.length,
+            "word": list(result.word.names(d)),
+            "method": result.method.value,
         }
     )
     return 0
@@ -169,24 +187,16 @@ def _cmd_word(args: argparse.Namespace) -> int:
     else:
         d = _load_input(args)
         if args.method == "exact":
-            try:
-                exact = reset_threshold_exact(d)
-            except ValueError as exc:  # too many states or too little memory
-                raise _UsageError(str(exc))
-            if exact is NOT_SYNCHRONIZING:
-                _print_json({"n": d.n, "synchronizing": False, "word": None})
-                print("automaton is not synchronizing", file=sys.stderr)
-                return 1
-            rt, word = exact
-            result = ResetResult(word, rt, Method.EXACT_BFS, True)
+            result = _exact(d)
+            if result is None:
+                payload = {"n": d.n, "synchronizing": False, "word": None}
+                return _failed(payload, "automaton is not synchronizing")
         else:
             synthesize = pairchase_reset_word if args.method == "pairchase" else extension_reset_word
             try:
                 result = synthesize(d)
             except ValueError as exc:  # the automaton lacks the method's property
-                _print_json({"n": d.n, "error": str(exc)})
-                print(str(exc), file=sys.stderr)
-                return 1
+                return _failed({"n": d.n, "error": str(exc)}, str(exc))
     _print_json(
         {
             "n": d.n,
@@ -207,8 +217,7 @@ def _cmd_monoid_check(args: argparse.Namespace) -> int:
     rank_letters = d.rank_n_minus_one_letters()
     names = d.letter_names()
     generates = bool(perms) and generates_symmetric_group(perms, d.n)
-    # has_full_transition_monoid's criterion, reusing the group test above
-    full = d.n == 1 or (generates and bool(rank_letters))
+    full = has_full_transition_monoid(d)
     _print_json(
         {
             "n": d.n,
@@ -227,14 +236,7 @@ def _cmd_pair_diam(args: argparse.Namespace) -> int:
             raise _UsageError("--experiment requires --n")
         mode = SearchMode.RANDOM if args.experiment == "random" else SearchMode.EXHAUSTIVE
         try:
-            cfg = SearchConfig(
-                n=args.n,
-                mode=mode,
-                trials=args.trials,
-                seed=args.seed,
-                output_path=args.out,
-            )
-            summary = random_pair_diameter_experiment(cfg)
+            summary = random_pair_diameter_experiment(_search_config(args, mode))
         except ValueError as exc:
             raise _UsageError(str(exc))
         _print_json(summary)
@@ -243,17 +245,14 @@ def _cmd_pair_diam(args: argparse.Namespace) -> int:
     p = build_pair_digraph(d)
     result = diameter(p)
     if not result.strongly_connected:
-        _print_json(
-            {
-                "n": d.n,
-                "vertices": p.num_vertices,
-                "strongly_connected": False,
-                "diameter": None,
-                "unreachable": {"source": list(result.source), "target": list(result.target)},
-            }
-        )
-        print("pair digraph is not strongly connected", file=sys.stderr)
-        return 1
+        payload = {
+            "n": d.n,
+            "vertices": p.num_vertices,
+            "strongly_connected": False,
+            "diameter": None,
+            "unreachable": {"source": list(result.source), "target": list(result.target)},
+        }
+        return _failed(payload, "pair digraph is not strongly connected")
     _print_json(
         {
             "n": d.n,
@@ -312,14 +311,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise _UsageError("unexpected positional argument; did you mean 'search summarize FILE'?")
     if args.n is None or args.mode is None:
         raise _UsageError("search needs --n and --mode")
-    workers = args.workers if args.workers is not None else _default_workers()
-    if workers < 1:
-        raise _UsageError("workers must be positive")
     try:
         if args.mode == "exhaustive":
             max_rt, record = max_reset_threshold_exhaustive(
                 args.n,
-                workers=workers,
+                workers=_workers(args),
                 output_path=args.out,
                 resume=not args.no_resume,
             )
@@ -331,16 +327,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             }
             _print_json(payload)
         else:
-            cfg = SearchConfig(
-                n=args.n,
-                mode=SearchMode.RANDOM,
-                trials=args.trials,
-                seed=args.seed,
-                output_path=args.out,
-            )
             _print_json(
                 random_rt_experiment(
-                    cfg,
+                    _search_config(args, SearchMode.RANDOM),
                     sample_nonperm=args.sample_nonperm,
                     require_symmetric=not args.unconditioned,
                 )
@@ -358,14 +347,8 @@ def _dfa_dot(d: Dfa, zero_based: bool) -> str:
     lines = ["digraph dfa {", "  rankdir=LR;"]
     for i, label in enumerate(labels):
         lines.append(f'  {i} [label="{label}"];')
-    for src in range(d.n):
-        grouped: dict[int, list[str]] = {}
-        for name, t in d.letters:
-            grouped.setdefault(t.images[src], []).append(name)
-        for dst, names in sorted(grouped.items()):
-            lines.append(f'  {src} -> {dst} [label="{",".join(names)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    rows = zip(*(t.images for _, t in d.letters))  # per state, its image under each letter
+    return _dot(lines, rows, d.letter_names())
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:

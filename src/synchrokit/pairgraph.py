@@ -212,7 +212,10 @@ def diameter(p: PairDigraph) -> DiameterResult:
                 pred = _predecessors(p.succ)
             backward, _ = _bfs(pred, v)
             if min(backward) < 0:
-                return _first_unreachable(p)
+                # vertex 0 reaches every vertex, so the least source that
+                # misses a target is the least vertex that cannot reach 0
+                u = backward.index(-1)
+                return _unreachable(p, u, _bfs(p.succ, u)[0])
         upper[v] = lower[v] = ecc
         for u in open_:
             lo = ecc - forward[u]
@@ -247,15 +250,6 @@ def diameter(p: PairDigraph) -> DiameterResult:
         word=_path_word(p, parent, t),
         argmax=tuple((index_pair(p.n, s), index_pair(p.n, t)) for s, t in hits),
     )
-
-
-def _first_unreachable(p: PairDigraph) -> DiameterResult:
-    """The in-order first (source, target) with no path, sources scanned in turn."""
-    for s in range(p.num_vertices):
-        dist, _ = _bfs(p.succ, s)
-        if -1 in dist:
-            return _unreachable(p, s, dist)
-    raise AssertionError("every BFS reached every vertex")
 
 
 def _unreachable(p: PairDigraph, source: int, dist: list[int]) -> DiameterResult:
@@ -626,11 +620,21 @@ def pair_digraph_dot(p: PairDigraph, values: PairCertificate | None = None) -> s
         if values is not None:
             label += f"\\n{values.values[v]}"
         lines.append(f'  {v} [label="{label}"];')
-    for v in range(p.num_vertices):
+    return _dot(lines, p.succ, p.letter_names)
+
+
+def _dot(lines: list[str], rows, names) -> str:
+    """Close a DOT digraph begun by ``lines`` with one edge per vertex pair.
+
+    ``rows[v][slot]`` is the target of letter ``names[slot]`` from vertex
+    ``v``.  Parallel edges merge into one, labeled by their letters in slot
+    order; each vertex's edges go out sorted by target.
+    """
+    for src, row in enumerate(rows):
         grouped: dict[int, list[str]] = {}
-        for slot, w in enumerate(p.succ[v]):
-            grouped.setdefault(w, []).append(p.letter_names[slot])
-        for w, names in sorted(grouped.items()):
-            lines.append(f'  {v} -> {w} [label="{",".join(names)}"];')
+        for name, dst in zip(names, row):
+            grouped.setdefault(dst, []).append(name)
+        for dst, labels in sorted(grouped.items()):
+            lines.append(f'  {src} -> {dst} [label="{",".join(labels)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import warnings
@@ -121,6 +122,18 @@ class TestWord:
         code, obj, _ = run_json(capsys, "word", "--family", "v", "--n", "5", "--method", "exact")
         assert code == 0
         assert obj["length"] == 10 and obj["method"] == "exact_bfs"
+
+    def test_exact_reports_the_reset_check(self, capsys, monkeypatch):
+        checked = []
+
+        def refuse(d, w):
+            checked.append(w)
+            return False
+
+        monkeypatch.setattr(cli, "_resets", refuse, raising=False)
+        code, obj, _ = run_json(capsys, "word", "--family", "v", "--n", "5", "--method", "exact")
+        assert code == 0 and obj["verified"] is False
+        assert [len(w) for w in checked] == [obj["length"]]
 
     def test_extension(self, capsys):
         code, obj, _ = run_json(capsys, "word", "--family", "v", "--n", "12", "--method", "extension")
@@ -280,6 +293,28 @@ class TestSearch:
         assert code == 2 and out == ""
         assert "more than the 8589934592 bytes of physical memory" in err
         assert not out_path.exists()
+
+    BAD_WORKERS = pytest.mark.parametrize(
+        "flags, env",
+        [(("--workers", "0"), None), ((), "x"), ((), "0")],
+        ids=["flag-0", "env-x", "env-0"],
+    )
+
+    @BAD_WORKERS
+    def test_random_mode_ignores_workers(self, capsys, monkeypatch, flags, env):
+        argv = ("search", "--n", "5", "--mode", "random", "--trials", "2")
+        plain = run(capsys, *argv)
+        if env is not None:
+            monkeypatch.setenv("SYNCHROKIT_WORKERS", env)
+        assert run(capsys, *argv, *flags) == plain
+        assert plain[0] == 0
+
+    @BAD_WORKERS
+    def test_census_refuses_bad_workers(self, capsys, monkeypatch, flags, env):
+        if env is not None:
+            monkeypatch.setenv("SYNCHROKIT_WORKERS", env)
+        code, out, err = run(capsys, "search", "--n", "4", "--mode", "exhaustive", *flags)
+        assert code == 2 and out == "" and "error" in err
 
     def test_allow_large_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -458,6 +493,24 @@ class TestExportDot:
             capsys, "export-dot", "--family", "f", "--n", "7", "--pair-digraph", "--certificate"
         )
         assert code == 0 and 'q2q4\\n15' in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--family", "cerny", "--n", "3"),
+             "8e37d77c89af94d2ce0dbf59a6ccb32281258c94665279af93dd66a89e6d064e"),
+            (("--family", "cerny", "--n", "3", "--zero-based-labels"),
+             "f3f522e885f5589003788266c2a0f60415254318ad57396c5010c18fc45f1657"),
+            (("--family", "v", "--n", "5"),
+             "03f5b23409b2851701a0a9b483a8ad60102e835a259f097a0754ebb513a1f0a9"),
+            (("--family", "f", "--n", "7", "--pair-digraph", "--certificate"),
+             "8a498a1dc799a0ba476d8a888064126bdf55cfc1ff166843419b1aedc55cd335"),
+        ],
+        ids=["cerny-3", "cerny-3-zero-based", "v-5", "f-7-certificate"],
+    )
+    def test_pinned_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "export-dot", *argv)
+        assert code == 0 and hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_certificate_without_pair_digraph(self, capsys):
         code, out, _ = run(capsys, "export-dot", "--family", "f", "--n", "7", "--certificate")

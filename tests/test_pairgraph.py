@@ -45,6 +45,20 @@ def reference_succ(d: Dfa) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@pytest.fixture
+def bfs_sources(monkeypatch) -> list[int]:
+    """The source of each ``pairgraph._bfs`` run, in order, once the test starts."""
+    sources: list[int] = []
+    bfs = pairgraph._bfs
+
+    def counting_bfs(adj, source):
+        sources.append(source)
+        return bfs(adj, source)
+
+    monkeypatch.setattr(pairgraph, "_bfs", counting_bfs)
+    return sources
+
+
 def closed_form_diameter(n: int) -> int:
     """Pair-digraph diameter of the f family for odd n >= 11.
 
@@ -282,7 +296,7 @@ class TestDiameterAgainstOracle:
         assert res.value == 0 and res.word == Word(())
         assert res.argmax == (((0, 1), (0, 1)),)
 
-    def test_reached_from_everywhere_is_not_enough(self):
+    def test_reached_from_everywhere_is_not_enough(self, bfs_sources):
         # a hand-built path 0 -> 1 -> 2 (a loop at 2): 0 reaches every
         # vertex, but nothing reaches 0, which only a backward run notices
         p = PairDigraph(n=3, letter_names=("a",), letter_indices=(0,), succ=((1,), (2,), (2,)))
@@ -290,6 +304,9 @@ class TestDiameterAgainstOracle:
         res = diameter(p)
         assert res == oracle_diameter(p)
         assert (res.source, res.target) == ((0, 2), (0, 1))
+        # forward and backward from 0, then one forward run from 1, the
+        # least vertex that cannot reach 0; no scan over the sources
+        assert bfs_sources == [0, 0, 1]
 
     def test_unreachable_report(self):
         for d in (cerny(4), cerny(5), cerny(9)):
@@ -307,18 +324,10 @@ class TestDiameterCost:
         assert len(res.word) == res.value
         assert elapsed < 1.0, f"diameter(f(101)) took {elapsed:.2f} s"
 
-    def test_f59_needs_few_bfs_runs(self, monkeypatch):
-        calls = []
-        bfs = pairgraph._bfs
-
-        def counting_bfs(adj, source):
-            calls.append(source)
-            return bfs(adj, source)
-
-        monkeypatch.setattr(pairgraph, "_bfs", counting_bfs)
+    def test_f59_needs_few_bfs_runs(self, bfs_sources):
         p = build_pair_digraph(f(59))
         assert diameter(p).value == closed_form_diameter(59)
-        assert len(calls) <= 20, f"{len(calls)} BFS runs for {p.num_vertices} sources"
+        assert len(bfs_sources) <= 20, f"{len(bfs_sources)} BFS runs for {p.num_vertices} sources"
 
 
 def strongly_connected(num_vertices: int, edges) -> bool:
@@ -372,14 +381,20 @@ class TestCertificates:
         assert cert.value_of(3, 6) == 0
         assert verify_certificate(build_pair_digraph(f(7)), cert).valid
 
-    # f() does not check certificates itself: cover every n = 3 (mod 4) up to 59
-    @pytest.mark.parametrize("n", range(11, 60, 4))
+    # f() does not check certificates itself: cover n = 7 and every n = 3 (mod 4) up to 59
+    @pytest.mark.parametrize("n", (7, *range(11, 60, 4)))
     def test_closed_form_certificates_are_valid_and_tight(self, n):
         cert = pair_certificate(n)
         p = build_pair_digraph(f(n))
         assert verify_certificate(p, cert).valid
         dist, _ = pair_distance(p, cert.start, cert.target)
-        assert dist == cert.bound() == closed_form_diameter(n)
+        # f(7) lies off the closed form, which holds from n = 11 up
+        assert dist == cert.bound() == (15 if n == 7 else closed_form_diameter(n))
+        # every value is exactly its pair's distance to the target pair
+        to_target, _ = pairgraph._bfs(
+            pairgraph._predecessors(p.succ), pair_index(n, *sorted(cert.target))
+        )
+        assert list(cert.values) == to_target
 
     def test_unsupported_sizes(self):
         for n in (9, 13, 17, 8):
