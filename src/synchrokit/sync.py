@@ -54,19 +54,8 @@ _BATCH_SUBSETS = 1 << 16
 _POTENTIAL_BYTES = 16 + 16 + 2
 
 
-class _NotSynchronizing:
-    """Sentinel outcome of the exact search on non-synchronizing input."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NOT_SYNCHRONIZING"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NOT_SYNCHRONIZING = _NotSynchronizing()
+#: What :func:`reset_threshold_exact` returns when no word resets.
+NOT_SYNCHRONIZING = None
 
 
 class Method(Enum):
@@ -98,11 +87,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(n: int, need: int) -> None:
-    """Refuse, before it allocates, a search needing more than physical memory."""
+def _require_memory(n: int, need: int, run: str = "a subset search") -> None:
+    """Refuse, before it allocates, a run needing more than physical memory."""
     if need > (have := _physical_memory()):
         raise ValueError(
-            f"a subset search over {n} states needs up to {need} bytes, "
+            f"{run} over {n} states needs up to {need} bytes, "
             f"more than the {have} bytes of physical memory"
         )
 
@@ -263,12 +252,12 @@ def _reset_distances(dfas: Sequence[Dfa]) -> list[int | None]:
     return distances
 
 
-def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | _NotSynchronizing:
+def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     """Exact reset threshold by level-synchronous BFS over state subsets.
 
     Returns ``(rt, word)`` where ``word`` is the lexicographically least
-    shortest reset word under the letter order, or ``NOT_SYNCHRONIZING``
-    when no singleton subset is reachable.
+    shortest reset word under the letter order, or ``None``
+    (:data:`NOT_SYNCHRONIZING`) when no singleton subset is reachable.
 
     The forward pass maps whole numpy frontiers under every letter through
     per-byte image tables, level by level from the full set, until a level
@@ -289,7 +278,7 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | _NotSynchronizing:
     tables = _letter_tables([d])
     (rt,), levels, dist = _forward_bfs(tables, n)
     if rt is None:
-        return NOT_SYNCHRONIZING
+        return None
     # Images of a level-k subset lie on levels <= k + 1, and good subsets on
     # levels > k are all marked before level k is swept, so a good image
     # found here is always on level k + 1; level k is marked only once all
@@ -534,7 +523,8 @@ def extension_reset_word(d: Dfa) -> ResetResult:
     """
     n = d.n
     if n == 1:
-        return ResetResult(Word(()), 0, Method.EXTENSION, True)
+        w = Word(())
+        return ResetResult(w, 0, Method.EXTENSION, _resets(d, w))
     if not d.rank_n_minus_one_letters():
         raise ValueError("extension requires a letter of rank n-1")
     # A full transition monoid implies 2-transitive permutation letters, and

@@ -35,10 +35,6 @@ def preimage_of(t: Transformation, states) -> frozenset[int]:
     return frozenset(q for q in range(t.n) if t.images[q] in targets)
 
 
-def relabeled(d: Dfa, labels) -> Dfa:
-    return Dfa(d.n, d.letters, tuple(labels) if labels is not None else None)
-
-
 def group_contains(g: PermutationGroup, p) -> bool:
     """Membership by sifting ``p`` through the stabilizer chain of ``g``."""
     images = tuple(p.images) if isinstance(p, Transformation) else tuple(p)

@@ -9,6 +9,7 @@ from synchrokit import cli, search, sync
 from synchrokit.cli import main
 from synchrokit.core import loads_dfa
 from synchrokit.families import v
+from synchrokit.pairgraph import CertificateCheck
 from synchrokit.sync import reset_threshold_exact
 
 
@@ -135,6 +136,12 @@ class TestWord:
         assert code == 0 and obj["verified"] is False
         assert [len(w) for w in checked] == [obj["length"]]
 
+    def test_exact_not_synchronizing_is_exit_1_with_json(self, capsys):
+        code, obj, err = run_json(capsys, "word", "--family", "f", "--n", "7", "--method", "exact")
+        assert code == 1
+        assert obj == {"n": 7, "synchronizing": False, "word": None}
+        assert "not synchronizing" in err
+
     def test_extension(self, capsys):
         code, obj, _ = run_json(capsys, "word", "--family", "v", "--n", "12", "--method", "extension")
         assert code == 0
@@ -216,10 +223,11 @@ class TestPairDiam:
         assert code == 0
         assert obj["max"] == 7
 
-    def test_exhaustive_experiment_is_capped_at_nine(self, capsys):
-        code, out, err = run(capsys, "pair-diam", "--experiment", "exhaustive", "--n", "10")
+    def test_exhaustive_experiment_past_physical_memory_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 8 << 30)
+        code, out, err = run(capsys, "pair-diam", "--experiment", "exhaustive", "--n", "11")
         assert code == 2 and out == ""
-        assert "capped at n = 9" in err
+        assert "more than the 8589934592 bytes of physical memory" in err
 
     def test_experiment_needs_n(self, capsys):
         code, out, _ = run(capsys, "pair-diam", "--experiment", "random")
@@ -240,6 +248,14 @@ class TestCertify:
         assert code == 0
         assert obj["bound"] == 15 and obj["tight"] is True
         assert obj["start_pair"] == [1, 3] and obj["target_pair"] == [3, 6]
+
+    def test_failing_edge_is_exit_1_with_counterexample(self, capsys, monkeypatch):
+        failing = CertificateCheck(False, ((1, 3), "a", (2, 0)))
+        monkeypatch.setattr(cli, "verify_certificate", lambda p, cert: failing)
+        code, obj, _ = run_json(capsys, "certify", "--family", "f", "--n", "7")
+        assert code == 1
+        assert obj["valid"] is False and obj["tight"] is False
+        assert obj["counterexample"] == {"pair": [1, 3], "letter": "a", "image": [2, 0]}
 
     def test_unsupported_size(self, capsys):
         code, out, _ = run(capsys, "certify", "--family", "f", "--n", "9")
@@ -505,8 +521,14 @@ class TestExportDot:
              "03f5b23409b2851701a0a9b483a8ad60102e835a259f097a0754ebb513a1f0a9"),
             (("--family", "f", "--n", "7", "--pair-digraph", "--certificate"),
              "8a498a1dc799a0ba476d8a888064126bdf55cfc1ff166843419b1aedc55cd335"),
+            (("--family", "f", "--n", "7"),
+             "adb6b625409448c44379d204c834692b08a7a54290b7450b146aa25133307a91"),
+            (("--family", "rystsov", "--n", "4"),
+             "273984ea8febbe23d19557f47c971ea2451b42669c13bc7fbc7cf2d317d84280"),
+            (("--family", "cb", "--n", "4", "--k", "2"),
+             "87ad1c162631b98da88d018e37f563c75bdb1f4e3b0ecbef646e6147f2301bc1"),
         ],
-        ids=["cerny-3", "cerny-3-zero-based", "v-5", "f-7-certificate"],
+        ids=["cerny-3", "cerny-3-zero-based", "v-5", "f-7-certificate", "f-7", "rystsov-4", "cb-4-2"],
     )
     def test_pinned_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, "export-dot", *argv)

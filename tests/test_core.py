@@ -32,7 +32,6 @@ from conftest import (
     random_dfa,
     random_permutation,
     random_transformation,
-    relabeled,
     singleton,
     then,
 )
@@ -150,14 +149,6 @@ class TestDfa:
             Dfa(4, (("a b", CYCLE4),))
         with pytest.raises(ValueError):
             Dfa(4, (("", CYCLE4),))
-
-    def test_state_labels(self):
-        labeled = relabeled(D4, ("q1", "q2", "q3", "q4"))
-        assert labeled.state_labels == ("q1", "q2", "q3", "q4")
-        # labels are display-only metadata
-        assert labeled == D4
-        with pytest.raises(ValueError):
-            relabeled(D4, ("q1",))
 
 
 class TestWord:

@@ -51,7 +51,6 @@ class TestCerny:
         assert d.letter_names() == ("a", "b")
         assert d.transformation(0).images == (1, 2, 3, 0)
         assert d.transformation(1).images == (1, 1, 2, 3)
-        assert d.state_labels == ("q1", "q2", "q3", "q4")
 
     def test_letter_ranks(self):
         for n in (2, 3, 7, 12):
@@ -102,7 +101,6 @@ class TestV:
             assert t.rank() == 5
         merge = d.transformation(4)
         assert merge.images == (0, 0, 2, 3, 4)
-        assert d.state_labels == ("q0", "q1", "q2", "q3", "q4")
 
     def test_letter_counts(self):
         for n in (2, 3, 8):
@@ -134,7 +132,6 @@ class TestF:
         assert d.letter_names() == ("a", "b")
         assert d.transformation(0).images == (1, 2, 3, 0, 6, 5, 4)
         assert d.transformation(1).images == (5, 1, 4, 3, 2, 0, 6)
-        assert d.state_labels == ("q1", "q2", "q3", "q4", "q5", "q6", "q7")
 
     def test_next_two_sizes(self):
         assert f(9).transformation(0).images == (1, 2, 3, 0, 6, 7, 4, 5, 8)

@@ -13,7 +13,6 @@ from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
 from synchrokit.monoid import PermutationGroup, _generates_symmetric, generates_symmetric_group
 from synchrokit.search import (
-    PAIR_DIAMETER_CAP,
     SearchConfig,
     SearchMode,
     SearchRecord,
@@ -527,6 +526,17 @@ class TestRandomExperiment:
         assert summary["synchronizing"] == 4
         assert summary["max"] < 4 * 30 * math.ceil(math.log2(30))
 
+    def test_pairchase_records_draws_that_never_reset(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        cfg = SearchConfig(n=26, mode=SearchMode.RANDOM, trials=30, seed=0, output_path=out)
+        summary = random_rt_experiment(cfg, require_symmetric=False)
+        assert summary["method"] == "pairchase"
+        assert summary["not_synchronizing"] == 4
+        failed = [line for line in map(json.loads, out.read_text().splitlines())
+                  if line["type"] == "trial" and not line["synchronizing"]]
+        assert [line["trial"] for line in failed] == [0, 11, 18, 26]
+        assert all(line["rt"] is None for line in failed)
+
     def test_summarize_matches_run(self, tmp_path):
         out = tmp_path / "run.jsonl"
         cfg = SearchConfig(n=8, mode=SearchMode.RANDOM, trials=15, seed=2, output_path=out)
@@ -559,10 +569,43 @@ class TestPairDiameterExperiment:
         random_pair_diameter_experiment(cfg)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_exhaustive_mode_is_hard_capped(self):
-        cfg = SearchConfig(n=PAIR_DIAMETER_CAP + 1, mode=SearchMode.EXHAUSTIVE)
-        with pytest.raises(ValueError, match="capped at n = 9"):
+    def test_exhaustive_mode_refuses_more_than_physical_memory(self, monkeypatch):
+        listed = []
+        monkeypatch.setattr(search, "_conjugacy_classes", lambda n: listed.append(n) or [])
+        need = search._pair_diameter_bytes(10)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: need - 1)
+        cfg = SearchConfig(n=10, mode=SearchMode.EXHAUSTIVE)
+        with pytest.raises(
+            ValueError,
+            match=f"^the exhaustive pair-diameter experiment over 10 states needs up to {need} bytes",
+        ):
             random_pair_diameter_experiment(cfg)
+        assert listed == []  # refused before any permutation is listed
+
+        # with just enough memory it runs; one orbit representative stands in
+        cycle, swap = tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))
+        monkeypatch.setattr(sync, "_physical_memory", lambda: need)
+        monkeypatch.setattr(search, "_exhaustive_pair_classes", lambda n: iter([(cycle, swap)]))
+        assert random_pair_diameter_experiment(cfg)["strongly_connected"] == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.extended)])
+    def test_memory_estimate_bounds_the_run(self, n):
+        tracemalloc.start()
+        try:
+            random_pair_diameter_experiment(SearchConfig(n=n, mode=SearchMode.EXHAUSTIVE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= search._pair_diameter_bytes(n)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_only_anchoring_classes_list_their_centralizer(self, monkeypatch, n):
+        listed = []
+        centralizer = search._centralizer
+        monkeypatch.setattr(search, "_centralizer", lambda p: listed.append(p) or centralizer(p))
+        pairs = list(search._exhaustive_pair_classes(n))
+        assert tuple(range(n)) not in listed
+        assert sorted(listed) == sorted({anchor for anchor, _ in pairs})
 
     def test_exhaustive_above_the_census_cap_needs_no_opt_in(self, monkeypatch):
         # one orbit representative stands in for the 23393 of n = 8
@@ -578,6 +621,13 @@ class TestPairDiameterExperiment:
     def test_random_mode_is_reproducible(self):
         cfg = SearchConfig(n=12, mode=SearchMode.RANDOM, trials=20, seed=5)
         assert random_pair_diameter_experiment(cfg) == random_pair_diameter_experiment(cfg)
+
+    def test_random_run_with_no_strongly_connected_pair(self):
+        cfg = SearchConfig(n=3, mode=SearchMode.RANDOM, trials=2, seed=12)
+        summary = random_pair_diameter_experiment(cfg)
+        assert summary["strongly_connected"] == 0 and summary["not_strongly_connected"] == 2
+        assert summary["max_pair"] is None
+        assert summary["max"] is None and summary["mean"] is None and summary["p99"] is None
 
     def test_random_summary_shape(self, tmp_path):
         out = tmp_path / "pairs.jsonl"

@@ -64,9 +64,7 @@ class TestResetThresholdExact:
 
     def test_not_synchronizing_sentinel(self):
         result = reset_threshold_exact(f(7))
-        assert result is NOT_SYNCHRONIZING
-        assert not result  # falsy by design
-        assert "not" in repr(result).lower()
+        assert result is NOT_SYNCHRONIZING is None
 
     def test_sink_family(self):
         assert reset_threshold_exact(rystsov(4))[0] == 6
@@ -341,6 +339,13 @@ class TestExtension:
     def test_rejects_without_rank_n_minus_one_letter(self):
         with pytest.raises(ValueError):
             extension_reset_word(f(7))
+
+    def test_one_state_word_is_checked(self, monkeypatch):
+        d = Dfa(1, (("a", Transformation((0,))),))
+        r = extension_reset_word(d)
+        assert r.length == 0 and r.verified
+        monkeypatch.setattr(sync, "_resets", lambda d, w: False)
+        assert not extension_reset_word(d).verified
 
 
 @pytest.mark.parametrize(
