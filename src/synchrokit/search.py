@@ -29,11 +29,13 @@ import math
 import multiprocessing
 import os
 import random
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Dfa,
@@ -161,6 +163,29 @@ _HEADER_START = b'{"config":{'
 
 def _header_line(kind: str, config: dict) -> str:
     return _json_line({"type": "header", "format": FORMAT_VERSION, "kind": kind, "config": config})
+
+
+@contextmanager
+def _results_file(
+    path: str | Path | None, header: str, append: bool = False
+) -> Iterator[Callable[[Mapping[str, object]], None]]:
+    """``write(obj)``, which adds ``obj`` to the results file at ``path`` as
+    one JSON line and flushes it, so that a crash loses at most the line
+    being written.  The file is made anew with the ``header`` line, or with
+    ``append`` extended as it stands; with no path nothing is written."""
+    if path is None:
+        yield lambda obj: None
+        return
+    with Path(path).open("a" if append else "w", encoding="ascii") as fh:
+
+        def write(obj: Mapping[str, object]) -> None:
+            fh.write(_json_line(obj))
+            fh.flush()
+
+        if not append:
+            fh.write(header)
+            fh.flush()
+        yield write
 
 
 # ---------------------------------------------------------------------------
@@ -494,34 +519,19 @@ def max_reset_threshold_exhaustive(
     records = [record for kind, record in entries if kind == "record"]
     best = records[-1] if records else None
     best_rt = best.rt if best is not None else -1
-    sink = None
-    if entries:
-        sink = path.open("a", encoding="ascii")
-    elif path is not None:
-        sink = path.open("w", encoding="ascii")
-        sink.write(header)
-        sink.flush()
-    try:
-        if not entries or entries[-1][0] != "result":
-            pending = [(n, p1) for p1 in itertools.permutations(range(n)) if p1 not in done]
-            if workers > 1 and len(pending) > 1:
-                with multiprocessing.Pool(workers) as pool:
-                    outcomes: Iterable = pool.imap(_census_block, pending, chunksize=1)
-                    best_rt, best = _reduce_census(
-                        n, outcomes, best_rt, best, sink
-                    )
-            else:
-                best_rt, best = _reduce_census(
-                    n, map(_census_block, pending), best_rt, best, sink
-                )
-            if best is None:
-                raise RuntimeError("census found no candidate automata")
-            if sink is not None:
-                sink.write(_json_line({"type": "result", "max_rt": best_rt}))
-                sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
+    if entries and entries[-1][0] == "result":
+        return best_rt, best
+    with _results_file(path, header, append=bool(entries)) as write:
+        pending = [(n, p1) for p1 in itertools.permutations(range(n)) if p1 not in done]
+        if workers > 1 and len(pending) > 1:
+            with multiprocessing.Pool(workers) as pool:
+                outcomes: Iterable = pool.imap(_census_block, pending, chunksize=1)
+                best_rt, best = _reduce_census(n, outcomes, best_rt, best, write)
+        else:
+            best_rt, best = _reduce_census(n, map(_census_block, pending), best_rt, best, write)
+        if best is None:
+            raise RuntimeError("census found no candidate automata")
+        write({"type": "result", "max_rt": best_rt})
     return best_rt, best
 
 
@@ -530,18 +540,15 @@ def _reduce_census(
     outcomes: Iterable[tuple[_Perm, int, _Perm | None, _Perm | None]],
     best_rt: int,
     best: SearchRecord | None,
-    sink,
+    write: Callable[[Mapping[str, object]], None],
 ) -> tuple[int, SearchRecord | None]:
     for p1, block_rt, p2, t in outcomes:
         if block_rt > best_rt:
             assert p2 is not None and t is not None
             best_rt = block_rt
             best = _census_record(n, p1, p2, t, block_rt)
-            if sink is not None:
-                sink.write(_json_line(record_to_json_dict(best)))
-        if sink is not None:
-            sink.write(_json_line({"type": "block", "p1": list(p1)}))
-            sink.flush()
+            write(record_to_json_dict(best))
+        write({"type": "block", "p1": list(p1)})
     return best_rt, best
 
 
@@ -574,9 +581,19 @@ def _sampled_rank_letter(rng: random.Random, n: int) -> _Perm:
     return tuple(img)
 
 
-def _percentile_99(sorted_values: Sequence[int]) -> int:
-    rank = math.ceil(0.99 * len(sorted_values))
-    return sorted_values[max(0, rank - 1)]
+def _statistics(counts: Mapping[int | None, int]) -> dict:
+    """``max``, ``mean`` and ``p99`` of the values that ``counts`` counts,
+    where ``None`` counts a trial with no value; all ``None`` without values."""
+    values = sorted((v, k) for v, k in counts.items() if v is not None)
+    total = sum(k for _, k in values)
+    if not total:
+        return {"max": None, "mean": None, "p99": None}
+    rank, seen = math.ceil(0.99 * total), 0
+    for p99, k in values:
+        seen += k
+        if seen >= rank:
+            break
+    return {"max": values[-1][0], "mean": sum(v * k for v, k in values) / total, "p99": p99}
 
 
 def random_rt_experiment(
@@ -605,9 +622,11 @@ def random_rt_experiment(
     fit.  Beyond that the recorded value is the pair-chase word length,
     an upper bound.  The summary reports
     max/mean/99th-percentile and the fraction of synchronizing samples at
-    or below ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the trials
-    and summary are written as JSON lines with no timestamps, so identical
-    configs produce identical bytes.
+    or below ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the
+    header, one line per trial and the summary are written as JSON lines
+    with no timestamps, so identical configs produce identical bytes; a
+    pair-chase trial is written as it is measured, exact ones once the
+    batched search is done.
     """
     if cfg.mode is not SearchMode.RANDOM:
         raise ValueError("random_rt_experiment needs a RANDOM-mode config")
@@ -624,26 +643,17 @@ def random_rt_experiment(
             p2 = _sampled_permutation(rng, n)
         t = _sampled_rank_letter(rng, n) if sample_nonperm else _default_merge_letter(n)
         dfas.append(_census_dfa(n, p1, p2, t))
-    exact = n <= _EXACT_TRIALS_MAX_N
-    method = "exact_bfs" if exact else "pairchase"
-    distances = _reset_distances(dfas) if exact else map(_pairchase_length, dfas)
-    trials_out: list[dict] = []
-    lengths: list[int] = []
-    for index, length in enumerate(distances):
-        if length is not None:
-            lengths.append(length)
-        trials_out.append(
-            {
-                "type": "trial",
-                "trial": index,
-                "synchronizing": length is not None,
-                "rt": length,
-                "method": method,
-            }
-        )
-    summary = _rt_summary(cfg, method, lengths, resampled)
-    if cfg.output_path is not None:
-        _write_experiment_file(cfg, "random-rt", trials_out, summary)
+    config = {"n": n, "mode": cfg.mode.value, "trials": cfg.trials, "seed": cfg.seed}
+    distances = (
+        _reset_distances(dfas) if _rt_method(n) == "exact_bfs" else map(_pairchase_length, dfas)
+    )
+    counts: Counter[int | None] = Counter()
+    with _results_file(cfg.output_path, _header_line("random-rt", config)) as write:
+        for index, rt in enumerate(distances):
+            counts[rt] += 1
+            write(_rt_trial(config, index, rt))
+        summary = _rt_summary(config, counts, resampled)
+        write({"type": "summary", **summary})
     return summary
 
 
@@ -654,44 +664,45 @@ def _pairchase_length(d: Dfa) -> int | None:
         return None
 
 
-def _rt_summary(cfg: SearchConfig, method: str, lengths: list[int], resampled: int) -> dict:
-    ordered = sorted(lengths)
+def _rt_method(n: int) -> str:
+    return "exact_bfs" if n <= _EXACT_TRIALS_MAX_N else "pairchase"
+
+
+def _rt_trial(config: Mapping, index: int, rt: int | None) -> dict:
+    return {
+        "type": "trial",
+        "trial": index,
+        "synchronizing": rt is not None,
+        "rt": rt,
+        "method": _rt_method(config["n"]),
+    }
+
+
+def _rt_summary(config: Mapping, counts: Mapping[int | None, int], resampled: int) -> dict:
+    """The summary of a random-rt file with header ``config`` whose trials
+    measured ``counts`` (``None`` for a draw that never resets)."""
+    n = config["n"]
+    synchronizing = sum(k for rt, k in counts.items() if rt is not None)
     summary: dict = {
-        "n": cfg.n,
-        "mode": cfg.mode.value,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "method": method,
+        "n": n,
+        "mode": config["mode"],
+        "trials": config["trials"],
+        "seed": config["seed"],
+        "method": _rt_method(n),
         "resampled": resampled,
-        "synchronizing": len(ordered),
-        "not_synchronizing": cfg.trials - len(ordered),
-        "max": None,
-        "mean": None,
-        "p99": None,
+        "synchronizing": synchronizing,
+        "not_synchronizing": counts.get(None, 0),
+        **_statistics(counts),
         "fraction_le_c_n_log2_n": None,
     }
-    if ordered:
-        budget = cfg.n * math.log2(cfg.n)
-        summary["max"] = ordered[-1]
-        summary["mean"] = sum(ordered) / len(ordered)
-        summary["p99"] = _percentile_99(ordered)
+    if synchronizing:
+        budget = n * math.log2(n)
         summary["fraction_le_c_n_log2_n"] = {
-            str(c): sum(1 for v in ordered if v <= c * budget) / len(ordered)
+            str(c): sum(k for rt, k in counts.items() if rt is not None and rt <= c * budget)
+            / synchronizing
             for c in (1, 2, 4)
         }
     return summary
-
-
-def _write_experiment_file(
-    cfg: SearchConfig, kind: str, lines: list[dict], summary: dict
-) -> None:
-    path = Path(cfg.output_path)
-    config = {"n": cfg.n, "mode": cfg.mode.value, "trials": cfg.trials, "seed": cfg.seed}
-    with path.open("w", encoding="ascii") as fh:
-        fh.write(_header_line(kind, config))
-        for line in lines:
-            fh.write(_json_line(line))
-        fh.write(_json_line({"type": "summary", **summary}))
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +710,11 @@ def _write_experiment_file(
 # ---------------------------------------------------------------------------
 
 
-def _pair_dfa(n: int, p1: _Perm, p2: _Perm) -> Dfa:
-    return Dfa(n, (("a", Transformation(p1)), ("b", Transformation(p2))))
+def _pair_diameter(n: int, p1: _Perm, p2: _Perm) -> int | None:
+    """The pair-digraph diameter of the letters ``p1`` and ``p2``, or ``None``
+    when that digraph is not strongly connected."""
+    d = Dfa(n, (("a", Transformation(p1)), ("b", Transformation(p2))))
+    return diameter(build_pair_digraph(d)).value
 
 
 def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm]]]:
@@ -758,19 +772,17 @@ def _pair_diameter_bytes(n: int) -> int:
     """Upper estimate of the exhaustive pair-diameter experiment's memory.
 
     Per permutation of S_n the run holds one member tuple of
-    :func:`_conjugacy_classes` with its list slot (48 + 8n bytes), at most
-    two trial lines (256 bytes each: the line's dict and index, and its
-    slots in the trial and diameter lists and in their sorted copy) and at
+    :func:`_conjugacy_classes` with its list slot (48 + 8n bytes) and at
     most one centralizer element (144 + 16n bytes: two tuples and their
-    pair).  The emitted pairs are fewer than the orbits of S_n on ordered
-    pairs, the sum of |C(rep)| over the classes, and the centralizers
-    listed, all but the identity's past n = 2, hold at most that sum less
-    n! elements; the sum is at most 2 n! (equal at n = 2, 1.07 n! at
+    pair); trial lines are written as they are measured and the diameters
+    kept as a histogram.  The centralizers listed, all but the identity's
+    past n = 2, hold at most the sum of |C(rep)| over the classes less n!
+    elements, and that sum is at most 2 n! (equal at n = 2, 1.07 n! at
     n = 8, falling since).  64 KB covers the fixed parts and the pair
-    digraph of one pair.  At n = 8 that is 36 MB, where tracemalloc
-    measured a 12.3 MB peak for 23,393 pairs; at n = 10 it is 3.4 GB.
+    digraph of one pair.  At n = 8 that is 19 MB, where tracemalloc
+    measured a 7.1 MB peak; at n = 10 it is 1.6 GB.
     """
-    return (1 << 16) + math.factorial(n) * (48 + 8 * n + 2 * 256 + 144 + 16 * n)
+    return (1 << 16) + math.factorial(n) * (48 + 8 * n + 144 + 16 * n)
 
 
 def random_pair_diameter_experiment(cfg: SearchConfig) -> dict:
@@ -780,66 +792,69 @@ def random_pair_diameter_experiment(cfg: SearchConfig) -> dict:
     shuffle; exhaustive mode measures one representative of every
     conjugacy orbit of two-element permutation sets and returns the true
     maximum.  Pairs whose digraph is not strongly connected have no
-    diameter and are tallied separately.
+    diameter and are tallied separately.  With ``output_path`` each trial
+    line is written as it is measured, between the header and the summary.
 
     An exhaustive run whose :func:`_pair_diameter_bytes` estimate exceeds
     physical memory is refused with ``ValueError`` before any permutation
-    is listed; n = 8 took 6.8 s on a 2-core host, most of it in the
-    diameters.
+    is listed or any file written; n = 8 took 6.8 s on a 2-core host,
+    most of it in the diameters.
     """
     n = cfg.n
+    config = {"n": n, "mode": cfg.mode.value, "trials": cfg.trials, "seed": cfg.seed}
     if cfg.mode is SearchMode.EXHAUSTIVE:
         _require_memory(n, _pair_diameter_bytes(n), "the exhaustive pair-diameter experiment")
         pairs: Iterable[tuple[_Perm, _Perm]] = _exhaustive_pair_classes(n)
     else:
         rng = random.Random(cfg.seed)
-        pairs = [
+        pairs = (
             (_sampled_permutation(rng, n), _sampled_permutation(rng, n))
             for _ in range(cfg.trials)
-        ]
-    trials_out: list[dict] = []
-    diameters: list[int] = []
-    connected = 0
-    examined = 0
+        )
+    counts: Counter[int | None] = Counter()
     best = -1
     best_pair: tuple[_Perm, _Perm] | None = None
-    for index, (p1, p2) in enumerate(pairs):
-        examined += 1
-        result = diameter(build_pair_digraph(_pair_dfa(n, p1, p2)))
-        if result.strongly_connected:
-            connected += 1
-            diameters.append(result.value)
-            if result.value > best:
-                best = result.value
-                best_pair = (p1, p2)
-        trials_out.append(
-            {
-                "type": "trial",
-                "trial": index,
-                "strongly_connected": result.strongly_connected,
-                "diameter": result.value,
-            }
-        )
-    ordered = sorted(diameters)
-    summary: dict = {
-        "n": n,
-        "mode": cfg.mode.value,
+    with _results_file(cfg.output_path, _header_line("pair-diameter", config)) as write:
+        for index, (p1, p2) in enumerate(pairs):
+            value = _pair_diameter(n, p1, p2)
+            counts[value] += 1
+            write(_pair_trial(config, index, value))
+            if value is not None and value > best:
+                best, best_pair = value, (p1, p2)
+        summary = _pair_summary(config, counts, best_pair)
+        write({"type": "summary", **summary})
+    return summary
+
+
+def _pair_trial(config: Mapping, index: int, value: int | None) -> dict:
+    return {
+        "type": "trial",
+        "trial": index,
+        "strongly_connected": value is not None,
+        "diameter": value,
+    }
+
+
+def _pair_summary(
+    config: Mapping, counts: Mapping[int | None, int], best_pair: tuple[_Perm, _Perm] | None
+) -> dict:
+    """The summary of a pair-diameter file with header ``config`` whose
+    trials measured ``counts`` (``None`` for a digraph that is not strongly
+    connected), ``best_pair`` the first pair of the largest diameter."""
+    connected = sum(k for value, k in counts.items() if value is not None)
+    examined = connected + counts.get(None, 0)
+    return {
+        "n": config["n"],
+        "mode": config["mode"],
         "trials": examined,
-        "seed": cfg.seed if cfg.mode is SearchMode.RANDOM else None,
+        "seed": config["seed"] if config["mode"] == SearchMode.RANDOM.value else None,
         "strongly_connected": connected,
         "not_strongly_connected": examined - connected,
-        "max": ordered[-1] if ordered else None,
-        "mean": sum(ordered) / len(ordered) if ordered else None,
-        "p99": _percentile_99(ordered) if ordered else None,
+        **_statistics(counts),
         "max_pair": (
-            {"a": list(best_pair[0]), "b": list(best_pair[1])}
-            if best_pair is not None
-            else None
+            {"a": list(best_pair[0]), "b": list(best_pair[1])} if best_pair is not None else None
         ),
     }
-    if cfg.output_path is not None:
-        _write_experiment_file(cfg, "pair-diameter", trials_out, summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
