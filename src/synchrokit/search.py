@@ -30,7 +30,7 @@ import multiprocessing
 import os
 import random
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -166,9 +166,7 @@ def _header_line(kind: str, config: dict) -> str:
 
 
 @contextmanager
-def _results_file(
-    path: str | Path | None, header: str, append: bool = False
-) -> Iterator[Callable[[Mapping[str, object]], None]]:
+def _results_file(path: str | Path | None, header: str, append: bool = False) -> Iterator[Callable]:
     """``write(obj)``, which adds ``obj`` to the results file at ``path`` as
     one JSON line and flushes it, so that a crash loses at most the line
     being written.  The file is made anew with the ``header`` line, or with
@@ -177,15 +175,9 @@ def _results_file(
         yield lambda obj: None
         return
     with Path(path).open("a" if append else "w", encoding="ascii") as fh:
-
-        def write(obj: Mapping[str, object]) -> None:
-            fh.write(_json_line(obj))
-            fh.flush()
-
         if not append:
-            fh.write(header)
-            fh.flush()
-        yield write
+            print(header, end="", file=fh, flush=True)
+        yield lambda obj: print(_json_line(obj), end="", file=fh, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,29 +422,17 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _P
     return p1, best_rt, best_p2, best_t
 
 
-def _census_dfa(n: int, p1: _Perm, p2: _Perm, t: _Perm) -> Dfa:
-    return Dfa(
-        n,
-        (
-            ("a", Transformation(p1)),
-            ("b", Transformation(p2)),
-            ("c", Transformation(t)),
-        ),
-    )
+def _dfa(n: int, *letters: _Perm) -> Dfa:
+    """The automaton whose letters ``a``, ``b``, ... have these image rows."""
+    return Dfa(n, tuple((name, Transformation(p)) for name, p in zip("abc", letters)))
 
 
 def _census_record(n: int, p1: _Perm, p2: _Perm, t: _Perm, expected_rt: int) -> SearchRecord:
-    canon = canonical_form(_census_dfa(n, p1, p2, t))
+    canon = canonical_form(_dfa(n, p1, p2, t))
     result = reset_threshold_exact(canon)
-    assert result is not None
-    rt, witness = result
-    assert rt == expected_rt
-    return SearchRecord(
-        dfa=canon,
-        rt=rt,
-        witness=witness,
-        config={"n": n, "mode": SearchMode.EXHAUSTIVE.value},
-    )
+    assert result is not None and result[0] == expected_rt
+    config = {"n": n, "mode": SearchMode.EXHAUSTIVE.value}
+    return SearchRecord(dfa=canon, rt=expected_rt, witness=result[1], config=config)
 
 
 def _read_census_journal(path: Path, header: str, n: int) -> list[tuple[str, object]]:
@@ -523,32 +503,17 @@ def max_reset_threshold_exhaustive(
         return best_rt, best
     with _results_file(path, header, append=bool(entries)) as write:
         pending = [(n, p1) for p1 in itertools.permutations(range(n)) if p1 not in done]
-        if workers > 1 and len(pending) > 1:
-            with multiprocessing.Pool(workers) as pool:
-                outcomes: Iterable = pool.imap(_census_block, pending, chunksize=1)
-                best_rt, best = _reduce_census(n, outcomes, best_rt, best, write)
-        else:
-            best_rt, best = _reduce_census(n, map(_census_block, pending), best_rt, best, write)
+        parallel = workers > 1 and len(pending) > 1
+        with multiprocessing.Pool(workers) if parallel else nullcontext() as pool:
+            for p1, block_rt, p2, t in (pool.imap if parallel else map)(_census_block, pending):
+                if block_rt > best_rt:
+                    assert p2 is not None and t is not None
+                    best_rt, best = block_rt, _census_record(n, p1, p2, t, block_rt)
+                    write(record_to_json_dict(best))
+                write({"type": "block", "p1": list(p1)})
         if best is None:
             raise RuntimeError("census found no candidate automata")
         write({"type": "result", "max_rt": best_rt})
-    return best_rt, best
-
-
-def _reduce_census(
-    n: int,
-    outcomes: Iterable[tuple[_Perm, int, _Perm | None, _Perm | None]],
-    best_rt: int,
-    best: SearchRecord | None,
-    write: Callable[[Mapping[str, object]], None],
-) -> tuple[int, SearchRecord | None]:
-    for p1, block_rt, p2, t in outcomes:
-        if block_rt > best_rt:
-            assert p2 is not None and t is not None
-            best_rt = block_rt
-            best = _census_record(n, p1, p2, t, block_rt)
-            write(record_to_json_dict(best))
-        write({"type": "block", "p1": list(p1)})
     return best_rt, best
 
 
@@ -557,10 +522,12 @@ def _reduce_census(
 # ---------------------------------------------------------------------------
 
 
-def _sampled_permutation(rng: random.Random, n: int) -> _Perm:
-    images = list(range(n))
-    rng.shuffle(images)
-    return tuple(images)
+def _sampled_pair(rng: random.Random, n: int) -> tuple[_Perm, _Perm]:
+    """Two permutations, drawn one after the other by Fisher-Yates shuffles."""
+    first, second = list(range(n)), list(range(n))
+    rng.shuffle(first)
+    rng.shuffle(second)
+    return tuple(first), tuple(second)
 
 
 def _default_merge_letter(n: int) -> _Perm:
@@ -581,18 +548,14 @@ def _sampled_rank_letter(rng: random.Random, n: int) -> _Perm:
     return tuple(img)
 
 
-def _statistics(counts: Mapping[int | None, int]) -> dict:
-    """``max``, ``mean`` and ``p99`` of the values that ``counts`` counts,
-    where ``None`` counts a trial with no value; all ``None`` without values."""
+def _statistics(counts: Counter[int | None]) -> dict:
+    """``max``, ``mean`` and ``p99`` of the values ``counts`` counts, where
+    ``None`` counts a trial without one; all ``None`` when there is none."""
     values = sorted((v, k) for v, k in counts.items() if v is not None)
-    total = sum(k for _, k in values)
-    if not total:
+    if not (total := sum(k for _, k in values)):
         return {"max": None, "mean": None, "p99": None}
-    rank, seen = math.ceil(0.99 * total), 0
-    for p99, k in values:
-        seen += k
-        if seen >= rank:
-            break
+    ranks = itertools.accumulate(k for _, k in values)  # of each value's last trial
+    p99 = next(v for (v, _), rank in zip(values, ranks) if rank >= math.ceil(0.99 * total))
     return {"max": values[-1][0], "mean": sum(v * k for v, k in values) / total, "p99": p99}
 
 
@@ -606,27 +569,21 @@ def random_rt_experiment(
 
     Each trial draws two permutations by seeded Fisher-Yates shuffle and
     attaches a rank-``(n-1)`` letter — by default the fixed merge of states
-    0 and 1, or a sampled one with ``sample_nonperm``.  By default a draw
-    is rejected and repeated until the two permutations generate the
-    symmetric group, which keeps every sampled automaton inside the
-    full-transition-monoid domain and therefore synchronizing; pass
-    ``require_symmetric=False`` to keep unconditioned draws, of which
-    roughly a ``1/n`` fraction fail to synchronize.  Up to
-    :data:`_EXACT_TRIALS_MAX_N` states the reset threshold is exact: the
-    forward pass of the subset BFS behind ``reset_threshold_exact``
-    computes the lengths only, with no witness words, for all trials of
-    the call together, in batches of at most ``sync._BATCH_SUBSETS``
-    (2^16) subsets and at least one automaton, so from 16 states up one
-    trial at a time.  Each batch checks its memory before it allocates and
-    raises ``ValueError`` like ``reset_threshold_exact`` when it cannot
-    fit.  Beyond that the recorded value is the pair-chase word length,
-    an upper bound.  The summary reports
-    max/mean/99th-percentile and the fraction of synchronizing samples at
-    or below ``C * n * log2(n)`` for C in 1, 2, 4.  With ``output_path`` the
-    header, one line per trial and the summary are written as JSON lines
-    with no timestamps, so identical configs produce identical bytes; a
-    pair-chase trial is written as it is measured, exact ones once the
-    batched search is done.
+    0 and 1, or a sampled one with ``sample_nonperm``.  By default a draw is
+    rejected and repeated until the two permutations generate the symmetric
+    group, which keeps every sampled automaton synchronizing;
+    ``require_symmetric=False`` keeps unconditioned draws, of which roughly a
+    ``1/n`` fraction fail to synchronize.  Up to :data:`_EXACT_TRIALS_MAX_N`
+    states the threshold is exact, from the forward pass of
+    ``reset_threshold_exact``'s subset BFS run over all trials at once, in
+    batches that each check their memory (``ValueError`` when one cannot
+    fit); beyond, it is the pair-chase word length, an upper bound.  The
+    summary reports max/mean/99th-percentile and the fraction of
+    synchronizing samples at or below ``C * n * log2(n)`` for C in 1, 2, 4.
+    With ``output_path`` the header, the trials (pair-chase ones as they are
+    measured, exact ones once their search is done) and the summary are
+    written as JSON lines with no timestamps, so identical configs produce
+    identical bytes.
     """
     if cfg.mode is not SearchMode.RANDOM:
         raise ValueError("random_rt_experiment needs a RANDOM-mode config")
@@ -635,18 +592,15 @@ def random_rt_experiment(
     dfas: list[Dfa] = []
     resampled = 0
     for _ in range(cfg.trials):
-        p1 = _sampled_permutation(rng, n)
-        p2 = _sampled_permutation(rng, n)
+        p1, p2 = _sampled_pair(rng, n)
         while require_symmetric and not _generates_symmetric((p1, p2), n):
             resampled += 1
-            p1 = _sampled_permutation(rng, n)
-            p2 = _sampled_permutation(rng, n)
+            p1, p2 = _sampled_pair(rng, n)
         t = _sampled_rank_letter(rng, n) if sample_nonperm else _default_merge_letter(n)
-        dfas.append(_census_dfa(n, p1, p2, t))
+        dfas.append(_dfa(n, p1, p2, t))
     config = {"n": n, "mode": cfg.mode.value, "trials": cfg.trials, "seed": cfg.seed}
-    distances = (
-        _reset_distances(dfas) if _rt_method(n) == "exact_bfs" else map(_pairchase_length, dfas)
-    )
+    config.update(sample_nonperm=sample_nonperm, require_symmetric=require_symmetric)
+    distances = _reset_distances(dfas) if n <= _EXACT_TRIALS_MAX_N else map(_pairchase_length, dfas)
     counts: Counter[int | None] = Counter()
     with _results_file(cfg.output_path, _header_line("random-rt", config)) as write:
         for index, rt in enumerate(distances):
@@ -669,40 +623,28 @@ def _rt_method(n: int) -> str:
 
 
 def _rt_trial(config: Mapping, index: int, rt: int | None) -> dict:
-    return {
-        "type": "trial",
-        "trial": index,
-        "synchronizing": rt is not None,
-        "rt": rt,
-        "method": _rt_method(config["n"]),
-    }
+    method = _rt_method(config["n"])
+    return dict(type="trial", trial=index, synchronizing=rt is not None, rt=rt, method=method)
 
 
-def _rt_summary(config: Mapping, counts: Mapping[int | None, int], resampled: int) -> dict:
-    """The summary of a random-rt file with header ``config`` whose trials
-    measured ``counts`` (``None`` for a draw that never resets)."""
+def _rt_summary(config: Mapping, counts: Counter[int | None], resampled: int) -> dict:
+    """The summary for header ``config`` and the thresholds ``counts`` counts
+    (``None`` for a draw that never resets) with ``resampled`` draws."""
     n = config["n"]
-    synchronizing = sum(k for rt, k in counts.items() if rt is not None)
-    summary: dict = {
-        "n": n,
-        "mode": config["mode"],
-        "trials": config["trials"],
-        "seed": config["seed"],
+    lengths = [(rt, k) for rt, k in counts.items() if rt is not None]
+    synchronizing, budget = sum(k for _, k in lengths), n * math.log2(n)
+    within = {c: sum(k for rt, k in lengths if rt <= c * budget) for c in (1, 2, 4)}
+    return {
+        **{key: config[key] for key in ("n", "mode", "trials", "seed")},
         "method": _rt_method(n),
         "resampled": resampled,
         "synchronizing": synchronizing,
-        "not_synchronizing": counts.get(None, 0),
+        "not_synchronizing": counts[None],
         **_statistics(counts),
-        "fraction_le_c_n_log2_n": None,
+        "fraction_le_c_n_log2_n": (
+            {str(c): k / synchronizing for c, k in within.items()} if synchronizing else None
+        ),
     }
-    if synchronizing:
-        budget = n * math.log2(n)
-        summary["fraction_le_c_n_log2_n"] = {
-            str(c): sum(k for rt, k in counts.items() if rt is not None and rt <= c * budget)
-            / synchronizing
-            for c in (1, 2, 4)
-        }
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +653,8 @@ def _rt_summary(config: Mapping, counts: Mapping[int | None, int], resampled: in
 
 
 def _pair_diameter(n: int, p1: _Perm, p2: _Perm) -> int | None:
-    """The pair-digraph diameter of the letters ``p1`` and ``p2``, or ``None``
-    when that digraph is not strongly connected."""
-    d = Dfa(n, (("a", Transformation(p1)), ("b", Transformation(p2))))
-    return diameter(build_pair_digraph(d)).value
+    """The pair-digraph diameter of letters ``p1``, ``p2``; ``None`` if not strongly connected."""
+    return diameter(build_pair_digraph(_dfa(n, p1, p2))).value
 
 
 def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm]]]:
@@ -737,6 +677,24 @@ def _centralizer(p: _Perm) -> list[tuple[_Perm, _Perm]]:
     ]
 
 
+def _cycles(p: _Perm) -> list[list[int]]:
+    """The cycles of ``p``, shortest first."""
+    cycles: list[list[int]] = []
+    for start in range(len(p)):
+        if not any(start in cycle for cycle in cycles):
+            cycles.append([start])
+            while (q := p[cycles[-1][-1]]) != start:
+                cycles[-1].append(q)
+    return sorted(cycles, key=len)
+
+
+def _conjugator(x: _Perm, y: _Perm) -> _Perm:
+    """A permutation h with h x h^{-1} = y, for ``x`` and ``y`` of one cycle
+    type: it maps each cycle of ``x`` onto a cycle of ``y`` of its length."""
+    h = dict(zip(itertools.chain(*_cycles(x)), itertools.chain(*_cycles(y))))
+    return tuple(h[q] for q in range(len(x)))
+
+
 def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
     """Two-element permutation sets, one representative per conjugacy orbit.
 
@@ -746,9 +704,11 @@ def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
     elements of the anchor's centralizer orbits.  A centralizer is listed,
     by a scan of all n! permutations, only once its class anchors a
     partner, so the identity's, all of S_n, is never listed past n = 2:
-    the identity anchors only itself.  For same-class pairs the anchoring
-    can emit an orbit twice (once per anchor choice), which only costs a
-    repeated measurement, never a missed one.
+    the identity anchors only itself.  A pair from one class can be
+    anchored at either end: an h mapping the partner's cycles onto the
+    anchor's carries the anchor to the partner seen from the other end, and
+    the pair is kept only if its partner is not greater than the least
+    centralizer conjugate of that one.
     """
     classes = _conjugacy_classes(n)
     centralizers: dict[_Perm, list[tuple[_Perm, _Perm]]] = {}
@@ -765,6 +725,11 @@ def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
                     centralizer = centralizers[anchor] = _centralizer(anchor)
                 if any(_conjugate(partner, g, ginv) < partner for g, ginv in centralizer):
                     continue
+                if rep_i == rep_j:
+                    h = _conjugator(partner, anchor)
+                    other = _conjugate(anchor, h, _inv(h))
+                    if any(_conjugate(other, g, ginv) < partner for g, ginv in centralizer):
+                        continue
                 yield anchor, partner
 
 
@@ -779,7 +744,7 @@ def _pair_diameter_bytes(n: int) -> int:
     past n = 2, hold at most the sum of |C(rep)| over the classes less n!
     elements, and that sum is at most 2 n! (equal at n = 2, 1.07 n! at
     n = 8, falling since).  64 KB covers the fixed parts and the pair
-    digraph of one pair.  At n = 8 that is 19 MB, where tracemalloc
+    digraph of one pair.  At n = 8 that is 16 MB, where tracemalloc
     measured a 7.1 MB peak; at n = 10 it is 1.6 GB.
     """
     return (1 << 16) + math.factorial(n) * (48 + 8 * n + 144 + 16 * n)
@@ -801,59 +766,44 @@ def random_pair_diameter_experiment(cfg: SearchConfig) -> dict:
     most of it in the diameters.
     """
     n = cfg.n
-    config = {"n": n, "mode": cfg.mode.value, "trials": cfg.trials, "seed": cfg.seed}
+    config: dict = {"n": n, "mode": cfg.mode.value}
     if cfg.mode is SearchMode.EXHAUSTIVE:
         _require_memory(n, _pair_diameter_bytes(n), "the exhaustive pair-diameter experiment")
         pairs: Iterable[tuple[_Perm, _Perm]] = _exhaustive_pair_classes(n)
     else:
+        config.update(trials=cfg.trials, seed=cfg.seed)
         rng = random.Random(cfg.seed)
-        pairs = (
-            (_sampled_permutation(rng, n), _sampled_permutation(rng, n))
-            for _ in range(cfg.trials)
-        )
+        pairs = (_sampled_pair(rng, n) for _ in range(cfg.trials))
     counts: Counter[int | None] = Counter()
-    best = -1
-    best_pair: tuple[_Perm, _Perm] | None = None
+    best, best_pair = -1, None
     with _results_file(cfg.output_path, _header_line("pair-diameter", config)) as write:
-        for index, (p1, p2) in enumerate(pairs):
-            value = _pair_diameter(n, p1, p2)
+        for index, pair in enumerate(pairs):
+            value = _pair_diameter(n, *pair)
+            if value is not None and value > best:
+                best, best_pair = value, pair
             counts[value] += 1
             write(_pair_trial(config, index, value))
-            if value is not None and value > best:
-                best, best_pair = value, (p1, p2)
         summary = _pair_summary(config, counts, best_pair)
         write({"type": "summary", **summary})
     return summary
 
 
 def _pair_trial(config: Mapping, index: int, value: int | None) -> dict:
-    return {
-        "type": "trial",
-        "trial": index,
-        "strongly_connected": value is not None,
-        "diameter": value,
-    }
+    return dict(type="trial", trial=index, strongly_connected=value is not None, diameter=value)
 
 
-def _pair_summary(
-    config: Mapping, counts: Mapping[int | None, int], best_pair: tuple[_Perm, _Perm] | None
-) -> dict:
-    """The summary of a pair-diameter file with header ``config`` whose
-    trials measured ``counts`` (``None`` for a digraph that is not strongly
-    connected), ``best_pair`` the first pair of the largest diameter."""
-    connected = sum(k for value, k in counts.items() if value is not None)
-    examined = connected + counts.get(None, 0)
+def _pair_summary(config: Mapping, counts: Counter[int | None], best_pair: tuple | None) -> dict:
+    """The summary for header ``config``, the diameters ``counts`` counts (``None``
+    if not strongly connected) and ``best_pair``, the first pair of the largest."""
     return {
         "n": config["n"],
         "mode": config["mode"],
-        "trials": examined,
+        "trials": counts.total(),
         "seed": config["seed"] if config["mode"] == SearchMode.RANDOM.value else None,
-        "strongly_connected": connected,
-        "not_strongly_connected": examined - connected,
+        "strongly_connected": counts.total() - counts[None],
+        "not_strongly_connected": counts[None],
         **_statistics(counts),
-        "max_pair": (
-            {"a": list(best_pair[0]), "b": list(best_pair[1])} if best_pair is not None else None
-        ),
+        "max_pair": dict(zip("ab", map(list, best_pair))) if best_pair else None,
     }
 
 
@@ -879,6 +829,9 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
     - a record passes :func:`record_from_json_dict`, and its rt exceeds the
       rt of the record before it;
     - a result's ``max_rt`` is the rt of the last record, and one exists;
+    - a trial's ``trial`` is its position, and the line is the one its
+      experiment writes for its ``rt`` or ``diameter``;
+    - a summary is :func:`_summary_of` the header and the trials before it;
     - nothing follows a closing ``result`` or ``summary`` line.
 
     A file with no complete line must begin like a header line.
@@ -892,6 +845,7 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
     header: dict | None = None
     blocks: set[_Perm] = set()
     last_rt = -1
+    counts: Counter[int | None] = Counter()
     for number, line in enumerate(data[:complete].decode("ascii").splitlines(), 1):
         try:
             if not isinstance(obj := json.loads(line), dict):
@@ -911,15 +865,9 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
             elif kind not in _LINE_TYPES[header["kind"]]:
                 raise ValueError(f"a {kind!r} line in a {header['kind']} file")
             elif kind == "block":
-                p1 = obj.get("p1")
-                if (
-                    not isinstance(p1, list)
-                    or len(p1) != header["config"].get("n")
-                    or sorted(map(_json_int, p1)) != list(range(len(p1)))
-                ):
-                    raise ValueError(f"p1 {p1!r} is not a permutation of range(n)")
-                if (value := tuple(p1)) in blocks:
-                    raise ValueError(f"a second block for p1 {p1}")
+                value = _json_permutation("p1", obj.get("p1"), header["config"].get("n"))
+                if value in blocks:
+                    raise ValueError(f"a second block for p1 {list(value)}")
                 blocks.add(value)
             elif kind == "record":
                 value = record_from_json_dict(obj)
@@ -929,14 +877,50 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
             elif kind == "result":
                 if (value := _json_int(obj.get("max_rt"))) != last_rt or last_rt < 0:
                     raise ValueError(f"max_rt {value} is not the last record's rt")
-            else:
+            elif kind == "trial":
+                rt_file = header["kind"] == "random-rt"
+                name, trial_line = ("rt", _rt_trial) if rt_file else ("diameter", _pair_trial)
+                if (measured := obj.get(name)) is not None and _json_int(measured) < 0:
+                    raise ValueError(f"{name} {measured} is negative")
+                if obj.get("trial") != (position := counts.total()):
+                    raise ValueError(f"trial {obj.get('trial')!r} at position {position}")
+                if _json_line(obj) != _json_line(trial_line(header["config"], position, measured)):
+                    raise ValueError(f"a trial line that its {name} {measured} does not give")
+                counts[measured] += 1
+            elif _json_line(obj) != _json_line({"type": kind, **_summary_of(header, obj, counts)}):
+                raise ValueError("a summary that the header and trial lines do not give")
+            if kind in ("trial", "summary"):
                 value = {key: field for key, field in obj.items() if key != "type"}
             if entries and entries[-1][0] in _CLOSING:
                 raise ValueError(f"a line after the {entries[-1][0]} line")
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from exc
         entries.append((kind, value))
     return entries, cut
+
+
+def _json_permutation(name: str, p: object, n: object) -> _Perm:
+    """``p`` as a tuple, if it is a JSON list of a permutation of ``range(n)``."""
+    if not isinstance(p, list) or len(p) != n or sorted(map(_json_int, p)) != list(range(n)):
+        raise ValueError(f"{name} {p!r} is not a permutation of range(n)")
+    return tuple(p)
+
+
+def _summary_of(header: dict, written: dict, counts: Counter[int | None]) -> dict:
+    """The summary for the header's config and the trial values ``counts``,
+    taking what they cannot give from the ``written`` one: a random-rt
+    ``resampled`` that is a count, a pair-diameter ``max_pair`` of ``max``."""
+    config = header["config"]
+    if header["kind"] == "random-rt":
+        if _json_int(resampled := written.get("resampled")) < 0:
+            raise ValueError(f"resampled {resampled} is negative")
+        return _rt_summary(config, counts, resampled)
+    if (pair := written.get("max_pair")) is not None:  # a key or type error names the line
+        pair = tuple(_json_permutation(f"max_pair {x}", pair[x], config["n"]) for x in "ab")
+    summary = _pair_summary(config, counts, pair)
+    if (_pair_diameter(config["n"], *pair) if pair else None) != summary["max"]:
+        raise ValueError(f"max_pair does not measure max {summary['max']}")
+    return summary
 
 
 def load_records(path: str | Path) -> list[SearchRecord]:

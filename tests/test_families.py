@@ -139,7 +139,7 @@ class TestF:
         assert f(11).transformation(0).images == (1, 2, 3, 0, 6, 7, 4, 5, 10, 9, 8)
         assert f(11).transformation(1).images == (5, 1, 4, 3, 2, 0, 8, 9, 6, 7, 10)
 
-    @pytest.mark.parametrize("n", range(7, 42, 2))
+    @pytest.mark.parametrize("n", range(7, 103, 2))
     def test_matches_piecewise_formula(self, n):
         d = f(n)
         a, b = piecewise_f_tables(n)

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synchrokit import monoid, search, sync
+from synchrokit import monoid, pairgraph, search, sync
 from synchrokit.core import Dfa, Transformation
 from synchrokit.families import cerny
 from synchrokit.monoid import PermutationGroup, _generates_symmetric, generates_symmetric_group
@@ -113,6 +113,35 @@ def oracle_census_block(n: int, p1):
             if rt > best_rt:
                 best_rt, best_p2, best_t = rt, p2, t
     return p1, best_rt, best_p2, best_t
+
+
+def burnside_pair_orbits(n: int) -> int:
+    """The number of conjugacy orbits of two-element subsets of S_n, by
+    Burnside's lemma over the cycle types.
+
+    A permutation g fixes a set {x, y} when it commutes with both, or when
+    it swaps them, and then g^2 commutes with x but g does not; so it fixes
+    C(|C(g)|, 2) + (|C(g^2)| - |C(g)|) / 2 sets, where
+    |C(g)| = prod l^m_l m_l! for m_l cycles of length l.
+    """
+
+    def partitions(rest, largest):
+        if rest == 0:
+            yield []
+        for first in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - first, first):
+                yield [first] + tail
+
+    def centralizer_order(lengths):
+        return math.prod(l ** lengths.count(l) * math.factorial(lengths.count(l)) for l in set(lengths))
+
+    fixed = 0
+    for lengths in partitions(n, n):
+        squared = [m for l in lengths for m in ([l] if l % 2 else [l // 2] * 2)]
+        c, c2 = centralizer_order(lengths), centralizer_order(squared)
+        fixed += math.factorial(n) // c * (math.comb(c, 2) + (c2 - c) // 2)
+    assert fixed % math.factorial(n) == 0
+    return fixed // math.factorial(n)
 
 
 class TestSearchConfig:
@@ -474,19 +503,20 @@ class TestRandomExperiment:
             random_rt_experiment(cfg)
         assert out1.read_bytes() == out2.read_bytes()
 
-    # sha256 of the experiment files as written before the trials were
-    # searched in batches, one automaton at a time: the four sampling modes
-    # (n = 7, with automata that never reset when unconditioned), n = 14 in
-    # three batches, and n = 16 in batches of one
+    # sha256 of the experiment files, whose trial and summary lines are
+    # those written before the trials were searched in batches, one
+    # automaton at a time, under a header that names the sampling mode: the
+    # four sampling modes (n = 7, with automata that never reset when
+    # unconditioned), n = 14 in three batches, and n = 16 in batches of one
     @pytest.mark.parametrize(
         "n,trials,seed,sample_nonperm,require_symmetric,digest",
         [
-            (7, 16, 6, False, True, "78a910fc939870dd1aec47e46d6d73c52ba08db4056b534e0afc1379271d5f24"),
-            (7, 16, 6, True, True, "27c81d0bbab095a478569eb272b8e7ffe5b6bb619ccd8218e418561c97c09d42"),
-            (7, 16, 6, False, False, "65f658e01b91e95296ff743ba691b3d521f46cdae9068d9f67193261a9492d11"),
-            (7, 16, 6, True, False, "b8b4f183eb3505008aa1b677593ec3f2bcc5cab5548429a932b10031e261f50c"),
-            (14, 10, 6, True, False, "2c0707ca1686b2a656251b9a15f09b6a3d7840c623ecc225fbb9c0e3f7758025"),
-            (16, 3, 7, False, True, "18d294f1756eb1685e8a6cc7030dcb1a06c97085f83b652b39a43784255032cc"),
+            (7, 16, 6, False, True, "5b8a32562b167293e94b7aa765caa0ccfb372a2deff21b95122418713ee3bde0"),
+            (7, 16, 6, True, True, "483863da7354619d293a158687d7e608b3193651b6b4f25c733ab0ab0aef7b11"),
+            (7, 16, 6, False, False, "94164c401f85dcea1c21b6ce3b4a2e7b64f7290ea5eacde87e099fedb44f4e12"),
+            (7, 16, 6, True, False, "128d19aefbabd01a24df47bf28c50762aed990c967b03380d5e0127883db8280"),
+            (14, 10, 6, True, False, "cb28f76a79d28b3a89f909919b41b17549eae2c130e3c2f08f35a3374822a7cb"),
+            (16, 3, 7, False, True, "521012df9b69c274f18de55316a8ade5a73c6375984cc32c4fa5a71bf72bb981"),
         ],
     )
     def test_experiment_bytes_are_frozen(
@@ -557,13 +587,13 @@ class TestPairDiameterExperiment:
     @pytest.mark.parametrize(
         "n,digest",
         [
-            (5, "8151f57004c471701d9ac067d588486af1b55d70f9037b176d7e65b0becd1ebe"),
-            (6, "c58dfc5f69aa3e4d1db379cdcbd3248feffc808501eacaa775f478affc28443f"),
+            (5, "add0ac086bfb0d8731727729cc32b98f0b15f4d18562c5af2c2c1df5e764c8f7"),
+            (6, "346b7b3738f6db89e8e0d5ba56c7c5946754364690327047e266b081f768c7f2"),
         ],
     )
     def test_exhaustive_file_bytes_are_frozen(self, tmp_path, n, digest):
-        # computed before the centralizer inverses went through monoid._inv;
-        # a wrong inverse keeps or drops the wrong orbit representatives
+        # one trial per orbit, 89 at n = 5 and 484 at n = 6; a wrong
+        # conjugation keeps or drops the wrong orbit representatives
         path = tmp_path / "pairs.jsonl"
         cfg = SearchConfig(n=n, mode=SearchMode.EXHAUSTIVE, output_path=path)
         random_pair_diameter_experiment(cfg)
@@ -597,6 +627,50 @@ class TestPairDiameterExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= search._pair_diameter_bytes(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.extended)])
+    def test_one_trial_per_orbit(self, n):
+        # every orbit has a representative, so as many as the orbits means one each
+        assert sum(1 for _ in search._exhaustive_pair_classes(n)) == burnside_pair_orbits(n)
+
+    def test_interrupted_run_reads_as_not_complete(self, monkeypatch, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        measured = []
+
+        def diameter(p):
+            if len(measured) == 10:
+                raise RuntimeError("interrupted")
+            measured.append(p)
+            return pairgraph.diameter(p)
+
+        monkeypatch.setattr(search, "diameter", diameter)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            random_pair_diameter_experiment(
+                SearchConfig(n=5, mode=SearchMode.EXHAUSTIVE, output_path=path)
+            )
+        entries, cut = search._journal(path)
+        assert cut == b"" and [kind for kind, _ in entries] == ["header"] + ["trial"] * 10
+        digest = summarize_results(path)
+        assert digest["kind"] == "pair-diameter" and not digest["complete"]
+        assert digest["config"] == {"n": 5, "mode": "exhaustive"} and "summary" not in digest
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda path: random_pair_diameter_experiment(
+                SearchConfig(n=5, mode=SearchMode.EXHAUSTIVE, output_path=path)
+            ),
+            lambda path: max_reset_threshold_exhaustive(4, output_path=path, resume=False),
+        ],
+        ids=["pair-diameter", "census"],
+    )
+    def test_refused_run_leaves_the_file_untouched(self, monkeypatch, tmp_path, run):
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(b"an earlier file\n")
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 1)
+        with pytest.raises(ValueError, match="needs up to"):
+            run(path)
+        assert path.read_bytes() == b"an earlier file\n"
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_only_anchoring_classes_list_their_centralizer(self, monkeypatch, n):
@@ -637,6 +711,69 @@ class TestPairDiameterExperiment:
         assert summary["strongly_connected"] + summary["not_strongly_connected"] == 12
         assert set(summary["max_pair"]) == {"a", "b"}
         assert summarize_results(out)["complete"]
+
+
+# The two experiment files whose lines the reader checks: every draw of the
+# random-rt file synchronizes, and 39 of the 89 pair-diameter trials are not
+# strongly connected.
+EXPERIMENT_FILES = {
+    "random-rt": lambda path: random_rt_experiment(
+        SearchConfig(n=4, mode=SearchMode.RANDOM, trials=20, seed=3, output_path=path)
+    ),
+    "pair-diameter": lambda path: random_pair_diameter_experiment(
+        SearchConfig(n=5, mode=SearchMode.EXHAUSTIVE, output_path=path)
+    ),
+}
+DELETED = object()
+
+
+class TestExperimentFileChecks:
+    @pytest.mark.parametrize("kind", list(EXPERIMENT_FILES))
+    def test_one_field_edits_are_refused(self, tmp_path, kind):
+        path = tmp_path / "experiment.jsonl"
+        EXPERIMENT_FILES[kind](path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        last = len(objs) - 1
+        rng = random.Random(49)
+        fields = [(last, key) for key in objs[last]]
+        fields += [(i, key) for i in rng.sample(range(1, last), 8) for key in objs[i]]
+        for i, key in fields:
+            for value in (99, "x", [], None, DELETED):
+                edited = [dict(obj) for obj in objs]
+                if value is DELETED:
+                    del edited[i][key]
+                else:
+                    edited[i][key] = value
+                if edited[i] == objs[i]:
+                    continue  # a null field set to null
+                path.write_text("".join(map(search._json_line, edited)))
+                if key == "resampled" and value == 99:
+                    # not given by the trials, so any count is taken as written
+                    assert summarize_results(path)["summary"]["resampled"] == 99
+                    continue
+                # a trial edit that fits its own line changes the summary
+                with pytest.raises(ValueError, match=f", line ({i + 1}|{last + 1}): "):
+                    summarize_results(path)
+
+    def test_max_pair_must_measure_max(self, tmp_path):
+        path = tmp_path / "experiment.jsonl"
+        EXPERIMENT_FILES["pair-diameter"](path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        identity = list(range(5))
+        objs[-1]["max_pair"] = {"a": identity, "b": identity}
+        path.write_text("".join(map(search._json_line, objs)))
+        with pytest.raises(ValueError, match="does not measure max 7"):
+            summarize_results(path)
+
+    @pytest.mark.parametrize("kind", list(EXPERIMENT_FILES))
+    def test_trials_must_be_in_order(self, tmp_path, kind):
+        path = tmp_path / "experiment.jsonl"
+        EXPERIMENT_FILES[kind](path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 2: trial 1 at position 0"):
+            load_records(path)
 
 
 @settings(max_examples=25)
