@@ -503,11 +503,11 @@ class TestRandomExperiment:
             random_rt_experiment(cfg)
         assert out1.read_bytes() == out2.read_bytes()
 
-    # sha256 of the experiment files, whose trial and summary lines are
-    # those written before the trials were searched in batches, one
-    # automaton at a time, under a header that names the sampling mode: the
-    # four sampling modes (n = 7, with automata that never reset when
-    # unconditioned), n = 14 in three batches, and n = 16 in batches of one
+    # sha256 of the experiment files: the trial and summary lines are the
+    # ones written when trials were searched one automaton at a time, and
+    # the header names the sampling mode.  The four sampling modes (n = 7,
+    # with automata that never reset when unconditioned), n = 14 in three
+    # batches, and n = 16 in batches of one
     @pytest.mark.parametrize(
         "n,trials,seed,sample_nonperm,require_symmetric,digest",
         [
