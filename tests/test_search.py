@@ -655,20 +655,27 @@ class TestPairDiameterExperiment:
         assert digest["config"] == {"n": 5, "mode": "exhaustive"} and "summary" not in digest
 
     @pytest.mark.parametrize(
-        "run",
+        "run,message",
         [
-            lambda path: random_pair_diameter_experiment(
-                SearchConfig(n=5, mode=SearchMode.EXHAUSTIVE, output_path=path)
+            (
+                lambda path: random_pair_diameter_experiment(
+                    SearchConfig(n=5, mode=SearchMode.EXHAUSTIVE, output_path=path)
+                ),
+                "needs up to",
             ),
-            lambda path: max_reset_threshold_exhaustive(4, output_path=path, resume=False),
+            (
+                lambda path: max_reset_threshold_exhaustive(4, output_path=path, resume=False),
+                "needs up to",
+            ),
+            (lambda path: max_reset_threshold_exhaustive(1, output_path=path), "at least two states"),
         ],
-        ids=["pair-diameter", "census"],
+        ids=["pair-diameter", "census", "census-bad-n"],
     )
-    def test_refused_run_leaves_the_file_untouched(self, monkeypatch, tmp_path, run):
+    def test_refused_run_leaves_the_file_untouched(self, monkeypatch, tmp_path, run, message):
         path = tmp_path / "results.jsonl"
         path.write_bytes(b"an earlier file\n")
         monkeypatch.setattr(sync, "_physical_memory", lambda: 1)
-        with pytest.raises(ValueError, match="needs up to"):
+        with pytest.raises(ValueError, match=message):
             run(path)
         assert path.read_bytes() == b"an earlier file\n"
 
