@@ -155,6 +155,19 @@ _LINE_TYPES = {
     "random-rt": ("trial", "summary"),
     "pair-diameter": ("trial", "summary"),
 }
+#: The header configs each kind of results file is written with, one per
+#: mode: the type of every field, and the value of ``mode``.
+_CONFIGS = {
+    "max-rt-census": ({"n": int, "mode": "exhaustive"},),
+    "random-rt": (
+        {"n": int, "mode": "random", "trials": int, "seed": int,
+         "sample_nonperm": bool, "require_symmetric": bool},
+    ),
+    "pair-diameter": (
+        {"n": int, "mode": "exhaustive"},
+        {"n": int, "mode": "random", "trials": int, "seed": int},
+    ),
+}
 #: The line types that close a results file.
 _CLOSING = ("result", "summary")
 #: How every header line begins, as its keys are sorted.
@@ -823,7 +836,8 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
     in the file, and a broken rule raises ``ValueError`` naming the line:
 
     - the header comes first and only there, with format
-      :data:`FORMAT_VERSION`, a kind of :data:`_LINE_TYPES` and a dict config;
+      :data:`FORMAT_VERSION`, a kind of :data:`_LINE_TYPES` and a config
+      with the fields, field types and mode of one in :data:`_CONFIGS`;
     - every other line has a type of the header's kind;
     - a block's ``p1`` is a permutation of ``range(n)`` not seen before;
     - a record passes :func:`record_from_json_dict`, and its rt exceeds the
@@ -831,7 +845,8 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
     - a result's ``max_rt`` is the rt of the last record, and one exists;
     - a trial's ``trial`` is its position, and the line is the one its
       experiment writes for its ``rt`` or ``diameter``;
-    - a summary is :func:`_summary_of` the header and the trials before it;
+    - a summary is :func:`_summary_of` the header and the trials before it,
+      and in random mode follows as many trials as the header's ``trials``;
     - nothing follows a closing ``result`` or ``summary`` line.
 
     A file with no complete line must begin like a header line.
@@ -855,8 +870,11 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
                 # a tuple of kinds: a kind may be a JSON list, which cannot be hashed
                 if obj.get("format") != FORMAT_VERSION or obj.get("kind") not in tuple(_LINE_TYPES):
                     raise ValueError("not a header of a known format and kind")
-                if not isinstance(obj.get("config"), dict):
+                if not isinstance(config := obj.get("config"), dict):
                     raise ValueError("a header whose config is not an object")
+                fields = {key: type(field) for key, field in config.items()}
+                if dict(fields, mode=config.get("mode")) not in _CONFIGS[obj["kind"]]:
+                    raise ValueError(f"a header config that no {obj['kind']} run writes")
                 if entries:
                     raise ValueError("a header after the first line")
                 value = header = obj
@@ -911,6 +929,8 @@ def _summary_of(header: dict, written: dict, counts: Counter[int | None]) -> dic
     taking what they cannot give from the ``written`` one: a random-rt
     ``resampled`` that is a count, a pair-diameter ``max_pair`` of ``max``."""
     config = header["config"]
+    if config["mode"] == SearchMode.RANDOM.value and counts.total() != config["trials"]:
+        raise ValueError(f"a summary after {counts.total()} of {config['trials']} trials")
     if header["kind"] == "random-rt":
         if _json_int(resampled := written.get("resampled")) < 0:
             raise ValueError(f"resampled {resampled} is negative")
@@ -935,7 +955,10 @@ def summarize_results(path: str | Path) -> dict:
     :func:`_journal` reads the file and raises ``ValueError`` on any line it
     refuses.  A final line cut off mid-write is left out, and the file reads
     as not complete; so does a file with no complete header line yet, whose
-    kind and config are ``None``.
+    kind and config are ``None``.  A complete experiment file gives its
+    ``summary``, an incomplete one its ``trials_done``; a census journal, or
+    a file with no header yet, gives its ``max_rt``, ``blocks_done`` and
+    ``records`` so far.
     """
     entries, _ = _journal(Path(path))
     header = entries[0][1] if entries else {}
@@ -946,6 +969,8 @@ def summarize_results(path: str | Path) -> dict:
     }
     if entries and entries[-1][0] == "summary":
         out["summary"] = entries[-1][1]
+    elif out["kind"] in ("random-rt", "pair-diameter"):
+        out["trials_done"] = sum(kind == "trial" for kind, _ in entries)
     else:
         records = [record for kind, record in entries if kind == "record"]
         out["max_rt"] = records[-1].rt if records else None

@@ -16,7 +16,9 @@ its subsets are ``uint32`` masks.  One forward subset BFS,
 :func:`_forward_bfs`, serves both the exact search (a batch of one
 automaton) and the reset distances of many automata at once
 (:func:`_reset_distances`, behind the random reset-threshold experiment of
-:mod:`synchrokit.search`).
+:mod:`synchrokit.search`).  The exact witness is walked depth-first on the
+levels that BFS built, and a backward sweep over the same levels takes over
+when the walk runs past its budget.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .monoid import is_two_transitive
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
 #: their fresh copy and its unique part (12), byte indices (8) and the flags
-#: of the neighbour test (1).
+#: of the neighbour test (1).  Only the sweep fallback of the witness
+#: allocates the good flags, but the bound covers it.
 _EXACT_BYTES = 2 + 1 + 4 + 12 + 8 + 1
 #: Bytes per letter: image tables (4 bytes x 256 x 4) and chunk scratch (20 x 256).
 _EXACT_LETTER_BYTES = 4 * 256 * 4 + 20 * 256
@@ -261,10 +264,13 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
 
     The forward pass maps whole numpy frontiers under every letter through
     per-byte image tables, level by level from the full set, until a level
-    holds a singleton.  The witness comes from a backward sweep: a subset
-    is good if it is a singleton on the last level or some letter maps it
-    to a good subset on the next level; the word then follows, from the
-    full set, the least letter leading to a good subset one level further.
+    holds a singleton.  The witness comes from a depth-first walk on those
+    levels (:func:`_walk`): every prefix of a shortest reset word lands on
+    the next level, so the walk steps from the full set, in letter order,
+    only to an image one level further (a singleton on the last step) and
+    backtracks past subsets that failed.  A walk that expands more than
+    :func:`_walk_budget` subsets stops, and the backward sweep of
+    :func:`_sweep` over the same levels gives the same word.
 
     Memory is at most 28 * 2^n + 9216 * m bytes for m letters (see
     ``_EXACT_BYTES``): cerny(25) needs at most 940 MB.
@@ -279,6 +285,74 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     (rt,), levels, dist = _forward_bfs(tables, n)
     if rt is None:
         return None
+    letters = _walk(tables, dist, n, rt, _walk_budget(rt))
+    if letters is None:
+        letters = _sweep(tables, levels, dist, n, rt)
+    return rt, Word(tuple(letters))
+
+
+def _walk_budget(rt: int) -> int:
+    """Subsets the witness walk may expand before it gives way to the sweep:
+    cerny(n) and rystsov(n) take rt, v(n) rt + n - 2, and thirty random
+    14-state automata 505 to 16,280, where the sweep is faster."""
+    return 2 * rt + 16
+
+
+def _walk(
+    tables: np.ndarray, dist: np.ndarray, n: int, rt: int, budget: int
+) -> list[int] | None:
+    """Letters of the least shortest reset word, by a depth-first walk on
+    the levels of ``dist``, or ``None`` once it would expand more than
+    ``budget`` subsets.
+
+    A subset on level k is expanded by trying its letters in index order, a
+    letter mapped only when it is tried; an image continues the walk if it
+    lies on level k + 1 and has not failed before, or, on the last step, if
+    it is a singleton.  A subset none of whose letters continues has failed,
+    and the walk backtracks; each subset is expanded at most once.
+    """
+    if rt == 0:
+        return []
+    # rows[a]: letter a's row for byte 0, then the shift and row of each
+    # further byte, each row only as long as the subsets reach
+    lists = [table[:, : 1 << min(8, n - b)].tolist() for b, table in zip(range(0, n, 8), tables)]
+    rows = [(low, list(zip(range(8, n, 8), high))) for low, *high in zip(*lists)]
+    depth = memoryview(dist)  # reads Python ints, faster than numpy scalars
+    path, word, failed = [(1 << n) - 1], [], set()
+    start = 0  # the first letter to try on the last subset of the path
+    # every subset on the path or failed has been expanded, and only those
+    while len(path) + len(failed) <= budget:
+        # ``dist`` holds level + 1, so the next level's is len(path) + 1
+        s, last, after = path[-1], len(path) == rt, len(path) + 1
+        for a in range(start, len(rows)):
+            low, high = rows[a]
+            t = low[s & 0xFF]
+            for shift, row in high:
+                t |= row[s >> shift & 0xFF]
+            if last:
+                if t & (t - 1) == 0:
+                    return word + [a]
+            elif depth[t] == after and t not in failed:
+                path.append(t)
+                word.append(a)
+                start = 0
+                break
+        else:
+            failed.add(path.pop())
+            start = word.pop() + 1
+    return None
+
+
+def _sweep(
+    tables: np.ndarray, levels: list[np.ndarray], dist: np.ndarray, n: int, rt: int
+) -> list[int]:
+    """Letters of the least shortest reset word, by a backward sweep.
+
+    A subset is good if it is a singleton on the last level or some letter
+    maps it to a good subset on the next level; the word then follows, from
+    the full set, the least letter leading to a good subset one level
+    further.  Every level is mapped whole, in chunks (see :func:`_by_chunks`).
+    """
     # Images of a level-k subset lie on levels <= k + 1, and good subsets on
     # levels > k are all marked before level k is swept, so a good image
     # found here is always on level k + 1; level k is marked only once all
@@ -288,7 +362,7 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     good[last[(last & (last - 1)) == 0]] = True
     for k in range(rt - 1, -1, -1):
         marked = _by_chunks(
-            lambda s: s[good[_images(tables, s, n)].any(axis=0)], levels[k], 1 << n, d.m
+            lambda s: s[good[_images(tables, s, n)].any(axis=0)], levels[k], 1 << n, tables.shape[1]
         )
         good[marked] = True
     # Walking forward, a good image may also sit on an earlier level; only
@@ -300,7 +374,7 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
         letter = int(np.argmax(good[img] & (dist[img] == k + 2)))
         letters.append(letter)
         current = img[letter : letter + 1]
-    return rt, Word(tuple(letters))
+    return letters
 
 
 def _merge_distances(d: Dfa) -> tuple[list[int], list[set[int]]]:

@@ -414,6 +414,7 @@ def smaller_record() -> dict:
 REFUSED_JOURNALS = {
     "block-without-p1": lines_edited(lambda o: o[:1] + [{"type": "block"}] + o[2:]),
     "wrong-format": lines_edited(lambda o: [{**o[0], "format": 2}] + o[1:]),
+    "config-extra-key": lines_edited(lambda o: [{**o[0], "config": {**o[0]["config"], "x": 0}}] + o[1:]),
     "kind-a-list": lines_edited(lambda o: [{**o[0], "kind": ["max-rt-census"]}] + o[1:]),
     "header-not-first": lines_edited(lambda o: [o[1], o[0]] + o[2:]),
     "no-header": lines_edited(lambda o: o[1:]),

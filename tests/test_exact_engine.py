@@ -5,9 +5,12 @@ parents: with letters tried in index order, it discovers every subset along
 the lexicographically least of its shortest paths, so the first singleton
 it reaches carries the canonical witness.  The same BFS runs over batches of
 automata (``_reset_distances``); the oracle checks them one automaton at a
-time.
+time.  The witness is walked depth-first on the BFS levels, and the backward
+sweep takes over past the walk's budget: tests reach the sweep both at the
+real budget and with a budget of 0, which sends every automaton to it.
 """
 
+import itertools
 import random
 from collections import deque
 
@@ -94,6 +97,49 @@ def test_seeded_random_automata_match_oracle():
     assert outcomes == {True, False}, "the sample must hold both kinds of automata"
 
 
+@pytest.fixture
+def sweeps(monkeypatch) -> list[int]:
+    """The rt of each witness the backward sweep gives, as it gives them."""
+    sweep = sync._sweep
+    calls = []
+
+    def spy(tables, levels, dist, n, rt):
+        calls.append(rt)
+        return sweep(tables, levels, dist, n, rt)
+
+    monkeypatch.setattr(sync, "_sweep", spy)
+    return calls
+
+
+def _force_sweep(monkeypatch) -> None:
+    monkeypatch.setattr(sync, "_walk_budget", lambda rt: 0)
+
+
+def small_families():
+    return (f(n) for f in (cerny, v, rystsov) for n in range(2, 13))
+
+
+def test_the_sweep_alone_matches_the_oracle(monkeypatch, sweeps):
+    _force_sweep(monkeypatch)
+    expected = 0
+    for d in itertools.chain(seeded_automata(), small_families()):
+        assert_matches_oracle(d)
+        expected += oracle_distance(d) not in (None, 0)
+    assert len(sweeps) == expected > 250
+
+
+def test_the_walk_gives_family_witnesses_and_random_ones_reach_the_sweep(sweeps):
+    for d in small_families():
+        reset_threshold_exact(d)
+    assert sweeps == []
+    for d in seeded_automata():
+        before = len(sweeps)
+        result = reset_threshold_exact(d)
+        if len(sweeps) > before:
+            assert result == oracle_reset_threshold(d)
+    assert sweeps
+
+
 def test_seeded_batches_match_oracle():
     # batches mixing automata that never reset with others of different
     # thresholds, each checked one automaton at a time
@@ -149,7 +195,9 @@ def _many_letter_automata(rng: random.Random, count: int, n: int, m: int) -> lis
 
 def test_many_letters_map_levels_in_chunks(monkeypatch):
     # with many letters a level is mapped in several chunks (of 256 subsets
-    # here), and the backward sweep marks a level only after all its chunks
+    # here), and the backward sweep, forced here, marks a level only after
+    # all its chunks
+    _force_sweep(monkeypatch)
     split = _spy_chunks(monkeypatch)
     rng = random.Random(20240611)
     chunked = 0
@@ -206,12 +254,14 @@ def _check_exact(d: Dfa, expected_rt: int) -> None:
     assert word_transformation(d, Word(word.letters[:-1])).rank() > 1
 
 
-def test_v_twenty():
+def test_v_twenty(sweeps):
     _check_exact(v(20), 190)
+    assert sweeps == []  # walked, in rt + 18 expansions
 
 
-def test_cerny_twenty():
+def test_cerny_twenty(sweeps):
     _check_exact(cerny(20), 361)
+    assert sweeps == []
 
 
 @pytest.mark.extended

@@ -577,6 +577,11 @@ class TestRandomExperiment:
         assert digest["summary"] == summary
         # one line per trial plus header and summary
         assert len(out.read_text().splitlines()) == 17
+        # cut after seven trials, the file counts them and gives no census keys
+        out.write_text("".join(out.read_text().splitlines(keepends=True)[:8]))
+        digest = summarize_results(out)
+        assert not digest["complete"] and digest["trials_done"] == 7
+        assert set(digest) == {"kind", "config", "complete", "trials_done"}
 
 
 class TestPairDiameterExperiment:
@@ -653,6 +658,8 @@ class TestPairDiameterExperiment:
         digest = summarize_results(path)
         assert digest["kind"] == "pair-diameter" and not digest["complete"]
         assert digest["config"] == {"n": 5, "mode": "exhaustive"} and "summary" not in digest
+        assert digest["trials_done"] == 10
+        assert not {"max_rt", "blocks_done", "records"} & set(digest)
 
     @pytest.mark.parametrize(
         "run,message",
@@ -770,6 +777,48 @@ class TestExperimentFileChecks:
         objs[-1]["max_pair"] = {"a": identity, "b": identity}
         path.write_text("".join(map(search._json_line, objs)))
         with pytest.raises(ValueError, match="does not measure max 7"):
+            summarize_results(path)
+
+    @pytest.mark.parametrize(
+        "write,edit,message",
+        [
+            (
+                lambda path: random_pair_diameter_experiment(
+                    SearchConfig(n=6, mode=SearchMode.RANDOM, trials=10, seed=2, output_path=path)
+                ),
+                lambda config: config.update(trials=99),
+                "line 12: a summary after 10 of 99 trials",
+            ),
+            (
+                lambda path: random_rt_experiment(
+                    SearchConfig(n=5, mode=SearchMode.RANDOM, trials=10, seed=2, output_path=path)
+                ),
+                lambda config: config.update(sample_nonperm=99),
+                "line 1: a header config that no random-rt run writes",
+            ),
+            (
+                lambda path: random_rt_experiment(
+                    SearchConfig(n=5, mode=SearchMode.RANDOM, trials=10, seed=2, output_path=path)
+                ),
+                lambda config: config.pop("require_symmetric"),
+                "line 1: a header config that no random-rt run writes",
+            ),
+            (
+                EXPERIMENT_FILES["pair-diameter"],
+                lambda config: config.update(extra=0),
+                "line 1: a header config that no pair-diameter run writes",
+            ),
+        ],
+        ids=["trials-99", "sample-nonperm-99", "require-symmetric-deleted", "extra-key"],
+    )
+    def test_header_config_edits_are_refused(self, tmp_path, write, edit, message):
+        path = tmp_path / "experiment.jsonl"
+        write(path)
+        assert summarize_results(path)["complete"]
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(objs[0]["config"])
+        path.write_text("".join(map(search._json_line, objs)))
+        with pytest.raises(ValueError, match=message):
             summarize_results(path)
 
     @pytest.mark.parametrize("kind", list(EXPERIMENT_FILES))
