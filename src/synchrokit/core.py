@@ -85,16 +85,23 @@ class Transformation:
     def _powers(self) -> tuple[int, list[list[int]], dict[int, _Groups]] | None:
         """A permutation's order, its cycles of two or more states and the
         groups of the powers :func:`_power_groups` kept; ``None`` for other maps."""
-        t, seen, cycles = self.images, set(), []
-        if len(set(t)) != len(t):
+        if not self.is_permutation():
             return None
-        for q in range(len(t)):
-            if q not in seen and t[q] != q:
-                cycles.append(cycle := [q])
-                while (x := t[cycle[-1]]) != q:
-                    cycle.append(x)
-                seen.update(cycle)
+        cycles = [cycle for cycle in _cycles(self.images) if len(cycle) > 1]
         return math.lcm(*map(len, cycles)), cycles, {}
+
+
+def _cycles(p: Sequence[int]) -> list[list[int]]:
+    """The cycles of a permutation, each from its least state, in order of that state."""
+    seen, cycles = bytearray(len(p)), []
+    for q, x in enumerate(p):
+        if not seen[q]:
+            cycles.append(cycle := [q])
+            while x != q:
+                cycle.append(x)
+                seen[x] = 1
+                x = p[x]
+    return cycles
 
 
 def _check_letter_name(name: str) -> None:

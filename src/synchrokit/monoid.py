@@ -4,24 +4,23 @@
 permutation letters generating the symmetric group.  Every symmetric-group
 question goes through one recognizer, :func:`_generates_symmetric`, whose
 steps run in order until one settles the answer: (1) transitivity; (2) some
-generator is odd, else the group lies in ``A_n``; (3) for ``n <= 6``, the
-stabilizer-chain order against ``n!``; (4) 2-transitivity, decided as the
-stabilizer of state 0 being transitive on the other states: the orbits of
-its Schreier generators are joined until one covers them (Schreier's
-lemma); (5) a seeded walk of 64 generator products looking for a *Jordan
-element*, one with exactly one cycle length divisible by a prime
-``p <= n - 3``, that cycle of length exactly ``p``; (6) the chain order once
-the walk runs out of steps.
+generator is odd, else the group lies in ``A_n``; (3) 2-transitivity,
+decided as the stabilizer of state 0 being transitive on the other states:
+the orbits of its Schreier generators are joined until one covers them
+(Schreier's lemma); (4) a seeded walk of 64 generator products looking for
+a *Jordan element*, one with exactly one cycle length divisible by a prime
+``p <= n - 3``, that cycle of length exactly ``p``; (5) the chain order once
+the walk runs out of steps.  Every ``n >= 2`` takes these steps; below five
+points there is no such prime, and the chain decides after step 3.
 
 Every answer is exact.  ``True`` needs a chain order of ``n!`` or a Jordan
 element, some power of which is a ``p``-cycle: by Jordan's theorem a
 primitive (here 2-transitive) group holding such a cycle contains ``A_n``,
 so ``S_n`` given the odd generator.  ``False`` needs a failed check of
-steps 1, 2 or 4 or a chain order below ``n!``.  The walk length changes
+steps 1, 2 or 3 or a chain order below ``n!``.  The walk length changes
 the cost only: a group that is ``S_n`` meets a Jordan element within a few
 dozen products, while a proper 2-transitive group such as PGL(2, 7) has
-none and spends the whole walk before the fallback.  Up to six points the
-chain, cheap at that size, decides without a walk.
+none and spends the whole walk before the fallback.
 """
 
 from __future__ import annotations
@@ -235,7 +234,7 @@ def _is_two_transitive(gens: Sequence[_Perm], n: int) -> bool:
 
 
 def _jordan_test(gens: Sequence[_Perm], n: int) -> bool:
-    """Steps 4-6 of the recognizer, for generators of which one is odd.
+    """Steps 3-5 of the recognizer, for generators of which one is odd.
 
     Rejects a group that is not 2-transitive, accepts once the walk reaches
     a Jordan element, and otherwise decides by the chain order.
@@ -264,22 +263,15 @@ def _transitive_with_odd(gens: Sequence[_Perm], n: int) -> bool:
 def _generates_symmetric(gens: Sequence[_Perm], n: int) -> bool:
     """The recognizer of the module docstring, on image tuples trusted to be
     permutations of ``0..n-1``."""
-    if n == 1:
-        return True
-    if not _transitive_with_odd(gens, n):
-        return False
-    if n <= 6:
-        return PermutationGroup(n, gens).order() == math.factorial(n)
-    return _jordan_test(gens, n)
+    return n == 1 or _transitive_with_odd(gens, n) and _jordan_test(gens, n)
 
 
 def generates_symmetric_group(perms: Sequence[Transformation], n: int) -> bool:
     """Do the given permutations generate the full symmetric group?
 
-    Exact for any number of generators: after transitivity and parity, the
-    chain order decides up to six points, and beyond that a 2-transitive
-    group passes once a walk finds a Jordan element, with the chain order
-    as the fallback (steps and proof in the module docstring).
+    Exact for any number of generators: after transitivity and parity, a
+    2-transitive group passes once a walk finds a Jordan element, with the
+    chain order as the fallback (steps and proof in the module docstring).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -304,8 +296,8 @@ def has_full_transition_monoid(d: Dfa) -> bool:
 
     Criterion: some letter has rank ``n - 1`` and the permutation letters
     generate the symmetric group, decided exactly by the recognizer behind
-    :func:`generates_symmetric_group` (the chain order up to six states, a
-    Jordan-element walk with the chain as fallback beyond).  The
+    :func:`generates_symmetric_group` (2-transitivity, then a
+    Jordan-element walk with the chain order as fallback).  The
     single-state automaton is trivially full.
     """
     n = d.n

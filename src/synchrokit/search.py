@@ -41,6 +41,7 @@ from .core import (
     Dfa,
     Transformation,
     Word,
+    _cycles,
     _json_int,
     dfa_from_json_dict,
     dfa_to_json_dict,
@@ -680,32 +681,26 @@ def _conjugacy_classes(n: int) -> list[tuple[_Perm, list[_Perm]]]:
     return sorted((group[0], group) for group in members.values())
 
 
-def _centralizer(p: _Perm) -> list[tuple[_Perm, _Perm]]:
-    """The permutations commuting with ``p``, as ``(g, g^{-1})`` pairs."""
-    n = len(p)
-    return [
-        (g, _inv(g))
-        for g in itertools.permutations(range(n))
-        if all(g[p[q]] == p[g[q]] for q in range(n))
-    ]
+def _conjugators(x: _Perm, y: _Perm) -> Iterator[_Perm]:
+    """Every h with h x h^{-1} = y; none unless ``x`` and ``y`` share a cycle type.
 
-
-def _cycles(p: _Perm) -> list[list[int]]:
-    """The cycles of ``p``, shortest first."""
-    cycles: list[list[int]] = []
-    for start in range(len(p)):
-        if not any(start in cycle for cycle in cycles):
-            cycles.append([start])
-            while (q := p[cycles[-1][-1]]) != start:
-                cycles[-1].append(q)
-    return sorted(cycles, key=len)
-
-
-def _conjugator(x: _Perm, y: _Perm) -> _Perm:
-    """A permutation h with h x h^{-1} = y, for ``x`` and ``y`` of one cycle
-    type: it maps each cycle of ``x`` onto a cycle of ``y`` of its length."""
-    h = dict(zip(itertools.chain(*_cycles(x)), itertools.chain(*_cycles(y))))
-    return tuple(h[q] for q in range(len(x)))
+    h maps each cycle of ``x`` onto a cycle of ``y`` of its length, at each
+    rotation and under each arrangement of the cycles of one length: as
+    many maps as C(y) = prod_l C_l wr S_{m_l} has elements (Seress), for
+    the m_l cycles of each length l.  The first keeps the listed order of
+    the cycles, each unrotated.
+    """
+    xs, ys = (sorted(_cycles(p), key=len) for p in (x, y))
+    if list(map(len, xs)) != list(map(len, ys)):
+        return
+    domain, h = list(itertools.chain(*xs)), [0] * len(x)
+    arrangements = (itertools.permutations(group) for _, group in itertools.groupby(ys, len))
+    for order in itertools.product(*arrangements):
+        rotations = ([c[r:] + c[:r] for r in range(len(c))] for c in itertools.chain(*order))
+        for images in itertools.product(*rotations):
+            for q, image in zip(domain, itertools.chain(*images)):
+                h[q] = image
+            yield tuple(h)
 
 
 def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
@@ -714,12 +709,13 @@ def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
     Every orbit is anchored at the least member of the class with the
     smaller centralizer, that is the larger class, as |C(rep)| = n!/|class|,
     and the earlier class on ties; the partner then ranges over minimal
-    elements of the anchor's centralizer orbits.  A centralizer is listed,
-    by a scan of all n! permutations, only once its class anchors a
-    partner, so the identity's, all of S_n, is never listed past n = 2:
-    the identity anchors only itself.  A pair from one class can be
-    anchored at either end: an h mapping the partner's cycles onto the
-    anchor's carries the anchor to the partner seen from the other end, and
+    elements of the anchor's centralizer orbits.  A centralizer is listed
+    from the anchor's cycles, as :func:`_conjugators` of the anchor to
+    itself, and only once its class anchors a partner, so the identity's,
+    all of S_n, is never listed past n = 2: the identity anchors only
+    itself.  A pair from one class can be anchored at either end: any h
+    conjugating the partner to the anchor carries the anchor to the partner
+    seen from the other end (every such h into one centralizer orbit), and
     the pair is kept only if its partner is not greater than the least
     centralizer conjugate of that one.
     """
@@ -735,11 +731,12 @@ def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
                 if partner == anchor:
                     continue
                 if (centralizer := centralizers.get(anchor)) is None:
-                    centralizer = centralizers[anchor] = _centralizer(anchor)
+                    centralizer = [(g, _inv(g)) for g in _conjugators(anchor, anchor)]
+                    centralizers[anchor] = centralizer
                 if any(_conjugate(partner, g, ginv) < partner for g, ginv in centralizer):
                     continue
                 if rep_i == rep_j:
-                    h = _conjugator(partner, anchor)
+                    h = next(_conjugators(partner, anchor))
                     other = _conjugate(anchor, h, _inv(h))
                     if any(_conjugate(other, g, ginv) < partner for g, ginv in centralizer):
                         continue
@@ -752,13 +749,13 @@ def _pair_diameter_bytes(n: int) -> int:
     Per permutation of S_n the run holds one member tuple of
     :func:`_conjugacy_classes` with its list slot (48 + 8n bytes) and at
     most one centralizer element (144 + 16n bytes: two tuples and their
-    pair); trial lines are written as they are measured and the diameters
-    kept as a histogram.  The centralizers listed, all but the identity's
+    pair), listed from the anchor's cycles; trial lines are written as
+    they are measured and the diameters kept as a histogram.  The centralizers listed, all but the identity's
     past n = 2, hold at most the sum of |C(rep)| over the classes less n!
     elements, and that sum is at most 2 n! (equal at n = 2, 1.07 n! at
     n = 8, falling since).  64 KB covers the fixed parts and the pair
     digraph of one pair.  At n = 8 that is 16 MB, where tracemalloc
-    measured a 7.1 MB peak; at n = 10 it is 1.6 GB.
+    measured a 7.0 MB peak; at n = 10 it is 1.6 GB.
     """
     return (1 << 16) + math.factorial(n) * (48 + 8 * n + 144 + 16 * n)
 
@@ -843,8 +840,9 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
     - a record passes :func:`record_from_json_dict`, and its rt exceeds the
       rt of the record before it;
     - a result's ``max_rt`` is the rt of the last record, and one exists;
-    - a trial's ``trial`` is its position, and the line is the one its
-      experiment writes for its ``rt`` or ``diameter``;
+    - a trial's ``trial`` is its position, in random mode below the
+      header's ``trials``, and the line is the one its experiment writes
+      for its ``rt`` or ``diameter``;
     - a summary is :func:`_summary_of` the header and the trials before it,
       and in random mode follows as many trials as the header's ``trials``;
     - nothing follows a closing ``result`` or ``summary`` line.
@@ -902,6 +900,8 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
                     raise ValueError(f"{name} {measured} is negative")
                 if obj.get("trial") != (position := counts.total()):
                     raise ValueError(f"trial {obj.get('trial')!r} at position {position}")
+                if (trials := header["config"].get("trials")) is not None and position >= trials:
+                    raise ValueError(f"trial {position} past the header's {trials} trials")
                 if _json_line(obj) != _json_line(trial_line(header["config"], position, measured)):
                     raise ValueError(f"a trial line that its {name} {measured} does not give")
                 counts[measured] += 1

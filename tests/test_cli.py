@@ -379,6 +379,16 @@ class TestSearch:
         code, out, err = run(capsys, "search", "summarize", str(path))
         assert code == 2 and out == "" and "no letter named 'zz'" in err
 
+    def test_summarize_refuses_trials_past_the_header_count(self, capsys, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        cfg = search.SearchConfig(n=6, mode=search.SearchMode.RANDOM, trials=10, seed=3, output_path=path)
+        search.random_pair_diameter_experiment(cfg)
+        objs = [json.loads(line) for line in path.read_text().splitlines()][:-1]
+        objs += [dict(objs[-1], trial=10), dict(objs[-1], trial=11)]
+        path.write_text("".join(map(search._json_line, objs)))
+        code, out, err = run(capsys, "search", "summarize", str(path))
+        assert code == 2 and out == "" and "line 12: trial 10 past the header's 10 trials" in err
+
     def test_summarize_needs_file(self, capsys):
         code, out, _ = run(capsys, "search", "summarize")
         assert code == 2 and out == ""

@@ -204,6 +204,22 @@ class TestJordanBranch:
         assert calls == [7]
         assert PermutationGroup(7, AGL_1_7).order() == 42
 
+    @pytest.mark.parametrize(
+        "gens",
+        [((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)), ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5))],
+        ids=["S5", "S6"],
+    )
+    def test_small_symmetric_groups_need_no_chain(self, monkeypatch, gens):
+        # five and six points take the walk too, which meets a Jordan element
+        calls = _spy_on_the_chain(monkeypatch)
+        assert generates_symmetric_group([Transformation(g) for g in gens], len(gens[0]))
+        assert calls == []
+
+    def test_six_point_proper_group_builds_one_chain(self, monkeypatch):
+        calls = _spy_on_the_chain(monkeypatch)
+        assert not generates_symmetric_group([Transformation(g) for g in PGL_2_5], 6)
+        assert calls == [6]
+
     @settings(max_examples=60)
     @given(st.data())
     def test_seven_to_fourteen_points_agree_with_the_chain(self, data):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -142,6 +143,35 @@ def burnside_pair_orbits(n: int) -> int:
         fixed += math.factorial(n) // c * (math.comb(c, 2) + (c2 - c) // 2)
     assert fixed % math.factorial(n) == 0
     return fixed // math.factorial(n)
+
+
+def centralizer_by_scan(p):
+    """The permutations commuting with ``p``, by a scan of all of S_n."""
+    n = len(p)
+    return {g for g in itertools.permutations(range(n)) if all(g[p[q]] == p[g[q]] for q in range(n))}
+
+
+class TestConjugators:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_centralizer_of_every_class_is_the_scan(self, n):
+        for rep, _ in search._conjugacy_classes(n):
+            listed = list(search._conjugators(rep, rep))
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == centralizer_by_scan(rep), rep
+
+    def test_seeded_pairs_of_one_type(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            x = tuple(random_permutation(rng, n).images)
+            g = tuple(random_permutation(rng, n).images)
+            y = search._conjugate(x, g, search._inv(g))
+            listed = list(search._conjugators(x, y))
+            assert all(search._conjugate(x, h, search._inv(h)) == y for h in listed)
+            assert len(set(listed)) == len(listed) == len(centralizer_by_scan(y))
+
+    def test_pairs_of_two_types_have_none(self):
+        assert list(search._conjugators((1, 2, 0, 3), (1, 0, 3, 2))) == []
 
 
 class TestSearchConfig:
@@ -689,8 +719,14 @@ class TestPairDiameterExperiment:
     @pytest.mark.parametrize("n", [5, 6])
     def test_only_anchoring_classes_list_their_centralizer(self, monkeypatch, n):
         listed = []
-        centralizer = search._centralizer
-        monkeypatch.setattr(search, "_centralizer", lambda p: listed.append(p) or centralizer(p))
+        conjugators = search._conjugators
+
+        def spy(x, y):
+            if x == y:
+                listed.append(x)
+            return conjugators(x, y)
+
+        monkeypatch.setattr(search, "_conjugators", spy)
         pairs = list(search._exhaustive_pair_classes(n))
         assert tuple(range(n)) not in listed
         assert sorted(listed) == sorted({anchor for anchor, _ in pairs})
@@ -777,6 +813,18 @@ class TestExperimentFileChecks:
         objs[-1]["max_pair"] = {"a": identity, "b": identity}
         path.write_text("".join(map(search._json_line, objs)))
         with pytest.raises(ValueError, match="does not measure max 7"):
+            summarize_results(path)
+
+    def test_trials_past_the_header_count_are_refused(self, tmp_path):
+        # with its summary dropped, a random file must still hold no more
+        # trials than its header's count
+        path = tmp_path / "experiment.jsonl"
+        cfg = SearchConfig(n=6, mode=SearchMode.RANDOM, trials=10, seed=3, output_path=path)
+        random_pair_diameter_experiment(cfg)
+        objs = [json.loads(line) for line in path.read_text().splitlines()][:-1]
+        objs += [dict(objs[-1], trial=10), dict(objs[-1], trial=11)]
+        path.write_text("".join(map(search._json_line, objs)))
+        with pytest.raises(ValueError, match="line 12: trial 10 past the header's 10 trials"):
             summarize_results(path)
 
     @pytest.mark.parametrize(
