@@ -743,6 +743,36 @@ def _exhaustive_pair_classes(n: int) -> Iterator[tuple[_Perm, _Perm]]:
                 yield anchor, partner
 
 
+@lru_cache(maxsize=None)
+def _pair_orbit_count(n: int) -> int:
+    """The number of conjugacy orbits of two-element subsets of S_n, the
+    trials of an exhaustive run, by Burnside's lemma over the cycle types.
+
+    A permutation g fixes a set {x, y} when it commutes with both, or when
+    it swaps them, and then g^2 commutes with x but g does not; so it fixes
+    C(|C(g)|, 2) + (|C(g^2)| - |C(g)|) / 2 sets, where
+    |C(g)| = prod l^m_l m_l! for m_l cycles of length l.  The sum runs over
+    the partitions of n, 37,338 at n = 40.
+    """
+
+    def partitions(rest: int, largest: int) -> Iterator[list[int]]:
+        if rest == 0:
+            yield []
+        for first in range(min(rest, largest), 0, -1):
+            for tail in partitions(rest - first, first):
+                yield [first] + tail
+
+    def centralizer_order(lengths: list[int]) -> int:
+        return math.prod(l ** lengths.count(l) * math.factorial(lengths.count(l)) for l in set(lengths))
+
+    fixed = 0
+    for lengths in partitions(n, n):
+        squared = [m for l in lengths for m in ([l] if l % 2 else [l // 2] * 2)]
+        c, c2 = centralizer_order(lengths), centralizer_order(squared)
+        fixed += math.factorial(n) // c * (math.comb(c, 2) + (c2 - c) // 2)
+    return fixed // math.factorial(n)
+
+
 def _pair_diameter_bytes(n: int) -> int:
     """Upper estimate of the exhaustive pair-diameter experiment's memory.
 
@@ -840,11 +870,11 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
     - a record passes :func:`record_from_json_dict`, and its rt exceeds the
       rt of the record before it;
     - a result's ``max_rt`` is the rt of the last record, and one exists;
-    - a trial's ``trial`` is its position, in random mode below the
-      header's ``trials``, and the line is the one its experiment writes
-      for its ``rt`` or ``diameter``;
+    - a trial's ``trial`` is its position, below the :func:`_trial_count`
+      of the header's config, and the line is the one its experiment
+      writes for its ``rt`` or ``diameter``;
     - a summary is :func:`_summary_of` the header and the trials before it,
-      and in random mode follows as many trials as the header's ``trials``;
+      and follows exactly that many trials;
     - nothing follows a closing ``result`` or ``summary`` line.
 
     A file with no complete line must begin like a header line.
@@ -900,7 +930,7 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
                     raise ValueError(f"{name} {measured} is negative")
                 if obj.get("trial") != (position := counts.total()):
                     raise ValueError(f"trial {obj.get('trial')!r} at position {position}")
-                if (trials := header["config"].get("trials")) is not None and position >= trials:
+                if position >= (trials := _trial_count(header["config"])):
                     raise ValueError(f"trial {position} past the header's {trials} trials")
                 if _json_line(obj) != _json_line(trial_line(header["config"], position, measured)):
                     raise ValueError(f"a trial line that its {name} {measured} does not give")
@@ -924,13 +954,21 @@ def _json_permutation(name: str, p: object, n: object) -> _Perm:
     return tuple(p)
 
 
+def _trial_count(config: Mapping) -> int:
+    """The trials an experiment header's ``config`` runs: its ``trials`` in
+    random mode, one per pair orbit (:func:`_pair_orbit_count`) otherwise."""
+    if config["mode"] == SearchMode.RANDOM.value:
+        return config["trials"]
+    return _pair_orbit_count(config["n"])
+
+
 def _summary_of(header: dict, written: dict, counts: Counter[int | None]) -> dict:
     """The summary for the header's config and the trial values ``counts``,
     taking what they cannot give from the ``written`` one: a random-rt
     ``resampled`` that is a count, a pair-diameter ``max_pair`` of ``max``."""
     config = header["config"]
-    if config["mode"] == SearchMode.RANDOM.value and counts.total() != config["trials"]:
-        raise ValueError(f"a summary after {counts.total()} of {config['trials']} trials")
+    if counts.total() != (trials := _trial_count(config)):
+        raise ValueError(f"a summary after {counts.total()} of {trials} trials")
     if header["kind"] == "random-rt":
         if _json_int(resampled := written.get("resampled")) < 0:
             raise ValueError(f"resampled {resampled} is negative")

@@ -9,10 +9,10 @@ merging/pairing round simulation for the three-letter cyclic family.
 Every synthesizer machine-checks its output and reports the check in the
 ``verified`` flag of the returned :class:`ResetResult`.
 
-The searches over all 2^n state subsets (``reset_threshold_exact``,
-``potential_lower_bound``) check, before allocating anything, that their
-bytes fit in physical memory; the exact one also stops at 32 states, as
-its subsets are ``uint32`` masks.  One forward subset BFS,
+Only the exact search runs over all 2^n state subsets.  It checks, before
+allocating anything, that its bytes fit in physical memory, and it stops at
+32 states, as its subsets are ``uint32`` masks; ``potential_lower_bound``
+checks its subset inequality fibre by fibre instead.  One forward subset BFS,
 :func:`_forward_bfs`, serves both the exact search (a batch of one
 automaton) and the reset distances of many automata at once
 (:func:`_reset_distances`, behind the random reset-threshold experiment of
@@ -52,9 +52,6 @@ _OFFSET_BYTES = 4
 #: 194-210 ms at 2^12, 116-124 ms at 2^14, 103-124 ms at 2^16 and
 #: 98-114 ms at 2^18, so larger batches gain no more than host noise.
 _BATCH_SUBSETS = 1 << 16
-#: Bytes per subset of ``potential_lower_bound``: ``int64`` weights and
-#: images (16), the comparison's ``int64`` operands (16), two flag arrays (2).
-_POTENTIAL_BYTES = 16 + 16 + 2
 
 
 #: What :func:`reset_threshold_exact` returns when no word resets.
@@ -86,7 +83,7 @@ def _resets(d: Dfa, w: Word) -> bool:
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory (POSIX ``sysconf``), the limit of both searches."""
+    """Bytes of physical memory (POSIX ``sysconf``), the limit of every memory check."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -708,6 +705,21 @@ class PotentialBound:
     counterexample: tuple[StateSet, int] | None
 
 
+def _least_gain(images: Sequence[int], weights: Sequence[int], inside: int) -> int:
+    """Least weight(S t) - weight(S) over the subsets S of ``inside``, where
+    ``images`` is the letter t.
+
+    The change splits over the fibres F_y of t: one that S meets adds w[y]
+    minus the weight of S inside it, so each fibre takes all of its states
+    in ``inside`` when that is negative, and adds nothing otherwise.
+    """
+    loss = [0] * len(images)
+    for q, y in enumerate(images):
+        if inside >> q & 1:
+            loss[y] += weights[q]
+    return sum(min(0, w - x) for w, x in zip(weights, loss))
+
+
 def potential_lower_bound(
     d: Dfa,
     weights: Sequence[int],
@@ -721,12 +733,15 @@ def potential_lower_bound(
     len(w) >= weight(Q) - weight(target), and this difference is returned;
     otherwise the least violating (subset, letter) pair is reported.
 
-    Memory is at most 34 * 2^n bytes (see ``_POTENTIAL_BYTES``).
+    No subset is enumerated: the least change over all S is found fibre by
+    fibre (:func:`_least_gain`), O(n) per letter.  The least violating mask
+    of a failing letter is fixed bit by bit from state n - 1 down: bit b is
+    left clear when some subset of the bits kept so far and the bits below
+    b still violates.  Such a subset holds every kept bit, as one missing
+    kept bit c would have left c clear at its own step.
 
     Raises:
-        ValueError: on negative weights or dimension mismatch, or when
-            34 * 2^n bytes exceed the machine's physical memory (checked
-            before any allocation).
+        ValueError: on negative weights or dimension mismatch.
     """
     n = d.n
     if target.n != n:
@@ -735,18 +750,13 @@ def potential_lower_bound(
         raise ValueError("need exactly one weight per state")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    _require_memory(n, _POTENTIAL_BYTES << n)
-    # tables over subset masks, doubled once per state like _subset_table
-    total = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        total = np.concatenate((total, total + w))
     for letter, t in enumerate(d.transformations()):
-        image = np.zeros(1, dtype=np.int64)
-        for q in t.images:
-            image = np.concatenate((image, image | (1 << q)))
-        bad = total[image] < total - 1
-        if bad.any():
-            mask = int(np.nonzero(bad)[0][0])
-            return PotentialBound(False, None, (StateSet(n, mask), letter))
-    bound = int(total[-1] - total[target.mask])
-    return PotentialBound(True, bound, None)
+        if _least_gain(t.images, weights, (1 << n) - 1) >= -1:
+            continue
+        mask = 0
+        for b in reversed(range(n)):
+            if _least_gain(t.images, weights, mask | (1 << b) - 1) >= -1:
+                mask |= 1 << b
+        return PotentialBound(False, None, (StateSet(n, mask), letter))
+    bound = sum(weights) - sum(weights[q] for q in target.members())
+    return PotentialBound(True, int(bound), None)

@@ -115,7 +115,18 @@ def test_criterion_2_merge_family_thresholds_with_certified_lower_bounds():
             failures.append(f"n={n}: potential bound invalid: {pb.counterexample}")
         elif pb.bound != want:
             failures.append(f"n={n}: certified bound {pb.bound} != {want}")
-    _verdict(2, "rt of the merge family is n(n-1)/2 for n = 3..10, certified below", failures)
+    # past the subset BFS: the certified bound from below meets a verified
+    # reset word of the same length from above, so rt(v(n)) = n(n-1)/2
+    for n in (20, 50, 100):
+        d = v(n)
+        want = n * (n - 1) // 2
+        pb = potential_lower_bound(d, list(range(n)), singleton(n, 0))
+        if not pb.valid or pb.bound != want:
+            failures.append(f"n={n}: certified bound {pb.bound} != {want}")
+        r = extension_reset_word(d)
+        if not r.verified or not _resets(d, r.word) or r.length != want:
+            failures.append(f"n={n}: extension word of length {r.length} is not a {want}-letter reset word")
+    _verdict(2, "rt of the merge family is n(n-1)/2 for n = 3..10, 20, 50, 100, certified below", failures)
 
 
 def test_criterion_3_three_letter_words_beat_the_log_bound():

@@ -389,6 +389,18 @@ class TestSearch:
         code, out, err = run(capsys, "search", "summarize", str(path))
         assert code == 2 and out == "" and "line 12: trial 10 past the header's 10 trials" in err
 
+    def test_summarize_refuses_trials_past_the_orbit_count(self, capsys, tmp_path):
+        # an n = 5 exhaustive file has 89 pair orbits, so 89 trials at most
+        path = tmp_path / "pairs.jsonl"
+        search.random_pair_diameter_experiment(
+            search.SearchConfig(n=5, mode=search.SearchMode.EXHAUSTIVE, output_path=path)
+        )
+        objs = [json.loads(line) for line in path.read_text().splitlines()][:-1]
+        objs += [dict(objs[-1], trial=89), dict(objs[-1], trial=90)]
+        path.write_text("".join(map(search._json_line, objs)))
+        code, out, err = run(capsys, "search", "summarize", str(path))
+        assert code == 2 and out == "" and "line 91: trial 89 past the header's 89 trials" in err
+
     def test_summarize_needs_file(self, capsys):
         code, out, _ = run(capsys, "search", "summarize")
         assert code == 2 and out == ""

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,35 +115,6 @@ def oracle_census_block(n: int, p1):
             if rt > best_rt:
                 best_rt, best_p2, best_t = rt, p2, t
     return p1, best_rt, best_p2, best_t
-
-
-def burnside_pair_orbits(n: int) -> int:
-    """The number of conjugacy orbits of two-element subsets of S_n, by
-    Burnside's lemma over the cycle types.
-
-    A permutation g fixes a set {x, y} when it commutes with both, or when
-    it swaps them, and then g^2 commutes with x but g does not; so it fixes
-    C(|C(g)|, 2) + (|C(g^2)| - |C(g)|) / 2 sets, where
-    |C(g)| = prod l^m_l m_l! for m_l cycles of length l.
-    """
-
-    def partitions(rest, largest):
-        if rest == 0:
-            yield []
-        for first in range(min(rest, largest), 0, -1):
-            for tail in partitions(rest - first, first):
-                yield [first] + tail
-
-    def centralizer_order(lengths):
-        return math.prod(l ** lengths.count(l) * math.factorial(lengths.count(l)) for l in set(lengths))
-
-    fixed = 0
-    for lengths in partitions(n, n):
-        squared = [m for l in lengths for m in ([l] if l % 2 else [l // 2] * 2)]
-        c, c2 = centralizer_order(lengths), centralizer_order(squared)
-        fixed += math.factorial(n) // c * (math.comb(c, 2) + (c2 - c) // 2)
-    assert fixed % math.factorial(n) == 0
-    return fixed // math.factorial(n)
 
 
 def centralizer_by_scan(p):
@@ -666,7 +638,11 @@ class TestPairDiameterExperiment:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.extended)])
     def test_one_trial_per_orbit(self, n):
         # every orbit has a representative, so as many as the orbits means one each
-        assert sum(1 for _ in search._exhaustive_pair_classes(n)) == burnside_pair_orbits(n)
+        assert sum(1 for _ in search._exhaustive_pair_classes(n)) == search._pair_orbit_count(n)
+
+    def test_orbit_counts(self):
+        # literal counts, independent of the Burnside sum that computes them
+        assert [search._pair_orbit_count(n) for n in range(2, 9)] == [1, 5, 23, 89, 484, 2904, 22002]
 
     def test_interrupted_run_reads_as_not_complete(self, monkeypatch, tmp_path):
         path = tmp_path / "pairs.jsonl"
@@ -825,6 +801,30 @@ class TestExperimentFileChecks:
         objs += [dict(objs[-1], trial=10), dict(objs[-1], trial=11)]
         path.write_text("".join(map(search._json_line, objs)))
         with pytest.raises(ValueError, match="line 12: trial 10 past the header's 10 trials"):
+            summarize_results(path)
+
+    def test_trials_past_the_orbit_count_are_refused(self, tmp_path):
+        # an exhaustive header names no count, but n = 5 has 89 pair orbits
+        path = tmp_path / "experiment.jsonl"
+        EXPERIMENT_FILES["pair-diameter"](path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()][:-1]
+        objs += [dict(objs[-1], trial=89), dict(objs[-1], trial=90)]
+        path.write_text("".join(map(search._json_line, objs)))
+        with pytest.raises(ValueError, match="line 91: trial 89 past the header's 89 trials"):
+            summarize_results(path)
+
+    def test_exhaustive_summary_needs_every_orbit(self, tmp_path):
+        # the last trial dropped, with the summary edited to agree with the rest
+        path = tmp_path / "experiment.jsonl"
+        EXPERIMENT_FILES["pair-diameter"](path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        header, trials = objs[0], objs[1:-2]
+        counts = Counter(obj["diameter"] for obj in trials)
+        pair = tuple(objs[-1]["max_pair"][x] for x in "ab")
+        summary = search._pair_summary(header["config"], counts, pair)
+        assert summary["max"] == objs[-1]["max"]  # the dropped trial is not the maximum
+        path.write_text("".join(map(search._json_line, [header, *trials, {"type": "summary", **summary}])))
+        with pytest.raises(ValueError, match="line 90: a summary after 88 of 89 trials"):
             summarize_results(path)
 
     @pytest.mark.parametrize(

@@ -751,6 +751,25 @@ class TestCbWords:
             cb_reset_word(8, 8)
 
 
+def assert_matches_plain_potential_bound(d: Dfa, weights, target: StateSet) -> None:
+    """Subset by subset in mask order, letter by letter, with Python sets."""
+    n = d.n
+    expected = (True, sum(weights) - sum(weights[q] for q in target.members()), None)
+    for letter, t in enumerate(d.transformations()):
+        bad = [
+            mask
+            for mask in range(1 << n)
+            if sum(weights[q] for q in {t(q) for q in range(n) if mask >> q & 1})
+            < sum(weights[q] for q in range(n) if mask >> q & 1) - 1
+        ]
+        if bad:
+            expected = (False, None, (bad[0], letter))
+            break
+    pb = potential_lower_bound(d, weights, target)
+    found = None if pb.counterexample is None else (pb.counterexample[0].mask, pb.counterexample[1])
+    assert (pb.valid, pb.bound, found) == expected
+
+
 class TestPotentialBound:
     def test_merge_family_weights_certify_quadratic_bound(self):
         for n in (3, 5, 8):
@@ -781,27 +800,13 @@ class TestPotentialBound:
         assert after < before - 1
 
     def test_matches_plain_oracle(self):
-        # subset by subset in mask order, letter by letter, with Python sets
         rng = random.Random(1729)
         for index in range(200):
             n = 1 + index % 8
             d = random_dfa(rng, n, rng.randint(1, 3))
             weights = [rng.randrange(4) for _ in range(n)]
             target = StateSet(n, rng.randrange(1, 1 << n))
-            expected = (True, sum(weights) - sum(weights[q] for q in target.members()), None)
-            for letter, t in enumerate(d.transformations()):
-                bad = [
-                    mask
-                    for mask in range(1 << n)
-                    if sum(weights[q] for q in {t(q) for q in range(n) if mask >> q & 1})
-                    < sum(weights[q] for q in range(n) if mask >> q & 1) - 1
-                ]
-                if bad:
-                    expected = (False, None, (bad[0], letter))
-                    break
-            pb = potential_lower_bound(d, weights, target)
-            found = None if pb.counterexample is None else (pb.counterexample[0].mask, pb.counterexample[1])
-            assert (pb.valid, pb.bound, found) == expected
+            assert_matches_plain_potential_bound(d, weights, target)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -811,15 +816,32 @@ class TestPotentialBound:
         with pytest.raises(ValueError):
             potential_lower_bound(v(3), [0, 1, 2], singleton(4, 0))
 
-    def test_memory_limit(self, monkeypatch):
-        # 34 bytes per subset: 34 * 2^12 = 139264 for n = 12
-        args = (v(12), list(range(12)), singleton(12, 0))
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 139264)
-        assert potential_lower_bound(*args).bound == 66
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 139263)
+    def test_matches_plain_oracle_on_permutations_and_rank_drops(self):
+        # letters drawn as permutations (single-state fibres only), rank n - 1
+        # maps (one fibre of two) and arbitrary maps, against the same oracle
+        rng = random.Random(4104)
+        for index in range(450):
+            n = 1 + index % 9
+            letters = []
+            for i in range(rng.randint(1, 3)):
+                images = list(random_permutation(rng, n).images)
+                kind = rng.randrange(3)
+                if kind == 1 and n > 1:
+                    p, q = rng.sample(range(n), 2)
+                    images[p] = images[q]
+                elif kind == 2:
+                    images = [rng.randrange(n) for _ in range(n)]
+                letters.append((f"x{i}", Transformation(tuple(images))))
+            d = Dfa(n, tuple(letters))
+            weights = [rng.randrange(10) for _ in range(n)]
+            assert_matches_plain_potential_bound(d, weights, StateSet(n, rng.randrange(1 << n)))
+
+    def test_allocates_nothing_at_any_n(self, monkeypatch):
+        # the check is linear in n per letter: no subset table, no memory limit
         refuse_allocation(monkeypatch)
-        with pytest.raises(ValueError, match="139264 bytes, more than the 139263 bytes of physical memory"):
-            potential_lower_bound(*args)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 0)
+        assert potential_lower_bound(v(12), list(range(12)), singleton(12, 0)).bound == 66
+        assert potential_lower_bound(v(200), list(range(200)), singleton(200, 0)).bound == 19900
 
 
 @settings(max_examples=80)
