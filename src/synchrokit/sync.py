@@ -37,12 +37,15 @@ from .monoid import is_two_transitive
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
-#: their fresh copy and its unique part (12), byte indices (8) and the flags
-#: of the neighbour test (1).  Only the sweep fallback of the witness
-#: allocates the good flags, but the bound covers it.
+#: their fresh copy and its unique part (12), ``intp`` gather indices (8) and
+#: the flags of the neighbour test (1).  Only the sweep fallback of the
+#: witness allocates the good flags, but the bound covers it.
 _EXACT_BYTES = 2 + 1 + 4 + 12 + 8 + 1
-#: Bytes per letter: image tables (4 bytes x 256 x 4) and chunk scratch (20 x 256).
-_EXACT_LETTER_BYTES = 4 * 256 * 4 + 20 * 256
+#: Widest chunk of a subset's bits that gets its own image table (see
+#: :func:`_chunks`).  Measured per exact item (2 cores, best of 5): v(18)
+#: took 67 ms at 8 bits, 39 at 11 and 40 at 12; from 14 bits a random
+#: 14-state item took twice as long, as the walk lists every row whole.
+_CHUNK_BITS = 11
 #: Bytes per subset a batch of several automata adds: each code's offset
 #: into the tables while its chunk is mapped (4).
 _OFFSET_BYTES = 4
@@ -104,34 +107,53 @@ def _subset_table(bits: Sequence[int]) -> list[int]:
     return table
 
 
+def _chunks(n: int) -> tuple[int, int]:
+    """``(c, w)``: an n-state subset is read as c = ceil(n / _CHUNK_BITS)
+    chunks of w = ceil(n / c) bits, the last one narrower when w does not
+    divide n (never empty, as (c - 1) * w < n)."""
+    c = -(-n // _CHUNK_BITS)
+    return c, -(-n // c)
+
+
+def _exact_letter_bytes(n: int) -> int:
+    """Bytes per letter the exact search may hold at n states: its ``uint32``
+    image tables, 4 x c x 2^w (see :func:`_chunks`), at most 4 x 3 x 2^11 at
+    n = 32, and chunk scratch (20 x 256)."""
+    c, w = _chunks(n)
+    return (4 * c << w) + 20 * 256
+
+
 def _letter_tables(dfas: Sequence[Dfa]) -> np.ndarray:
-    """``tables[b, a, t * 256 + v]``: the image under letter a of automaton t
-    of byte b's bit set v, with ``t << n`` set in the byte-0 entries.
+    """``tables[i, a, t << w | v]``: the image under letter a of automaton t
+    of chunk i's bit set v, with ``t << n`` set in the chunk-0 entries
+    (chunks of w bits, see :func:`_chunks`).
 
     The automata share n and the letter count; each table doubles once per
-    bit, ``table[..., 2^i : 2^(i+1)] = table[..., :2^i] | bit_i``, for all
+    bit, ``table[..., 2^j : 2^(j+1)] = table[..., :2^j] | bit_j``, for all
     letters and automata at once.  The whole batch's memory is checked
     before anything is allocated.
     """
     n, m, trials = dfas[0].n, dfas[0].m, len(dfas)
     if n > 32:
         raise ValueError(f"exact subset search handles at most 32 states, not {n}")
-    need = trials * ((_EXACT_BYTES << n) + _EXACT_LETTER_BYTES * m)
+    need = trials * ((_EXACT_BYTES << n) + _exact_letter_bytes(n) * m)
     if trials > 1:
         need += _OFFSET_BYTES * trials << n
     _require_memory(n, need)
-    nbytes = (n + 7) // 8
+    c, w = _chunks(n)
     images = np.array([[t.images for t in d.transformations()] for d in dfas], dtype=np.uint32)
-    bits = np.zeros((trials, m, 8 * nbytes), dtype=np.uint32)
+    bits = np.zeros((trials, m, c * w), dtype=np.uint32)
     bits[:, :, :n] = np.uint32(1) << images
-    # bits[b, a, t, i]: the image bit of state 8b + i, 0 past the last state
-    bits = bits.reshape(trials, m, nbytes, 8).transpose(2, 1, 0, 3)
-    tables = np.zeros((nbytes, m, trials, 256), dtype=np.uint32)
-    for i in range(min(8, n)):  # entries past 2^n are never read
-        tables[..., 1 << i : 2 << i] = tables[..., : 1 << i] | bits[..., i, None]
+    # bits[i, a, t, j]: the image bit of state w * i + j, 0 past the last state
+    bits = bits.reshape(trials, m, c, w).transpose(2, 1, 0, 3)
+    tables = np.zeros((c, m, trials, 1 << w), dtype=np.uint32)
+    # in the last chunk, entries past its width repeat those below, as the
+    # bits of states past n are 0
+    for j in range(w):
+        np.bitwise_or(tables[..., : 1 << j], bits[..., j, None], out=tables[..., 1 << j : 2 << j])
     if trials > 1:
         tables[0] |= (np.arange(trials, dtype=np.uint32) << n)[:, None]
-    return tables.reshape(nbytes, m, trials * 256)
+    return tables.reshape(c, m, trials << w)
 
 
 def _by_chunks(fn, codes: np.ndarray, span: int, m: int) -> np.ndarray:
@@ -146,21 +168,28 @@ def _images(tables: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
     """Images of every code under every letter, shape (letters, codes).
 
     With several automata, code ``t << n | S`` reads automaton t's tables at
-    ``t * 256 + byte``; with one the code is the subset and needs no offset.
+    ``t << w | v`` for chunk i's bits v of S; with one the code is the
+    subset and needs no offset.
     """
     # take() gathers about twice as fast as the equivalent [:, index] here
-    if tables.shape[2] == 256:
-        img = tables[0].take(codes & 0xFF, axis=1)
-        for b in range(1, len(tables)):
-            img |= tables[b].take((codes >> (8 * b)) & 0xFF, axis=1)
+    c, w = _chunks(n)
+    if c == 1:  # w = n, so t << w | S is the code itself, for one automaton or many
+        return tables[0].take(codes, axis=1)
+    mask = (1 << w) - 1
+    if tables.shape[2] == 1 << w:
+        # the codes are below 2^n, so the last chunk needs no mask
+        img = tables[-1].take(codes >> (w * (c - 1)), axis=1)
+        for i in range(c - 1):
+            img |= tables[i].take((codes >> (w * i)) & mask, axis=1)
         return img
-    base = (codes >> n) << 8
+    base = (codes >> n) << w
     img = np.zeros((tables.shape[1], codes.size), dtype=np.uint32)
-    for b in range(len(tables)):
-        # the bits of S in byte b, without the automaton's bits above S
-        index = (codes >> (8 * b)) & ((1 << min(8, n - 8 * b)) - 1)
+    for i in range(c):
+        # chunk i of S; past the last chunk's width the low bits of t pick
+        # entries that repeat those of S's bits alone
+        index = (codes >> (w * i)) & mask
         index |= base
-        img |= tables[b].take(index, axis=1)
+        img |= tables[i].take(index, axis=1)
     return img
 
 
@@ -172,7 +201,7 @@ def _fresh_images(
     ``keep`` is scratch for the neighbour test, one flag per image at least.
     """
     img = _images(tables, codes, n).ravel()
-    fresh = img[dist[img] == 0]
+    fresh = img[dist.take(img) == 0]
     if fresh.size:
         # an in-place sort plus a neighbour test: np.unique is an order of
         # magnitude slower on these arrays under numpy 2.4
@@ -204,7 +233,7 @@ def _forward_bfs(
     at most (n^3 - n) / 6 letters.  A level is mapped in chunks (see
     :func:`_by_chunks`).
     """
-    m, trials = tables.shape[1], tables.shape[2] >> 8
+    m, trials = tables.shape[1], tables.shape[2] >> _chunks(n)[1]
     span = trials << n
     keep = np.empty(max(256 * m, span), dtype=bool)  # a chunk's images at most
     offsets = np.arange(trials, dtype=np.uint32) << n
@@ -216,8 +245,9 @@ def _forward_bfs(
     levels = [frontier]
     distances: list[int | None] = [None] * trials
     while True:
-        if dist[singles].any():
-            hit = dist[singles].any(axis=1)
+        found = dist.take(singles)
+        if found.any():
+            hit = found.any(axis=1)
             for code in offsets[hit].tolist():
                 distances[code >> n] = len(levels) - 1
             if hit.all():
@@ -260,8 +290,9 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     (:data:`NOT_SYNCHRONIZING`) when no singleton subset is reachable.
 
     The forward pass maps whole numpy frontiers under every letter through
-    per-byte image tables, level by level from the full set, until a level
-    holds a singleton.  The witness comes from a depth-first walk on those
+    image tables over chunks of up to 11 bits (two gathers per letter up to
+    22 states), level by level from the full set, until a level holds a
+    singleton.  The witness comes from a depth-first walk on those
     levels (:func:`_walk`): every prefix of a shortest reset word lands on
     the next level, so the walk steps from the full set, in letter order,
     only to an image one level further (a singleton on the last step) and
@@ -269,8 +300,10 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     :func:`_walk_budget` subsets stops, and the backward sweep of
     :func:`_sweep` over the same levels gives the same word.
 
-    Memory is at most 28 * 2^n + 9216 * m bytes for m letters (see
-    ``_EXACT_BYTES``): cerny(25) needs at most 940 MB.
+    Memory is at most 28 * 2^n + (4 * c * 2^w + 5120) * m bytes for m
+    letters and c chunks of w bits (see ``_EXACT_BYTES`` and
+    :func:`_exact_letter_bytes`), so at most 28 * 2^n + 29696 * m:
+    cerny(25) needs at most 940 MB.
 
     Raises:
         ValueError: past 32 states (subsets are ``uint32`` masks) or when
@@ -310,10 +343,11 @@ def _walk(
     """
     if rt == 0:
         return []
-    # rows[a]: letter a's row for byte 0, then the shift and row of each
-    # further byte, each row only as long as the subsets reach
-    lists = [table[:, : 1 << min(8, n - b)].tolist() for b, table in zip(range(0, n, 8), tables)]
-    rows = [(low, list(zip(range(8, n, 8), high))) for low, *high in zip(*lists)]
+    # rows[a]: letter a's row for chunk 0, then the shift and row of each
+    # further chunk
+    _, w = _chunks(n)
+    mask = (1 << w) - 1
+    rows = [(low, list(zip(range(w, n, w), high))) for low, *high in zip(*tables.tolist())]
     depth = memoryview(dist)  # reads Python ints, faster than numpy scalars
     path, word, failed = [(1 << n) - 1], [], set()
     start = 0  # the first letter to try on the last subset of the path
@@ -323,9 +357,9 @@ def _walk(
         s, last, after = path[-1], len(path) == rt, len(path) + 1
         for a in range(start, len(rows)):
             low, high = rows[a]
-            t = low[s & 0xFF]
+            t = low[s & mask]
             for shift, row in high:
-                t |= row[s >> shift & 0xFF]
+                t |= row[s >> shift & mask]
             if last:
                 if t & (t - 1) == 0:
                     return word + [a]
@@ -359,7 +393,8 @@ def _sweep(
     good[last[(last & (last - 1)) == 0]] = True
     for k in range(rt - 1, -1, -1):
         marked = _by_chunks(
-            lambda s: s[good[_images(tables, s, n)].any(axis=0)], levels[k], 1 << n, tables.shape[1]
+            lambda s: s[good.take(_images(tables, s, n)).any(axis=0)],
+            levels[k], 1 << n, tables.shape[1],
         )
         good[marked] = True
     # Walking forward, a good image may also sit on an earlier level; only

@@ -96,7 +96,7 @@ class TestRt:
         monkeypatch.setattr(sync, "_physical_memory", lambda: 100000)
         code, out, err = run(capsys, "rt", "--family", "cerny", "--n", "12")
         assert code == 2 and out == ""
-        assert "133120 bytes, more than the 100000 bytes of physical memory" in err
+        assert "125952 bytes, more than the 100000 bytes of physical memory" in err
 
     def test_file_and_family_conflict(self, capsys, tmp_path):
         path = tmp_path / "x.txt"

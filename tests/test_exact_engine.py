@@ -8,6 +8,9 @@ automata (``_reset_distances``); the oracle checks them one automaton at a
 time.  The witness is walked depth-first on the BFS levels, and the backward
 sweep takes over past the walk's budget: tests reach the sweep both at the
 real budget and with a budget of 0, which sends every automaton to it.
+The image tables read a subset in chunks of bits; the tests cover one chunk
+and two against the oracle, and narrower chunks, patched in, against the
+default layout.
 """
 
 import itertools
@@ -267,3 +270,95 @@ def test_cerny_twenty(sweeps):
 @pytest.mark.extended
 def test_cerny_at_the_cap():
     _check_exact(cerny(25), 576)
+
+
+def _layout_automata(rng: random.Random, n: int, count: int) -> list[Dfa]:
+    """Random automata of n states and three letters: two permutations and a
+    transformation, which keeps most of them synchronizing."""
+    return [
+        Dfa(n, (
+            ("a", random_permutation(rng, n)),
+            ("b", random_permutation(rng, n)),
+            ("c", random_transformation(rng, n)),
+        ))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_chunk_layouts_match_the_oracle(n):
+    # one 11-bit chunk, two 6-bit chunks, and a 7-bit chunk under a
+    # narrower 6-bit last one; the n = 11 batch sets each automaton's offset
+    # right above the only chunk
+    assert sync._chunks(n) == {11: (1, 11), 12: (2, 6), 13: (2, 7)}[n]
+    dfas = _layout_automata(random.Random(20261020 + n), n, 3)
+    expected = [oracle_reset_threshold(d) for d in dfas]
+    distances = [None if e is NOT_SYNCHRONIZING else e[0] for e in expected]
+    assert sum(rt is not None for rt in distances) >= 2
+    batch_distances, batch_levels, _ = sync._forward_bfs(sync._letter_tables(dfas), n)
+    assert batch_distances == distances
+    full = (1 << n) - 1
+    for t, d in enumerate(dfas):
+        assert reset_threshold_exact(d) == expected[t]
+        (rt,), levels, dist = sync._forward_bfs(sync._letter_tables([d]), n)
+        assert rt == distances[t]
+        oracle = oracle_levels(d, len(levels) - 1)
+        assert [sorted(level.tolist()) for level in levels] == oracle
+        depth = [0] * (1 << n)
+        for k, level in enumerate(oracle):
+            for mask in level:
+                depth[mask] = k + 1
+        assert dist.tolist() == depth
+        own = [sorted(c & full for c in level.tolist() if c >> n == t) for level in batch_levels]
+        last = len(levels) - 1 if rt is None else rt
+        assert own[: last + 1] == oracle[: last + 1]
+        assert not any(own[last + 1 :])
+
+
+def _engine_outputs(dfas: list[Dfa], n: int):
+    """``dist``, levels as sets and both witnesses of each automaton, then
+    the batch's distances, ``dist`` and levels as sets."""
+    out = []
+    for d in dfas:
+        tables = sync._letter_tables([d])
+        (rt,), levels, dist = sync._forward_bfs(tables, n)
+        words = None
+        if rt is not None:
+            words = (sync._walk(tables, dist, n, rt, 1 << n), sync._sweep(tables, levels, dist, n, rt))
+        out.append((rt, dist.tolist(), [set(level.tolist()) for level in levels], words))
+    distances, levels, dist = sync._forward_bfs(sync._letter_tables(dfas), n)
+    out.append((distances, dist.tolist(), [set(level.tolist()) for level in levels]))
+    return out
+
+
+@pytest.mark.parametrize("bits", [8, 5, 3])
+def test_narrower_chunks_give_the_same_search(monkeypatch, bits):
+    # chunks of at most 8 bits, the old byte width, split 9..13 states in
+    # two; 5 and 3 bits split them into two to five, so the middle chunks'
+    # masks run too
+    rng = random.Random(20261021 + bits)
+    cases = [(n, _layout_automata(rng, n, 3)) for n in range(9, 14)]
+    expected = [_engine_outputs(dfas, n) for n, dfas in cases]
+    monkeypatch.setattr(sync, "_CHUNK_BITS", bits)
+    assert max(sync._chunks(n)[0] for n, _ in cases) == -(-13 // bits)
+    assert [_engine_outputs(dfas, n) for n, dfas in cases] == expected
+    assert sum(words is not None for out in expected for *_, words in out[:-1]) >= 10
+
+
+def test_memory_check_charges_the_image_tables(monkeypatch):
+    # the tables of every layout up to the widest, three 11-bit chunks at
+    # 32 states, fit the per-letter bytes charged, single and batched
+    monkeypatch.setattr(sync, "_physical_memory", lambda: 1 << 62)
+    charged = []
+    require = sync._require_memory
+    monkeypatch.setattr(sync, "_require_memory", lambda n, need: charged.append(need) or require(n, need))
+    rng = random.Random(20261022)
+    batches = [_layout_automata(rng, n, 1) for n in range(1, 33)]
+    batches += [_layout_automata(rng, n, sync._BATCH_SUBSETS >> n) for n in (8, 10, 12)]
+    for dfas in batches:
+        n, m, trials = dfas[0].n, dfas[0].m, len(dfas)
+        tables = sync._letter_tables(dfas)
+        assert tables.nbytes <= sync._exact_letter_bytes(n) * m * trials
+        assert charged.pop() >= trials * ((sync._EXACT_BYTES << n) + sync._exact_letter_bytes(n) * m)
+    assert sync._exact_letter_bytes(32) == 4 * 3 * 2**11 + 20 * 256
+    assert max(map(sync._exact_letter_bytes, range(1, 33))) == sync._exact_letter_bytes(32)

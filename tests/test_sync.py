@@ -71,27 +71,28 @@ class TestResetThresholdExact:
         assert reset_threshold_exact(rystsov(5))[0] == 10
 
     def test_cap(self, monkeypatch):
-        # the only cap is memory: 28 * 2^12 + 9216 * 2 = 133120 bytes for cerny(12)
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 133120)
+        # the only cap is memory: 28 * 2^12 + 2 * (4 * 2 * 2^6 + 20 * 256)
+        # = 125952 bytes for cerny(12), whose tables are two 6-bit chunks
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 125952)
         assert reset_threshold_exact(cerny(12))[0] == 121
         assert sync._reset_distances([cerny(12)]) == [121]
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 133119)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 125951)
         refuse_allocation(monkeypatch)
-        with pytest.raises(ValueError, match="133120 bytes, more than the 133119 bytes of physical memory"):
+        with pytest.raises(ValueError, match="125952 bytes, more than the 125951 bytes of physical memory"):
             reset_threshold_exact(cerny(12))
-        with pytest.raises(ValueError, match="133120 bytes"):
+        with pytest.raises(ValueError, match="125952 bytes"):
             sync._reset_distances([cerny(12)])
 
     def test_cap_covers_the_whole_batch(self, monkeypatch):
-        # one batch of three cerny(12) needs 3 * (133120 + 4 * 2^12) bytes
+        # one batch of three cerny(12) needs 3 * (125952 + 4 * 2^12) bytes
         # with the codes' table offsets, refused one byte short although
         # each automaton alone would fit
         batch = [cerny(12)] * 3
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 448512)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 427008)
         assert sync._reset_distances(batch) == [121] * 3
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 448511)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 427007)
         refuse_allocation(monkeypatch)
-        with pytest.raises(ValueError, match="448512 bytes, more than the 448511 bytes"):
+        with pytest.raises(ValueError, match="427008 bytes, more than the 427007 bytes"):
             sync._reset_distances(batch)
 
     def test_more_than_32_states_is_a_value_error_whatever_the_cap(self, monkeypatch):
