@@ -82,13 +82,23 @@ class Transformation:
         return _shift_groups(self.images)
 
     @cached_property
-    def _powers(self) -> tuple[int, list[list[int]], dict[int, _Groups]] | None:
+    def _powers(self) -> tuple[int, list[tuple[list[int], int, list[int]]], dict[int, _Groups]] | None:
         """A permutation's order, its cycles of two or more states and the
-        groups of the powers :func:`_power_groups` kept; ``None`` for other maps."""
+        groups of the powers :func:`_power_groups` kept; ``None`` for other maps.
+
+        Each cycle comes with its state mask and the positions where a run
+        of consecutive ascending states begins, position 0 first: the
+        n-cycle ``q -> q + 1`` is one run, a random cycle about one run per
+        state."""
         if not self.is_permutation():
             return None
-        cycles = [cycle for cycle in _cycles(self.images) if len(cycle) > 1]
-        return math.lcm(*map(len, cycles)), cycles, {}
+        cycles = [
+            (cycle, sum(1 << q for q in cycle),
+             [0, *(i for i in range(1, len(cycle)) if cycle[i] != cycle[i - 1] + 1)])
+            for cycle in _cycles(self.images)
+            if len(cycle) > 1
+        ]
+        return math.lcm(*(len(cycle) for cycle, _, _ in cycles)), cycles, {}
 
 
 def _cycles(p: Sequence[int]) -> list[list[int]]:
@@ -241,16 +251,29 @@ def _shift_groups(images: Sequence[int]) -> _Groups:
 def _power_groups(t: Transformation, k: int) -> _Groups:
     """Groups of ``t^k`` for a permutation ``t``, kept with ``t`` by k modulo
     its order until the kept ones hold 4n groups: all n powers of an n-cycle
-    are kept, few of a permutation with many groups per power."""
+    are kept, few of a permutation with many groups per power.
+
+    ``t^k`` moves each cycle j = k mod L places along it, L its length.  Cut
+    at its run starts and at those starts shifted back by j, a cycle falls
+    into pieces of consecutive ascending states whose images are consecutive
+    too, so each piece is one interval mask moved by one offset: the cost is
+    O(runs) big-int operations, two pieces for a power of the n-cycle."""
     order, cycles, kept = t._powers
     if (groups := kept.get(k := k % order)) is None:
-        images = list(range(t.n))
-        for cycle in cycles:
-            j = k % len(cycle)
-            for q, x in zip(cycle, cycle[j:] + cycle[:j]):
-                images[q] = x
-        groups = _shift_groups(images)
-        if sum(1 + len(ups) + len(downs) for _, ups, downs in kept.values()) < 4 * t.n:
+        fixed, by_offset = (1 << t.n) - 1, {}
+        for cycle, mask, starts in cycles:
+            size = len(cycle)
+            if not (j := k % size):
+                continue
+            fixed ^= mask
+            cuts = sorted({*starts, *((r - j) % size for r in starts)})
+            for s, e in zip(cuts, [*cuts[1:], size]):
+                q = cycle[s]
+                d = cycle[(s + j) % size] - q
+                by_offset[d] = by_offset.get(d, 0) | ((1 << (e - s)) - 1) << q
+        ups = tuple((src, d) for d, src in by_offset.items() if d > 0)
+        groups = fixed, ups, tuple((src, -d) for d, src in by_offset.items() if d < 0)
+        if sum(1 + len(up) + len(down) for _, up, down in kept.values()) < 4 * t.n:
             kept[k] = groups
     return groups
 

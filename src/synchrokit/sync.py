@@ -2,10 +2,11 @@
 
 Four synthesizers are provided: exact subset BFS (optimal, exponential),
 pair chasing (greedy merging guided by one backward BFS over pairs of
-states from the collapsed ones, read off per-letter preimage lists), subset
-extension through the excluded/duplicate stratification (quadratic bound
-for automata whose transition monoid is all transformations), and the
-merging/pairing round simulation for the three-letter cyclic family.
+states from the collapsed ones, read off per-letter preimage lists and the
+inverses of permutation letters), subset extension through the
+excluded/duplicate stratification (quadratic bound for automata whose
+transition monoid is all transformations), and the merging/pairing round
+simulation for the three-letter cyclic family.
 Every synthesizer machine-checks its output and reports the check in the
 ``verified`` flag of the returned :class:`ResetResult`.
 
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -33,7 +36,7 @@ import numpy as np
 
 from .core import Dfa, StateSet, Word, _preimage, apply_word
 from .families import cb
-from .monoid import is_two_transitive
+from .monoid import _inv, is_two_transitive
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
 #: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
@@ -409,39 +412,56 @@ def _sweep(
     return letters
 
 
+def _mask_bits(mask: int, n: int) -> np.ndarray:
+    """Bit q of ``mask`` as entry q of an array of n bools."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 def _merge_distances(d: Dfa) -> tuple[list[int], list[set[int]]]:
     """``dist[p * n + q]``, the length of a shortest word collapsing states p
     and q (0 where p == q, -1 if none), and ``touch[s]``, the letters whose
     preimage of s is not ``[s]``.
 
-    A backward BFS from the pairs {s, s} over per-letter preimage lists:
+    A backward BFS from the pairs {s, s}, popped from a queue as it goes:
     {p, q} is reached from the pairs of ``a^-1(p) x a^-1(q)`` for the
     letters a in ``touch[p] | touch[q]``; any other letter fixes both states.
+    A permutation letter's preimages are read off its inverse, any other
+    letter's from its preimage lists.
     """
     n = d.n
     dist = [-1] * (n * n)
     dist[:: n + 1] = [0] * n
     touch: list[set[int]] = [set() for _ in range(n)]
+    inverse: list[tuple[int, ...] | None] = []  # inverse[a]: a's inverse, None unless a permutes
     pre = []  # pre[a][s]: the states letter a maps to s
     for a, t in enumerate(d.transformations()):
         blocks: list[list[int]] = [[] for _ in range(n)]
         for x, s in enumerate(t.images):
             blocks[s].append(x)
         pre.append(blocks)
+        inverse.append(_inv(t.images) if t.is_permutation() else None)
         for s, block in enumerate(blocks):
             if block != [s]:
                 touch[s].add(a)
-    queue = [(s, s) for s in range(n)]
-    for p, q in queue:
-        step = dist[p * n + q] + 1
+    queue = deque(range(0, n * n, n + 1))  # pair codes p * n + q
+    while queue:
+        p, q = divmod(v := queue.popleft(), n)
+        step = dist[v] + 1
         tp, tq = touch[p], touch[q]
         for a in tp if tp == tq else tp | tq:
+            if (inv := inverse[a]) is not None:
+                x, y = inv[p], inv[q]
+                if dist[w := x * n + y] < 0:
+                    dist[w] = dist[y * n + x] = step
+                    queue.append(w)
+                continue
             blocks = pre[a]
             for x in blocks[p]:
                 for y in blocks[q]:
-                    if dist[x * n + y] < 0:
-                        dist[x * n + y] = dist[y * n + x] = step
-                        queue.append((x, y))
+                    if dist[w := x * n + y] < 0:
+                        dist[w] = dist[y * n + x] = step
+                        queue.append(w)
     return dist, touch
 
 
@@ -463,10 +483,13 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     whose image is one step closer to collapsing, until it collapses; that
     letter depends on the pair alone, so it is found on the pair's first
     visit, among the letters of :func:`_merge_distances`' ``touch`` lists
-    (any other letter fixes the pair), and reused.  The pairs are sorted by
-    distance once; each round scans that order from the start, as the new
-    image need not lie inside the old one.
-    The image loses a state every round, so there are at most n - 1 rounds.
+    (any other letter fixes the pair), and kept in two flat tables, the
+    pair's next letter and next pair.  The pairs i < j are ranked by one
+    int64 key per pair, ``dist * n^2 + i * n + j``, in an n x n matrix; a
+    round's pair holds the least key among the pairs of the image's
+    states, taken afresh each round, as the new image need not lie inside
+    the old one.  The image loses a state every round, so there are at
+    most n - 1 rounds.
 
     Raises:
         ValueError: if the automaton is not synchronizing.
@@ -476,27 +499,27 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     if min(dist) < 0:
         raise ValueError("automaton is not synchronizing")
     images = [t.images for t in d.transformations()]
-    ranked = sorted(
-        ((1 << i | 1 << j, i * n + j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda pair: dist[pair[1]],
-    )
-    toward: list = [None] * (n * n)  # pair v -> (least letter, next pair)
+    key = np.array(dist, dtype=np.int64) * (n * n) + np.arange(n * n, dtype=np.int64)
+    key = key.reshape(n, n)
+    key[np.tri(n, dtype=bool)] = np.iinfo(np.int64).max  # keep i < j only
+    next_letter = array("q", [-1]) * (n * n)  # pair v -> its least letter one step closer
+    next_pair = array("q", [0]) * (n * n)  # pair v -> the pair that letter sends it to
     image = StateSet.full(n)
     letters: list[int] = []
     while image.cardinality() > 1:
-        mask = image.mask
-        v = next(v for bits, v in ranked if bits & mask == bits)
+        states = np.flatnonzero(_mask_bits(image.mask, n))
+        v = int(key[np.ix_(states, states)].min()) % (n * n)
         step: list[int] = []
         while dist[v]:
-            if (move := toward[v]) is None:
+            if (a := next_letter[v]) < 0:
                 p, q = divmod(v, n)
                 for a in sorted(touch[p] | touch[q]):
                     w = images[a][p] * n + images[a][q]
                     if dist[w] == dist[v] - 1:
                         break
-                move = toward[v] = a, w
-            a, v = move
+                next_letter[v], next_pair[v] = a, w
             step.append(a)
+            v = next_pair[v]
         image = apply_word(image, d, Word(tuple(step)))
         letters.extend(step)
     w = Word(tuple(letters))
@@ -589,8 +612,7 @@ def _extension_letters(
     word = [x]
     steps = 0
     while r.bit_count() < n:
-        raw = np.frombuffer(r.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        inside = np.unpackbits(raw, count=n, bitorder="little").view(bool)
+        inside = _mask_bits(r, n)
         crossing = inside[ps] & ~inside[qs]
         i = int(crossing.argmax())
         if not crossing[i]:

@@ -12,6 +12,9 @@ from synchrokit.core import (
     StateSet,
     Transformation,
     Word,
+    _cycles,
+    _power_groups,
+    _shift_groups,
     apply_word,
     dfa_from_json_dict,
     dfa_to_json_dict,
@@ -328,6 +331,48 @@ def test_cached_groups_leave_equality_hash_repr_and_pickles_alone():
     rot, p = (vars(t)["_powers"][2] for t in d.transformations()[:2])
     assert len(rot) == n
     assert 0 < sum(1 + len(ups) + len(downs) for _, ups, downs in p.values()) < 5 * n
+
+
+def reference_power_groups(t: Transformation, k: int) -> tuple:
+    """Groups of ``t^k`` by the route the run cuts replaced: the images of
+    ``t^k``, built by moving each listed cycle k places, split by offset."""
+    images = list(range(t.n))
+    for cycle in _cycles(t.images):
+        j = k % len(cycle)
+        for q, x in zip(cycle, cycle[j:] + cycle[:j]):
+            images[q] = x
+    fixed, ups, downs = _shift_groups(images)
+    return fixed, set(ups), set(downs)
+
+
+def power_test_permutations(r: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Random permutations, the n-cycle, the reversal, the stride-2 cycle
+    q -> q + 2 mod n and a random transposition on ``n`` states."""
+    swap = list(range(n))
+    x, y = r.sample(range(n), 2) if n > 1 else (0, 0)
+    swap[x], swap[y] = y, x
+    return [
+        *(random_permutation(r, n).images for _ in range(2 if n <= 12 else 1)),
+        tuple((q + 1) % n for q in range(n)),
+        tuple(range(n - 1, -1, -1)),
+        tuple((q + 2) % n for q in range(n)),
+        tuple(swap),
+    ]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 63, 64, 65, 128, 200])
+def test_power_groups_cut_at_runs_match_the_image_route(n):
+    r = random.Random(n)
+    for images in power_test_permutations(r, n):
+        t = Transformation(images)  # fresh, so powers past the order come from the kept ones
+        order = math.lcm(*map(len, _cycles(images)))
+        reference: dict[int, tuple] = {}
+        for k in range(2 * n + 3):
+            fixed, ups, downs = _power_groups(t, k)
+            if k % order not in reference:
+                reference[k % order] = reference_power_groups(t, k)
+            assert (fixed, set(ups), set(downs)) == reference[k % order], (images, k)
+            assert len(ups) == len(set(ups)) and len(downs) == len(set(downs))
 
 
 @given(st.data())

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -306,6 +307,18 @@ class TestPairchase:
             assert r.verified
             h.update(f"{family.__name__}({n}) {' '.join(map(str, r.word))}\n".encode())
         assert h.hexdigest() == "f1564861936e41bdb42d8e7dda75589c09bbc112c0c7a374528e248c3ae670de"
+
+    def test_memory_stays_off_per_pair_objects(self):
+        # a ranked list and next-step table of per-pair tuples peak at 3.9 MiB
+        # here; the key matrix and the two flat next-step tables at about 2 MiB
+        d = cerny(150)
+        tracemalloc.start()
+        try:
+            r = pairchase_reset_word(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.verified and peak < 2.5 * 2**20
 
     def test_cycle_family_is_quadratic_not_worse(self):
         for n in (5, 9, 13):
