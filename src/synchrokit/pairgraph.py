@@ -29,6 +29,8 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 def index_pair(n: int, idx: int) -> tuple[int, int]:
     """Inverse of :func:`pair_index`."""
+    if not 0 <= idx < n * (n - 1) // 2:
+        raise ValueError(f"need 0 <= idx < n(n-1)/2, got {idx} with n={n}")
     i = 0
     row = n - 1
     while idx >= row:

@@ -54,6 +54,7 @@ from .core import (
 from .monoid import _generates_symmetric, _inv, _transitive_with_odd, cycle_lengths
 from .pairgraph import build_pair_digraph, diameter
 from .sync import (
+    _mask_bits,
     _require_memory,
     _reset_distances,
     _resets,
@@ -332,22 +333,30 @@ def _census_context(n: int) -> tuple:
             table = _subset_table([1 << q for q in p])
             rts = np.full(m, 255, np.uint8)
             for level, bits in enumerate(_reset_levels(table, table, moves, (1 << m) - 1)[0]):
-                rts[_unpack(bits, m)] = level
+                rts[_mask_bits(bits, m)] = level
             for (g, ginv), relabel in zip(residual, relabels):
                 if least[c := rank[_conjugate(p, g, ginv)]] < 0:
                     least[c], resets[c] = r, (rts, relabel)
     return perms, residual, rank_letters, moves, resets, rank, least
 
 
-def _unpack(bits: int, count: int) -> np.ndarray:
-    """The ``count`` low bits of ``bits`` as a boolean array, bit 0 first."""
-    data = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(data, count=count, bitorder="little").view(bool)
-
-
 def _pack(mask: np.ndarray) -> int:
     """The boolean array ``mask`` as the bits of an int, entry 0 lowest."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _residual_orbit_count(n: int) -> int:
+    """Orbits of S_n under conjugation by the residual group, by Burnside's
+    lemma: the sum of (f + 1)(f + 2) over the cycle types of S_{n-2}, f the
+    fixed points, as a symmetry's centralizer in S_n is (f + 1)(f + 2) times
+    that in S_{n-2}; the types with f fixed points are the partitions of
+    n - 2 - f into parts of at least 2 (``no_ones``)."""
+    k = n - 2
+    no_ones = [1] + [0] * k
+    for part in range(2, k + 1):
+        for j in range(part, k + 1):
+            no_ones[j] += no_ones[j - part]
+    return sum((f + 1) * (f + 2) * no_ones[k - f] for f in range(k + 1))
 
 
 def _census_bytes(n: int, workers: int) -> int:
@@ -362,19 +371,17 @@ def _census_bytes(n: int, workers: int) -> int:
     the C(2n-1, n-1) + C(2n-2, n-2) subset moves, 200 bytes of entry and a
     mask of up to m bits at 7.5 bits per byte.  The thresholds add numpy
     arrays of 112 bytes plus their data: m indices for each of the (n-2)!
-    residual symmetries, and m bytes for each residual orbit, of which there
-    are at most n(n-1) + 2(n-2)! (Burnside: the identity fixes n!
-    permutations, any other symmetry at most the 2(n-2)! of a
-    transposition's centralizer), while 32mn bytes of codes make the
+    residual symmetries, and m bytes for each residual orbit (see
+    :func:`_residual_orbit_count`), while 32mn bytes of codes make the
     indices.  9 KB cover the fixed parts of its containers and numpy's,
     which dominate at n = 2: tracemalloc measured a 7.8 KB peak there.  At
-    n = 8 that is 106 MB per context, where tracemalloc measured a 72 MB
-    peak; at n = 10 it is 474 GB.
+    n = 8 that is 79 MB per context, where tracemalloc measured a 72 MB
+    peak; at n = 9 it is 4.8 GB and at n = 10 328 GB.
     """
     perms = math.factorial(n)
     moves = math.comb(2 * n - 1, n - 1) + math.comb(2 * n - 2, n - 2)
     symmetries, m = math.factorial(n - 2), perms // 2
-    orbits = n * (n - 1) + 2 * symmetries
+    orbits = _residual_orbit_count(n)
     thresholds = symmetries * (m * np.min_scalar_type(m).itemsize + 112) + orbits * (m + 112)
     context = (
         9 * 1024 + perms * ((48 + 8 * n) * 3 // 2 + 192) + moves * (200 + perms // 15)
@@ -557,8 +564,8 @@ def max_reset_threshold_exhaustive(
     new block maximum (see :func:`_census_block`).  On a 2-core host n = 6
     took 3.4-4.3 s in one process, n = 7 116 s with two workers, and the
     n = 8 context alone 34 s, most of it in the two-letter thresholds of its
-    150 residual orbits.  A run whose :func:`_census_bytes` estimate (6.6 GB
-    at n = 9, 474 GB at n = 10, one context more per extra worker) exceeds
+    150 residual orbits.  A run whose :func:`_census_bytes` estimate (4.8 GB
+    at n = 9, 328 GB at n = 10, one context more per extra worker) exceeds
     physical memory is refused with ``ValueError`` before it allocates or
     writes anything.
     """

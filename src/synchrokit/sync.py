@@ -45,19 +45,18 @@ from .monoid import _inv, is_two_transitive
 #: witness allocates the good flags, but the bound covers it.
 _EXACT_BYTES = 2 + 1 + 4 + 12 + 8 + 1
 #: Widest chunk of a subset's bits that gets its own image table (see
-#: :func:`_chunks`).  Measured per exact item (2 cores, best of 5): v(18)
-#: took 67 ms at 8 bits, 39 at 11 and 40 at 12; from 14 bits a random
-#: 14-state item took twice as long, as the walk lists every row whole.
-_CHUNK_BITS = 11
-#: Bytes per subset a batch of several automata adds: each code's offset
-#: into the tables while its chunk is mapped (4).
-_OFFSET_BYTES = 4
+#: :func:`_chunks`).  The witness walk reads the tables in place, so width
+#: costs it nothing.  Against 11 bits (2 cores, medians of six alternating
+#: runs): thirty random 14-state exact items took 45 ms against 54, twenty
+#: 12-state random-rt calls 53 against 57, and cerny(23), read in two chunks
+#: instead of three, 294 against 316.  15 bits was faster again on 15-state
+#: items (cerny(15) 2.7 ms against 3.6) but gives each of their letters a
+#: 128 KB table; it is untried end to end.
+_CHUNK_BITS = 14
 #: Subsets one batch of :func:`_reset_distances` may span: at most
-#: ``_BATCH_SUBSETS >> n`` automata of n states, and one from n = 16 up.
-#: Measured on 500 random trials of n = 10 (2 cores, best of 5, two runs):
-#: 194-210 ms at 2^12, 116-124 ms at 2^14, 103-124 ms at 2^16 and
-#: 98-114 ms at 2^18, so larger batches gain no more than host noise.
-_BATCH_SUBSETS = 1 << 16
+#: ``_BATCH_SUBSETS >> n`` automata of n states, so several only where a
+#: subset is one chunk (n <= _CHUNK_BITS).
+_BATCH_SUBSETS = 2 << _CHUNK_BITS
 
 
 #: What :func:`reset_threshold_exact` returns when no word resets.
@@ -120,8 +119,8 @@ def _chunks(n: int) -> tuple[int, int]:
 
 def _exact_letter_bytes(n: int) -> int:
     """Bytes per letter the exact search may hold at n states: its ``uint32``
-    image tables, 4 x c x 2^w (see :func:`_chunks`), at most 4 x 3 x 2^11 at
-    n = 32, and chunk scratch (20 x 256)."""
+    image tables, 4 x c x 2^w (see :func:`_chunks`), at most 4 x 2 x 2^14 at
+    n = 27 and 28, and chunk scratch (20 x 256)."""
     c, w = _chunks(n)
     return (4 * c << w) + 20 * 256
 
@@ -131,27 +130,25 @@ def _letter_tables(dfas: Sequence[Dfa]) -> np.ndarray:
     of chunk i's bit set v, with ``t << n`` set in the chunk-0 entries
     (chunks of w bits, see :func:`_chunks`).
 
-    The automata share n and the letter count; each table doubles once per
-    bit, ``table[..., 2^j : 2^(j+1)] = table[..., :2^j] | bit_j``, for all
+    The automata share n and the letter count, and several need one chunk;
+    each table doubles once per bit,
+    ``table[..., 2^j : 2^(j+1)] = table[..., :2^j] | bit_j``, for all
     letters and automata at once.  The whole batch's memory is checked
     before anything is allocated.
     """
     n, m, trials = dfas[0].n, dfas[0].m, len(dfas)
     if n > 32:
         raise ValueError(f"exact subset search handles at most 32 states, not {n}")
-    need = trials * ((_EXACT_BYTES << n) + _exact_letter_bytes(n) * m)
-    if trials > 1:
-        need += _OFFSET_BYTES * trials << n
-    _require_memory(n, need)
     c, w = _chunks(n)
+    if trials > 1 and c > 1:
+        raise ValueError(f"a batch of {trials} automata of {n} states spans {c} chunks, not one")
+    _require_memory(n, trials * ((_EXACT_BYTES << n) + _exact_letter_bytes(n) * m))
     images = np.array([[t.images for t in d.transformations()] for d in dfas], dtype=np.uint32)
     bits = np.zeros((trials, m, c * w), dtype=np.uint32)
     bits[:, :, :n] = np.uint32(1) << images
     # bits[i, a, t, j]: the image bit of state w * i + j, 0 past the last state
     bits = bits.reshape(trials, m, c, w).transpose(2, 1, 0, 3)
     tables = np.zeros((c, m, trials, 1 << w), dtype=np.uint32)
-    # in the last chunk, entries past its width repeat those below, as the
-    # bits of states past n are 0
     for j in range(w):
         np.bitwise_or(tables[..., : 1 << j], bits[..., j, None], out=tables[..., 1 << j : 2 << j])
     if trials > 1:
@@ -170,29 +167,18 @@ def _by_chunks(fn, codes: np.ndarray, span: int, m: int) -> np.ndarray:
 def _images(tables: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
     """Images of every code under every letter, shape (letters, codes).
 
-    With several automata, code ``t << n | S`` reads automaton t's tables at
-    ``t << w | v`` for chunk i's bits v of S; with one the code is the
-    subset and needs no offset.
+    With one chunk, code ``t << n | S`` of a batch reads its entry as is;
+    an automaton alone (codes below 2^n) ORs one gather per chunk.
     """
     # take() gathers about twice as fast as the equivalent [:, index] here
     c, w = _chunks(n)
-    if c == 1:  # w = n, so t << w | S is the code itself, for one automaton or many
+    if c == 1:
         return tables[0].take(codes, axis=1)
+    # the codes are below 2^n, so the last chunk needs no mask
     mask = (1 << w) - 1
-    if tables.shape[2] == 1 << w:
-        # the codes are below 2^n, so the last chunk needs no mask
-        img = tables[-1].take(codes >> (w * (c - 1)), axis=1)
-        for i in range(c - 1):
-            img |= tables[i].take((codes >> (w * i)) & mask, axis=1)
-        return img
-    base = (codes >> n) << w
-    img = np.zeros((tables.shape[1], codes.size), dtype=np.uint32)
-    for i in range(c):
-        # chunk i of S; past the last chunk's width the low bits of t pick
-        # entries that repeat those of S's bits alone
-        index = (codes >> (w * i)) & mask
-        index |= base
-        img |= tables[i].take(index, axis=1)
+    img = tables[-1].take(codes >> (w * (c - 1)), axis=1)
+    for i in range(c - 1):
+        img |= tables[i].take((codes >> (w * i)) & mask, axis=1)
     return img
 
 
@@ -273,7 +259,8 @@ def _reset_distances(dfas: Sequence[Dfa]) -> list[int | None]:
 
     The automata share n and the letter count.  They are searched in
     batches of at most ``_BATCH_SUBSETS`` subsets, at least one automaton
-    each, and every batch checks its own memory need.
+    each, so a batch of several is one chunk (see :func:`_letter_tables`),
+    and every batch checks its own memory need.
     """
     if not dfas:
         return []
@@ -293,10 +280,10 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     (:data:`NOT_SYNCHRONIZING`) when no singleton subset is reachable.
 
     The forward pass maps whole numpy frontiers under every letter through
-    image tables over chunks of up to 11 bits (two gathers per letter up to
-    22 states), level by level from the full set, until a level holds a
-    singleton.  The witness comes from a depth-first walk on those
-    levels (:func:`_walk`): every prefix of a shortest reset word lands on
+    image tables over chunks of up to 14 bits (one gather per letter up to
+    14 states, two up to 28), level by level from the full set, until a
+    level holds a singleton.  The witness comes from a depth-first walk on
+    those levels (:func:`_walk`): every prefix of a shortest reset word lands on
     the next level, so the walk steps from the full set, in letter order,
     only to an image one level further (a singleton on the last step) and
     backtracks past subsets that failed.  A walk that expands more than
@@ -305,7 +292,7 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
 
     Memory is at most 28 * 2^n + (4 * c * 2^w + 5120) * m bytes for m
     letters and c chunks of w bits (see ``_EXACT_BYTES`` and
-    :func:`_exact_letter_bytes`), so at most 28 * 2^n + 29696 * m:
+    :func:`_exact_letter_bytes`), so at most 28 * 2^n + 136192 * m:
     cerny(25) needs at most 940 MB.
 
     Raises:
@@ -346,11 +333,12 @@ def _walk(
     """
     if rt == 0:
         return []
-    # rows[a]: letter a's row for chunk 0, then the shift and row of each
-    # further chunk
+    # rows[a]: letter a's table for chunk 0, then the shift and table of
+    # each further chunk, read in place as ``depth`` reads ``dist``
     _, w = _chunks(n)
     mask = (1 << w) - 1
-    rows = [(low, list(zip(range(w, n, w), high))) for low, *high in zip(*tables.tolist())]
+    views = [list(map(memoryview, letter)) for letter in tables.transpose(1, 0, 2)]
+    rows = [(low, list(zip(range(w, n, w), high))) for low, *high in views]
     depth = memoryview(dist)  # reads Python ints, faster than numpy scalars
     path, word, failed = [(1 << n) - 1], [], set()
     start = 0  # the first letter to try on the last subset of the path

@@ -8,9 +8,10 @@ automata (``_reset_distances``); the oracle checks them one automaton at a
 time.  The witness is walked depth-first on the BFS levels, and the backward
 sweep takes over past the walk's budget: tests reach the sweep both at the
 real budget and with a budget of 0, which sends every automaton to it.
-The image tables read a subset in chunks of bits; the tests cover one chunk
-and two against the oracle, and narrower chunks, patched in, against the
-default layout.
+The image tables read a subset in chunks of bits; with narrower chunks
+patched in, the tests cover one chunk for a batch and two chunks for single
+automata against the oracle, and more chunks against the default layout.
+A batch of several automata is always one chunk.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from collections import deque
 import pytest
 
 from synchrokit import sync
-from synchrokit.core import Dfa, Word, word_transformation
+from synchrokit.core import Dfa, Transformation, Word, word_transformation
 from synchrokit.families import cerny, rystsov, v
 from synchrokit.sync import NOT_SYNCHRONIZING, _reset_distances, reset_threshold_exact
 
@@ -286,17 +287,22 @@ def _layout_automata(rng: random.Random, n: int, count: int) -> list[Dfa]:
 
 
 @pytest.mark.parametrize("n", [11, 12, 13])
-def test_chunk_layouts_match_the_oracle(n):
-    # one 11-bit chunk, two 6-bit chunks, and a 7-bit chunk under a
-    # narrower 6-bit last one; the n = 11 batch sets each automaton's offset
-    # right above the only chunk
+def test_chunk_layouts_match_the_oracle(monkeypatch, n):
+    # under 11-bit chunks: one 11-bit chunk, two 6-bit chunks, and a 7-bit
+    # chunk under a narrower 6-bit last one; a batch is read only in one
+    # chunk, with each automaton's offset right above it, and refused in two
+    monkeypatch.setattr(sync, "_CHUNK_BITS", 11)
     assert sync._chunks(n) == {11: (1, 11), 12: (2, 6), 13: (2, 7)}[n]
     dfas = _layout_automata(random.Random(20261020 + n), n, 3)
     expected = [oracle_reset_threshold(d) for d in dfas]
     distances = [None if e is NOT_SYNCHRONIZING else e[0] for e in expected]
     assert sum(rt is not None for rt in distances) >= 2
-    batch_distances, batch_levels, _ = sync._forward_bfs(sync._letter_tables(dfas), n)
-    assert batch_distances == distances
+    if n == 11:
+        batch_distances, batch_levels, _ = sync._forward_bfs(sync._letter_tables(dfas), n)
+        assert batch_distances == distances
+    else:
+        with pytest.raises(ValueError, match="spans 2 chunks"):
+            sync._letter_tables(dfas)
     full = (1 << n) - 1
     for t, d in enumerate(dfas):
         assert reset_threshold_exact(d) == expected[t]
@@ -309,15 +315,15 @@ def test_chunk_layouts_match_the_oracle(n):
             for mask in level:
                 depth[mask] = k + 1
         assert dist.tolist() == depth
-        own = [sorted(c & full for c in level.tolist() if c >> n == t) for level in batch_levels]
-        last = len(levels) - 1 if rt is None else rt
-        assert own[: last + 1] == oracle[: last + 1]
-        assert not any(own[last + 1 :])
+        if n == 11:
+            own = [sorted(c & full for c in level.tolist() if c >> n == t) for level in batch_levels]
+            last = len(levels) - 1 if rt is None else rt
+            assert own[: last + 1] == oracle[: last + 1]
+            assert not any(own[last + 1 :])
 
 
 def _engine_outputs(dfas: list[Dfa], n: int):
-    """``dist``, levels as sets and both witnesses of each automaton, then
-    the batch's distances, ``dist`` and levels as sets."""
+    """``dist``, levels as sets and both witnesses of each automaton."""
     out = []
     for d in dfas:
         tables = sync._letter_tables([d])
@@ -326,8 +332,6 @@ def _engine_outputs(dfas: list[Dfa], n: int):
         if rt is not None:
             words = (sync._walk(tables, dist, n, rt, 1 << n), sync._sweep(tables, levels, dist, n, rt))
         out.append((rt, dist.tolist(), [set(level.tolist()) for level in levels], words))
-    distances, levels, dist = sync._forward_bfs(sync._letter_tables(dfas), n)
-    out.append((distances, dist.tolist(), [set(level.tolist()) for level in levels]))
     return out
 
 
@@ -335,19 +339,42 @@ def _engine_outputs(dfas: list[Dfa], n: int):
 def test_narrower_chunks_give_the_same_search(monkeypatch, bits):
     # chunks of at most 8 bits, the old byte width, split 9..13 states in
     # two; 5 and 3 bits split them into two to five, so the middle chunks'
-    # masks run too
+    # masks run too; the default reads each in one chunk
     rng = random.Random(20261021 + bits)
     cases = [(n, _layout_automata(rng, n, 3)) for n in range(9, 14)]
+    assert {sync._chunks(n)[0] for n, _ in cases} == {1}
     expected = [_engine_outputs(dfas, n) for n, dfas in cases]
     monkeypatch.setattr(sync, "_CHUNK_BITS", bits)
     assert max(sync._chunks(n)[0] for n, _ in cases) == -(-13 // bits)
     assert [_engine_outputs(dfas, n) for n, dfas in cases] == expected
-    assert sum(words is not None for out in expected for *_, words in out[:-1]) >= 10
+    assert sum(words is not None for out in expected for *_, words in out) >= 10
+    for n, dfas in cases:
+        with pytest.raises(ValueError, match="automata of"):
+            sync._letter_tables(dfas)
+
+
+def test_batches_of_several_automata_are_one_chunk(monkeypatch):
+    # _reset_distances splits any number of automata into batches that
+    # hold several only where a subset is one chunk, at every n it accepts
+    batches = []
+
+    def tables(dfas):
+        batches.append((dfas[0].n, len(dfas)))
+        return len(dfas)
+
+    monkeypatch.setattr(sync, "_letter_tables", tables)
+    monkeypatch.setattr(sync, "_forward_bfs", lambda trials, n: ([None] * trials, [], None))
+    for n in range(1, 33):
+        d = Dfa(n, (("a", Transformation(tuple(range(n)))),))
+        count = (sync._BATCH_SUBSETS >> n) + 2
+        assert _reset_distances([d] * count) == [None] * count
+    assert {n for n, size in batches if size > 1} == set(range(1, 15))
+    assert all(size == 1 or sync._chunks(n)[0] == 1 for n, size in batches)
 
 
 def test_memory_check_charges_the_image_tables(monkeypatch):
-    # the tables of every layout up to the widest, three 11-bit chunks at
-    # 32 states, fit the per-letter bytes charged, single and batched
+    # the tables of every layout up to the widest, two 14-bit chunks at 27
+    # and 28 states, fit the per-letter bytes charged, single and batched
     monkeypatch.setattr(sync, "_physical_memory", lambda: 1 << 62)
     charged = []
     require = sync._require_memory
@@ -360,5 +387,6 @@ def test_memory_check_charges_the_image_tables(monkeypatch):
         tables = sync._letter_tables(dfas)
         assert tables.nbytes <= sync._exact_letter_bytes(n) * m * trials
         assert charged.pop() >= trials * ((sync._EXACT_BYTES << n) + sync._exact_letter_bytes(n) * m)
-    assert sync._exact_letter_bytes(32) == 4 * 3 * 2**11 + 20 * 256
-    assert max(map(sync._exact_letter_bytes, range(1, 33))) == sync._exact_letter_bytes(32)
+    widest = 4 * 2 * 2**14 + 20 * 256
+    assert [n for n in range(1, 33) if sync._exact_letter_bytes(n) == widest] == [27, 28]
+    assert max(map(sync._exact_letter_bytes, range(1, 33))) == widest == 136192

@@ -87,6 +87,9 @@ class TestPairIndex:
             pair_index(4, 3, 1)
         with pytest.raises(ValueError):
             pair_index(4, 0, 4)
+        for n, idx in [(3, 3), (3, -1), (4, 6), (2, 1), (1, 0), (0, 0)]:
+            with pytest.raises(ValueError, match="need 0 <= idx"):
+                index_pair(n, idx)
 
     @given(st.integers(2, 40), st.data())
     def test_round_trip(self, n, data):

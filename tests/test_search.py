@@ -235,7 +235,7 @@ class TestSearchConfig:
             max_reset_threshold_exhaustive(5, workers=2, output_path=path)
         assert not path.exists()
 
-        # 35 GB at ten states: refused before the 10! permutations are listed
+        # 328 GB at ten states: refused before the 10! permutations are listed
         monkeypatch.setattr(sync, "_physical_memory", lambda: 8 << 30)
         with pytest.raises(ValueError, match="more than the 8589934592 bytes"):
             max_reset_threshold_exhaustive(10)
@@ -250,6 +250,14 @@ class TestSearchConfig:
         finally:
             tracemalloc.stop()
         assert peak <= one_context
+
+    def test_residual_orbit_count_is_the_contexts(self):
+        # the Burnside count against the orbit-least permutations of the
+        # context, then the counts the context would take too long to give
+        for n in range(2, 7):
+            least = search._census_context(n)[-1]
+            assert search._residual_orbit_count(n) == sum(r == c for r, c in enumerate(least))
+        assert [search._residual_orbit_count(n) for n in (7, 8, 9)] == [90, 150, 240]
 
 
 class TestCanonicalForm:
