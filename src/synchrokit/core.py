@@ -35,7 +35,11 @@ class Transformation:
         if n == 0:
             raise ValueError("transformation needs at least one state")
         for x in self.images:
-            if not isinstance(x, int) or not 0 <= x < n:
+            # a bool is written as True/False and a numpy integer breaks the
+            # JSON writer: neither would be read back
+            if type(x) is not int:
+                raise ValueError(f"image {x!r} is not an int")
+            if not 0 <= x < n:
                 raise ValueError(f"image {x!r} out of range for n={n}")
         object.__setattr__(self, "images", tuple(self.images))
 

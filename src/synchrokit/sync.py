@@ -18,8 +18,9 @@ checks its subset inequality fibre by fibre instead.  One forward subset BFS,
 automaton) and the reset distances of many automata at once
 (:func:`_reset_distances`, behind the random reset-threshold experiment of
 :mod:`synchrokit.search`).  The exact witness is walked depth-first on the
-levels that BFS built, and a backward sweep over the same levels takes over
-when the walk runs past its budget.
+levels that BFS built; when the walk runs past its budget, the levels are
+pruned in place to the subsets that start a shortest reset word, and the
+same walk reads the word off them without backtracking.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ from .core import Dfa, StateSet, Word, _preimage, apply_word
 from .families import cb
 from .monoid import _inv, is_two_transitive
 
-#: Bytes per subset the exact search may hold: ``uint16`` distances (2), good
-#: flags (1), ``uint32`` levels (4), and one chunk of at most 2^n images with
-#: their fresh copy and its unique part (12), ``intp`` gather indices (8) and
-#: the flags of the neighbour test (1).  Only the sweep fallback of the
-#: witness allocates the good flags, but the bound covers it.
-_EXACT_BYTES = 2 + 1 + 4 + 12 + 8 + 1
+#: Bytes per subset the exact search may hold: ``uint16`` distances (2),
+#: ``uint32`` levels (4), and one chunk of at most 2^n images with their fresh
+#: copy and its unique part (12), ``intp`` gather indices (8) and the flags of
+#: the neighbour test (1).
+_EXACT_BYTES = 2 + 4 + 12 + 8 + 1
 #: Widest chunk of a subset's bits that gets its own image table (see
 #: :func:`_chunks`).  The witness walk reads the tables in place, so width
 #: costs it nothing.  Against 11 bits (2 cores, medians of six alternating
@@ -287,13 +287,14 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
     the next level, so the walk steps from the full set, in letter order,
     only to an image one level further (a singleton on the last step) and
     backtracks past subsets that failed.  A walk that expands more than
-    :func:`_walk_budget` subsets stops, and the backward sweep of
-    :func:`_sweep` over the same levels gives the same word.
+    :func:`_walk_budget` subsets stops; :func:`_prune` then clears from the
+    levels every subset that starts no shortest reset word, and the walk,
+    run again, expands exactly rt subsets and gives the same word.
 
-    Memory is at most 28 * 2^n + (4 * c * 2^w + 5120) * m bytes for m
+    Memory is at most 27 * 2^n + (4 * c * 2^w + 5120) * m bytes for m
     letters and c chunks of w bits (see ``_EXACT_BYTES`` and
-    :func:`_exact_letter_bytes`), so at most 28 * 2^n + 136192 * m:
-    cerny(25) needs at most 940 MB.
+    :func:`_exact_letter_bytes`), so at most 27 * 2^n + 136192 * m:
+    cerny(25) needs at most 906 MB.
 
     Raises:
         ValueError: past 32 states (subsets are ``uint32`` masks) or when
@@ -307,14 +308,15 @@ def reset_threshold_exact(d: Dfa) -> tuple[int, Word] | None:
         return None
     letters = _walk(tables, dist, n, rt, _walk_budget(rt))
     if letters is None:
-        letters = _sweep(tables, levels, dist, n, rt)
+        _prune(tables, levels, dist, n, rt)
+        letters = _walk(tables, dist, n, rt, rt)
     return rt, Word(tuple(letters))
 
 
 def _walk_budget(rt: int) -> int:
-    """Subsets the witness walk may expand before it gives way to the sweep:
+    """Subsets the witness walk may expand before the levels are pruned:
     cerny(n) and rystsov(n) take rt, v(n) rt + n - 2, and thirty random
-    14-state automata 505 to 16,280, where the sweep is faster."""
+    14-state automata 505 to 16,280, where pruning first is faster."""
     return 2 * rt + 16
 
 
@@ -365,39 +367,25 @@ def _walk(
     return None
 
 
-def _sweep(
+def _prune(
     tables: np.ndarray, levels: list[np.ndarray], dist: np.ndarray, n: int, rt: int
-) -> list[int]:
-    """Letters of the least shortest reset word, by a backward sweep.
+) -> None:
+    """Clear from ``dist`` every subset that starts no shortest reset word.
 
-    A subset is good if it is a singleton on the last level or some letter
-    maps it to a good subset on the next level; the word then follows, from
-    the full set, the least letter leading to a good subset one level
-    further.  Every level is mapped whole, in chunks (see :func:`_by_chunks`).
+    The non-singletons of level rt go first; then, from level rt - 1 down
+    to 0, every subset none of whose images is still on the next level.  On
+    the pruned levels each subset the walk meets continues, so
+    :func:`_walk` expands exactly rt of them.  Every level is mapped whole,
+    in chunks (see :func:`_by_chunks`).
     """
-    # Images of a level-k subset lie on levels <= k + 1, and good subsets on
-    # levels > k are all marked before level k is swept, so a good image
-    # found here is always on level k + 1; level k is marked only once all
-    # its chunks are mapped, so that it never sees itself.
-    good = np.zeros(1 << n, dtype=bool)
     last = levels[rt]
-    good[last[(last & (last - 1)) == 0]] = True
+    dist[last[(last & (last - 1)) != 0]] = 0
     for k in range(rt - 1, -1, -1):
-        marked = _by_chunks(
-            lambda s: s[good.take(_images(tables, s, n)).any(axis=0)],
+        # ``dist`` holds level + 1, so k + 2 marks the kept subsets of level k + 1
+        dist[_by_chunks(
+            lambda s: s[(dist.take(_images(tables, s, n)) != k + 2).all(axis=0)],
             levels[k], 1 << n, tables.shape[1],
-        )
-        good[marked] = True
-    # Walking forward, a good image may also sit on an earlier level; only
-    # one on the next level continues a shortest word.
-    letters: list[int] = []
-    current = levels[0]
-    for k in range(rt):
-        img = _images(tables, current, n)[:, 0]
-        letter = int(np.argmax(good[img] & (dist[img] == k + 2)))
-        letters.append(letter)
-        current = img[letter : letter + 1]
-    return letters
+        )] = 0
 
 
 def _mask_bits(mask: int, n: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +125,19 @@ class TestTransformation:
             Transformation((0, 4, 1, 2))
         with pytest.raises(ValueError):
             Transformation(())
+
+    def test_rejects_images_that_are_not_ints(self):
+        # a bool is an int to isinstance, but would be written as True/False,
+        # which neither reader takes back; numpy integers are named as such
+        with pytest.raises(ValueError, match="image True is not an int"):
+            Transformation((True, False))
+        with pytest.raises(ValueError, match=r"image np\.int64\(1\) is not an int"):
+            Transformation(tuple(np.array([1, 0], dtype=np.int64)))
+        # the same images as ints are kept, and read back from both formats
+        d = Dfa(2, (("a", Transformation((1, 0))), ("b", Transformation((0, 0)))))
+        assert format_dfa_text(d) == "2 2\na 1 0\nb 0 0\n"
+        assert parse_dfa_text(format_dfa_text(d)) == d
+        assert loads_dfa(json.dumps(dfa_to_json_dict(d))) == d
 
 
 class TestDfa:

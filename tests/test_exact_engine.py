@@ -5,8 +5,9 @@ parents: with letters tried in index order, it discovers every subset along
 the lexicographically least of its shortest paths, so the first singleton
 it reaches carries the canonical witness.  The same BFS runs over batches of
 automata (``_reset_distances``); the oracle checks them one automaton at a
-time.  The witness is walked depth-first on the BFS levels, and the backward
-sweep takes over past the walk's budget: tests reach the sweep both at the
+time.  The witness is walked depth-first on the BFS levels; past the walk's
+budget the levels are pruned to the subsets that start a shortest reset
+word, and the walk runs again on them: tests reach the prune both at the
 real budget and with a budget of 0, which sends every automaton to it.
 The image tables read a subset in chunks of bits; with narrower chunks
 patched in, the tests cover one chunk for a batch and two chunks for single
@@ -16,6 +17,7 @@ A batch of several automata is always one chunk.
 
 import itertools
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -102,20 +104,20 @@ def test_seeded_random_automata_match_oracle():
 
 
 @pytest.fixture
-def sweeps(monkeypatch) -> list[int]:
-    """The rt of each witness the backward sweep gives, as it gives them."""
-    sweep = sync._sweep
+def prunes(monkeypatch) -> list[int]:
+    """The rt of each search whose levels are pruned, as they are pruned."""
+    prune = sync._prune
     calls = []
 
     def spy(tables, levels, dist, n, rt):
         calls.append(rt)
-        return sweep(tables, levels, dist, n, rt)
+        return prune(tables, levels, dist, n, rt)
 
-    monkeypatch.setattr(sync, "_sweep", spy)
+    monkeypatch.setattr(sync, "_prune", spy)
     return calls
 
 
-def _force_sweep(monkeypatch) -> None:
+def _force_prune(monkeypatch) -> None:
     monkeypatch.setattr(sync, "_walk_budget", lambda rt: 0)
 
 
@@ -123,25 +125,41 @@ def small_families():
     return (f(n) for f in (cerny, v, rystsov) for n in range(2, 13))
 
 
-def test_the_sweep_alone_matches_the_oracle(monkeypatch, sweeps):
-    _force_sweep(monkeypatch)
+def test_the_prune_alone_matches_the_oracle(monkeypatch, prunes):
+    _force_prune(monkeypatch)
     expected = 0
     for d in itertools.chain(seeded_automata(), small_families()):
         assert_matches_oracle(d)
         expected += oracle_distance(d) not in (None, 0)
-    assert len(sweeps) == expected > 250
+    assert len(prunes) == expected > 250
 
 
-def test_the_walk_gives_family_witnesses_and_random_ones_reach_the_sweep(sweeps):
+def test_the_walk_gives_family_witnesses_and_random_ones_reach_the_prune(prunes):
     for d in small_families():
         reset_threshold_exact(d)
-    assert sweeps == []
+    assert prunes == []
     for d in seeded_automata():
-        before = len(sweeps)
+        before = len(prunes)
         result = reset_threshold_exact(d)
-        if len(sweeps) > before:
+        if len(prunes) > before:
             assert result == oracle_reset_threshold(d)
-    assert sweeps
+    assert prunes
+
+
+def test_pruned_levels_walk_without_backtracking():
+    # after the prune, a walk allowed only rt expansions, one per letter,
+    # never backtracks and gives the oracle's word
+    walked = 0
+    for d in itertools.chain(seeded_automata(), small_families()):
+        expected = oracle_reset_threshold(d)
+        if expected is NOT_SYNCHRONIZING:
+            continue
+        tables = sync._letter_tables([d])
+        (rt,), levels, dist = sync._forward_bfs(tables, d.n)
+        sync._prune(tables, levels, dist, d.n, rt)
+        assert (rt, Word(tuple(sync._walk(tables, dist, d.n, rt, rt)))) == expected
+        walked += rt > 1
+    assert walked > 200
 
 
 def test_seeded_batches_match_oracle():
@@ -199,9 +217,8 @@ def _many_letter_automata(rng: random.Random, count: int, n: int, m: int) -> lis
 
 def test_many_letters_map_levels_in_chunks(monkeypatch):
     # with many letters a level is mapped in several chunks (of 256 subsets
-    # here), and the backward sweep, forced here, marks a level only after
-    # all its chunks
-    _force_sweep(monkeypatch)
+    # here), and the prune, forced here, maps every chunk of a level
+    _force_prune(monkeypatch)
     split = _spy_chunks(monkeypatch)
     rng = random.Random(20240611)
     chunked = 0
@@ -258,14 +275,14 @@ def _check_exact(d: Dfa, expected_rt: int) -> None:
     assert word_transformation(d, Word(word.letters[:-1])).rank() > 1
 
 
-def test_v_twenty(sweeps):
+def test_v_twenty(prunes):
     _check_exact(v(20), 190)
-    assert sweeps == []  # walked, in rt + 18 expansions
+    assert prunes == []  # walked, in rt + 18 expansions
 
 
-def test_cerny_twenty(sweeps):
+def test_cerny_twenty(prunes):
     _check_exact(cerny(20), 361)
-    assert sweeps == []
+    assert prunes == []
 
 
 @pytest.mark.extended
@@ -323,15 +340,20 @@ def test_chunk_layouts_match_the_oracle(monkeypatch, n):
 
 
 def _engine_outputs(dfas: list[Dfa], n: int):
-    """``dist``, levels as sets and both witnesses of each automaton."""
+    """``dist`` before and after the prune, levels as sets and both
+    witnesses of each automaton."""
     out = []
     for d in dfas:
         tables = sync._letter_tables([d])
         (rt,), levels, dist = sync._forward_bfs(tables, n)
-        words = None
+        pruned = words = None
         if rt is not None:
-            words = (sync._walk(tables, dist, n, rt, 1 << n), sync._sweep(tables, levels, dist, n, rt))
-        out.append((rt, dist.tolist(), [set(level.tolist()) for level in levels], words))
+            pruned = dist.copy()
+            sync._prune(tables, levels, pruned, n, rt)
+            words = (sync._walk(tables, dist, n, rt, 1 << n), sync._walk(tables, pruned, n, rt, rt))
+            pruned = pruned.tolist()
+        levels = [set(level.tolist()) for level in levels]
+        out.append((rt, dist.tolist(), pruned, levels, words))
     return out
 
 
@@ -390,3 +412,24 @@ def test_memory_check_charges_the_image_tables(monkeypatch):
     widest = 4 * 2 * 2**14 + 20 * 256
     assert [n for n in range(1, 33) if sync._exact_letter_bytes(n) == widest] == [27, 28]
     assert max(map(sync._exact_letter_bytes, range(1, 33))) == widest == 136192
+
+
+@pytest.mark.parametrize("name", ["random", "v"])
+def test_peak_memory_stays_under_the_charge(monkeypatch, prunes, name):
+    # the bytes traced at the peak of a whole search, the prune included
+    # for the random automaton, against what the memory check charges
+    if name == "random":
+        _force_prune(monkeypatch)
+        (d,) = _layout_automata(random.Random(20261023), 14, 1)
+    else:
+        d = v(14)
+    tracemalloc.start()
+    try:
+        result = reset_threshold_exact(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is not NOT_SYNCHRONIZING
+    assert len(prunes) == (name == "random")
+    charge = (sync._EXACT_BYTES << d.n) + sync._exact_letter_bytes(d.n) * d.m
+    assert peak < charge

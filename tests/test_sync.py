@@ -72,27 +72,27 @@ class TestResetThresholdExact:
         assert reset_threshold_exact(rystsov(5))[0] == 10
 
     def test_cap(self, monkeypatch):
-        # the only cap is memory: 28 * 2^12 + 2 * (4 * 2^12 + 20 * 256)
-        # = 157696 bytes for cerny(12), whose tables are one 12-bit chunk
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 157696)
+        # the only cap is memory: 27 * 2^12 + 2 * (4 * 2^12 + 20 * 256)
+        # = 153600 bytes for cerny(12), whose tables are one 12-bit chunk
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 153600)
         assert reset_threshold_exact(cerny(12))[0] == 121
         assert sync._reset_distances([cerny(12)]) == [121]
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 157695)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 153599)
         refuse_allocation(monkeypatch)
-        with pytest.raises(ValueError, match="157696 bytes, more than the 157695 bytes of physical memory"):
+        with pytest.raises(ValueError, match="153600 bytes, more than the 153599 bytes of physical memory"):
             reset_threshold_exact(cerny(12))
-        with pytest.raises(ValueError, match="157696 bytes"):
+        with pytest.raises(ValueError, match="153600 bytes"):
             sync._reset_distances([cerny(12)])
 
     def test_cap_covers_the_whole_batch(self, monkeypatch):
-        # one batch of three cerny(12) needs 3 * 157696 bytes, refused one
+        # one batch of three cerny(12) needs 3 * 153600 bytes, refused one
         # byte short although each automaton alone would fit
         batch = [cerny(12)] * 3
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 473088)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 460800)
         assert sync._reset_distances(batch) == [121] * 3
-        monkeypatch.setattr(sync, "_physical_memory", lambda: 473087)
+        monkeypatch.setattr(sync, "_physical_memory", lambda: 460799)
         refuse_allocation(monkeypatch)
-        with pytest.raises(ValueError, match="473088 bytes, more than the 473087 bytes"):
+        with pytest.raises(ValueError, match="460800 bytes, more than the 460799 bytes"):
             sync._reset_distances(batch)
 
     def test_more_than_32_states_is_a_value_error_whatever_the_cap(self, monkeypatch):
