@@ -3,9 +3,13 @@
 Every subcommand prints a single JSON document on standard output, except
 ``gen`` and ``export-dot`` which emit automaton text or DOT when asked.
 Exit codes: 0 on success, 1 when the queried property fails to hold (no
-reset word, digraph not strongly connected, check came back false), 2 on
-usage errors, a malformed results file or a path the system refuses — and
-nothing is printed to standard output on exit 2.
+reset word, digraph not strongly connected, check came back false), 2 when
+an input is refused — and nothing is printed to standard output on exit 2.
+
+One error boundary, in :func:`main`: a ``ValueError`` (the library's
+refusal, and the CLI's own usage checks) or an ``OSError`` (a path the
+system refuses) is printed as ``synchrokit: error: <message>`` with exit 2.
+Handlers catch an error only to do something else with it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import Dfa, dfa_to_json_dict, format_dfa_text, loads_dfa
+from .core import Dfa, dfa_to_json_dict, format_dfa_text, load_dfa, loads_dfa
 from .families import _STATE_LABEL_BASE, FAMILY_CODES, build_family, cb, f
 from .monoid import generates_symmetric_group, has_full_transition_monoid
 from .pairgraph import (
@@ -49,10 +53,6 @@ from .sync import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -79,7 +79,7 @@ def _workers(args: argparse.Namespace) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"SYNCHROKIT_WORKERS must be an integer, got {raw!r}")
+        raise ValueError(f"SYNCHROKIT_WORKERS must be an integer, got {raw!r}")
 
 
 def _search_config(args: argparse.Namespace, mode: SearchMode) -> SearchConfig:
@@ -88,10 +88,7 @@ def _search_config(args: argparse.Namespace, mode: SearchMode) -> SearchConfig:
 
 def _exact(d: Dfa) -> ResetResult | None:
     """The exact BFS's shortest reset word, checked; ``None`` if ``d`` does not synchronize."""
-    try:
-        result = reset_threshold_exact(d)
-    except ValueError as exc:  # too many states or too little memory
-        raise _UsageError(str(exc))
+    result = reset_threshold_exact(d)
     if result is None:
         return None
     rt, word = result
@@ -100,33 +97,20 @@ def _exact(d: Dfa) -> ResetResult | None:
 
 def _build_family(family: str, n: int | None, k: int) -> Dfa:
     if n is None:
-        raise _UsageError("--family requires --n")
-    try:
-        return build_family(family, n, k if family == "cb" else None)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError("--family requires --n")
+    return build_family(family, n, k if family == "cb" else None)
 
 
 def _load_input(args: argparse.Namespace) -> Dfa:
     """One automaton from a positional path/stdin or ``--family``."""
     has_file = getattr(args, "input", None) is not None
     if has_file and args.family is not None:
-        raise _UsageError("give either an input file or --family, not both")
+        raise ValueError("give either an input file or --family, not both")
     if has_file:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            path = Path(args.input)
-            if not path.exists():
-                raise _UsageError(f"no such file: {args.input}")
-            text = path.read_text(encoding="utf-8")
-        try:
-            return loads_dfa(text)
-        except ValueError as exc:
-            raise _UsageError(f"cannot parse automaton: {exc}")
+        return loads_dfa(sys.stdin.read()) if args.input == "-" else load_dfa(args.input)
     if args.family is not None:
         return _build_family(args.family, args.n, getattr(args, "k", 1))
-    raise _UsageError("expected an input file (or '-') or --family/--n")
+    raise ValueError("expected an input file (or '-') or --family/--n")
 
 
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
@@ -143,7 +127,7 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family is None:
-        raise _UsageError("gen requires --family")
+        raise ValueError("gen requires --family")
     d = _build_family(args.family, args.n, args.k)
     if args.format == "json":
         _write_output(json.dumps(dfa_to_json_dict(d), indent=2, sort_keys=True) + "\n", args.output)
@@ -173,15 +157,12 @@ def _cmd_rt(args: argparse.Namespace) -> int:
 def _cmd_word(args: argparse.Namespace) -> int:
     if args.method == "cb":
         if args.input is not None:
-            raise _UsageError("--method cb synthesizes from --n/--k, not from an input file")
+            raise ValueError("--method cb synthesizes from --n/--k, not from an input file")
         if args.family not in (None, "cb"):
-            raise _UsageError("--method cb works only with the cb family")
+            raise ValueError("--method cb works only with the cb family")
         if args.n is None:
-            raise _UsageError("--method cb requires --n (and optionally --k)")
-        try:
-            result = cb_reset_word(args.n, args.k)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+            raise ValueError("--method cb requires --n (and optionally --k)")
+        result = cb_reset_word(args.n, args.k)
         d = cb(args.n, args.k)
     else:
         d = _load_input(args)
@@ -232,13 +213,9 @@ def _cmd_monoid_check(args: argparse.Namespace) -> int:
 def _cmd_pair_diam(args: argparse.Namespace) -> int:
     if args.experiment is not None:
         if args.n is None:
-            raise _UsageError("--experiment requires --n")
+            raise ValueError("--experiment requires --n")
         mode = SearchMode.RANDOM if args.experiment == "random" else SearchMode.EXHAUSTIVE
-        try:
-            summary = random_pair_diameter_experiment(_search_config(args, mode))
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        _print_json(summary)
+        _print_json(random_pair_diameter_experiment(_search_config(args, mode)))
         return 0
     d = _load_input(args)
     p = build_pair_digraph(d)
@@ -269,15 +246,11 @@ def _cmd_pair_diam(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.family != "f":
-        raise _UsageError("certificates exist for the f family only")
+        raise ValueError("certificates exist for the f family only")
     if args.n is None:
-        raise _UsageError("certify requires --n")
-    try:
-        cert = pair_certificate(args.n)
-        d = f(args.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    p = build_pair_digraph(d)
+        raise ValueError("certify requires --n")
+    cert = pair_certificate(args.n)
+    p = build_pair_digraph(f(args.n))
     check = verify_certificate(p, cert)
     reached = pair_distance(p, cert.start, cert.target)
     bfs_distance = reached[0] if reached is not None else None
@@ -300,41 +273,35 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.action == "summarize":
         if args.file is None:
-            raise _UsageError("search summarize needs a results file")
-        try:
-            _print_json(summarize_results(args.file))
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+            raise ValueError("search summarize needs a results file")
+        _print_json(summarize_results(args.file))
         return 0
     if args.file is not None:
-        raise _UsageError("unexpected positional argument; did you mean 'search summarize FILE'?")
+        raise ValueError("unexpected positional argument; did you mean 'search summarize FILE'?")
     if args.n is None or args.mode is None:
-        raise _UsageError("search needs --n and --mode")
-    try:
-        if args.mode == "exhaustive":
-            max_rt, record = max_reset_threshold_exhaustive(
-                args.n,
-                workers=_workers(args),
-                output_path=args.out,
-                resume=not args.no_resume,
+        raise ValueError("search needs --n and --mode")
+    if args.mode == "exhaustive":
+        max_rt, record = max_reset_threshold_exhaustive(
+            args.n,
+            workers=_workers(args),
+            output_path=args.out,
+            resume=not args.no_resume,
+        )
+        payload = {"n": args.n, "mode": "exhaustive", "max_rt": max_rt}
+        payload["record"] = {
+            key: value
+            for key, value in record_to_json_dict(record).items()
+            if key != "type"
+        }
+        _print_json(payload)
+    else:
+        _print_json(
+            random_rt_experiment(
+                _search_config(args, SearchMode.RANDOM),
+                sample_nonperm=args.sample_nonperm,
+                require_symmetric=not args.unconditioned,
             )
-            payload = {"n": args.n, "mode": "exhaustive", "max_rt": max_rt}
-            payload["record"] = {
-                key: value
-                for key, value in record_to_json_dict(record).items()
-                if key != "type"
-            }
-            _print_json(payload)
-        else:
-            _print_json(
-                random_rt_experiment(
-                    _search_config(args, SearchMode.RANDOM),
-                    sample_nonperm=args.sample_nonperm,
-                    require_symmetric=not args.unconditioned,
-                )
-            )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        )
     return 0
 
 
@@ -352,16 +319,13 @@ def _dfa_dot(d: Dfa, family: str | None) -> str:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     d = _load_input(args)
     if args.certificate and not args.pair_digraph:
-        raise _UsageError("--certificate only applies with --pair-digraph")
+        raise ValueError("--certificate only applies with --pair-digraph")
     if args.pair_digraph:
         values = None
         if args.certificate:
             if args.family != "f":
-                raise _UsageError("--certificate requires --family f")
-            try:
-                values = pair_certificate(args.n)
-            except ValueError as exc:
-                raise _UsageError(str(exc))
+                raise ValueError("--certificate requires --family f")
+            values = pair_certificate(args.n)
         text = pair_digraph_dot(build_pair_digraph(d), values)
     else:
         text = _dfa_dot(d, None if args.zero_based_labels else args.family)
@@ -456,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except BrokenPipeError:
         return 1
-    except (_UsageError, OSError) as exc:  # OSError: a path the system refuses
+    except (ValueError, OSError) as exc:  # a refused input, or a path the system refuses
         print(f"synchrokit: error: {exc}", file=sys.stderr)
         return 2
 

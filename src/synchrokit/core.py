@@ -194,7 +194,11 @@ class Word:
         return Word(self.letters + other.letters)
 
     def names(self, d: Dfa) -> tuple[str, ...]:
-        return tuple(d.letters[i][0] for i in self.letters)
+        names = d.letter_names()
+        for i in self.letters:
+            if not 0 <= i < len(names):
+                raise ValueError(f"letter index {i} out of range")
+        return tuple(names[i] for i in self.letters)
 
 
 @dataclass(frozen=True)
@@ -352,6 +356,12 @@ def format_dfa_text(d: Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _digits(token: str) -> bool:
+    """Is ``token`` a string of ASCII decimal digits?  ``int`` also takes a
+    sign, underscores and non-ASCII digits, which the format does not."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_dfa_text(text: str) -> Dfa:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -359,10 +369,9 @@ def parse_dfa_text(text: str) -> Dfa:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("first line must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ValueError("first line must be 'n m' with integers") from exc
+    if not all(map(_digits, head)):
+        raise ValueError("first line must be 'n m' with integers")
+    n, m = int(head[0]), int(head[1])
     if len(lines) != 1 + m:
         raise ValueError(f"expected {m} letter lines, found {len(lines) - 1}")
     letters = []
@@ -370,11 +379,9 @@ def parse_dfa_text(text: str) -> Dfa:
         parts = ln.split()
         if len(parts) != 1 + n:
             raise ValueError(f"letter line needs a name and {n} images: {ln!r}")
-        try:
-            images = tuple(int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"non-integer image in line {ln!r}") from exc
-        letters.append((parts[0], Transformation(images)))
+        if not all(map(_digits, parts[1:])):
+            raise ValueError(f"non-integer image in line {ln!r}")
+        letters.append((parts[0], Transformation(tuple(map(int, parts[1:])))))
     return Dfa(n, tuple(letters))
 
 

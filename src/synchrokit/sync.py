@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Dfa, StateSet, Word, _preimage, apply_word
 from .families import cb
-from .monoid import _inv, is_two_transitive
+from .monoid import _inv, _is_two_transitive
 
 #: Bytes per subset the exact search may hold: ``uint16`` distances (2),
 #: ``uint32`` levels (4), and one chunk of at most 2^n images with their fresh
@@ -525,16 +525,12 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int], list[int]
     many letters the frontier is mapped in consecutive slices, each marked
     before the next is mapped, which keeps that order.
 
-    Raises:
-        ValueError: if there is no rank n-1 letter or no permutation letter.
+    ``d`` needs a rank n-1 letter and a permutation letter;
+    :func:`extension_reset_word` checks both before it calls this.
     """
     n = d.n
     seeds = d.rank_n_minus_one_letters()
-    if not seeds:
-        raise ValueError("no letter of rank n-1 to seed the stratification")
     perms = np.array(d.permutation_letters(), dtype=np.int64)
-    if not perms.size:
-        raise ValueError("no permutation letters to grow the stratification")
     # images[q, j]: the image of state q under the j-th permutation letter
     images = np.array([d.transformation(i).images for i in perms.tolist()], dtype=np.int64).T
     parent = np.full(n * n, _UNSEEN, dtype=np.int64)
@@ -634,8 +630,7 @@ def extension_reset_word(d: Dfa) -> ResetResult:
     # A full transition monoid implies 2-transitive permutation letters, and
     # 2-transitivity is all the steps need: it makes the edge digraph
     # strongly connected, so each step finds a crossing edge.
-    perms = [d.transformation(i) for i in d.permutation_letters()]
-    if not perms or not is_two_transitive(perms, n):
+    if not _is_two_transitive([d.transformation(i).images for i in d.permutation_letters()], n):
         raise ValueError(
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"

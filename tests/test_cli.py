@@ -611,3 +611,63 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rt"] == 9
+
+
+class TestErrorBoundary:
+    """``main`` maps every refused input to exit 2 with nothing on stdout."""
+
+    FILES = {
+        "noperm.txt": b"2 1\na 0 0\n",
+        "one.txt": b"1 1\na 0\n",
+        "latin1.txt": b"2 2\n\xe4 1 0\nb 0 0\n",
+        "malformed.txt": b"4 1\na 1 2 3\n",
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        for name, data in self.FILES.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("pair-diam", "noperm.txt"), "pair digraph needs at least one permutation letter"),
+            (("export-dot", "noperm.txt", "--pair-digraph"), "pair digraph needs at least one permutation letter"),
+            (("pair-diam", "one.txt"), "pair digraph needs at least two states"),
+            (("rt", "latin1.txt"), "'ascii' codec can't decode byte 0xe4"),
+        ],
+        ids=["pair-diam-no-permutation", "pair-digraph-dot-no-permutation", "pair-diam-one-state", "rt-non-ascii"],
+    )
+    def test_a_library_refusal_is_exit_2(self, capsys, files, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"synchrokit: error: {message}") and err.count("\n") == 1
+
+    REFUSED = [
+        ("gen", "--family", "f", "--n", "6"),
+        ("certify", "--family", "f", "--n", "4"),
+        ("word", "--method", "cb", "--n", "4", "--k", "9"),
+        ("pair-diam", "--experiment", "random", "--n", "1"),
+        ("search", "--n", "0", "--mode", "random"),
+        ("search", "summarize", "missing.jsonl"),
+        ("search", "summarize", "malformed.txt"),
+    ] + [
+        (*command, path)
+        for command in (
+            ("rt",),
+            ("word", "--method", "exact"),
+            ("word", "--method", "pairchase"),
+            ("word", "--method", "extension"),
+            ("monoid-check",),
+            ("pair-diam",),
+            ("export-dot",),
+            ("export-dot", "--pair-digraph"),
+        )
+        for path in ("missing.txt", "latin1.txt", "malformed.txt")
+    ]
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+    def test_every_subcommand_refuses_without_raising(self, capsys, files, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("synchrokit: error: ")

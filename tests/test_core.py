@@ -176,6 +176,14 @@ class TestWord:
         assert w.names(D4) == ("a", "b", "a")
         assert len(Word(())) == 0
 
+    @pytest.mark.parametrize("letters, bad", [((-1, 0), -1), ((0, 2), 2)])
+    def test_names_refuse_an_index_out_of_range(self, letters, bad):
+        # apply_word's refusal: a negative index does not wrap around
+        d = cerny(3)
+        for read in (lambda w: w.names(d), lambda w: apply_word(StateSet.full(3), d, w)):
+            with pytest.raises(ValueError, match=f"letter index {bad} out of range"):
+                read(Word(letters))
+
     def test_word_transformation_matches_pointwise(self):
         w = Word((0, 1, 0, 0, 1))
         t = word_transformation(D4, w)
@@ -442,6 +450,11 @@ class TestFormats:
             "4 1\na 1 2 3 x",
             "4 1\na 1 2 3 9",
             "x y\na 1 2 3 0",
+            # int() takes these, the format does not
+            "4 1\na 0_1 2 3 0",
+            "4 1\na +1 2 3 0",
+            "4 1\na \u0661 2 3 0",
+            "0_4 1\na 1 2 3 0",
         ],
     )
     def test_parse_rejects_malformed_text(self, text):
