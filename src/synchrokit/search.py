@@ -983,10 +983,10 @@ def _journal(path: Path) -> tuple[list[tuple[str, object]], bytes]:
                 if entries:
                     raise ValueError("a header after the first line")
                 value = header = obj
-            elif header is None:
-                raise ValueError(f"a {kind!r} line before the header")
-            elif kind not in _LINE_TYPES[header["kind"]]:
-                raise ValueError(f"a {kind!r} line in a {header['kind']} file")
+            elif header is None or kind not in _LINE_TYPES[header["kind"]]:
+                what = "a line without a type" if kind is None else f"a {kind!r} line"
+                where = "before the header" if header is None else f"in a {header['kind']} file"
+                raise ValueError(f"{what} {where}")
             elif kind == "block":
                 value = _json_permutation("p1", obj.get("p1"), header["config"].get("n"))
                 if value in blocks:

@@ -601,13 +601,22 @@ class TestTopLevel:
         assert run(capsys, "gen", "--family", "cerny", "--n", "4") == (1, "", "")
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import synchrokit
+
+        # pytest's ``pythonpath`` reaches this process only, so the child is
+        # pointed at the package under test
+        root = str(Path(synchrokit.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "synchrokit", "rt", "--family", "cerny", "--n", "4"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rt"] == 9

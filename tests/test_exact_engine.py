@@ -339,6 +339,28 @@ def test_chunk_layouts_match_the_oracle(monkeypatch, n):
             assert not any(own[last + 1 :])
 
 
+@pytest.mark.parametrize("n, count", [(14, 1), (16, 1), (10, 6)])
+def test_levels_are_ascending_and_new(n, count):
+    # the comparisons above sort each level first, so they would pass on a
+    # level that held a code twice or came out unsorted: here every level is
+    # strictly ascending and shares no code with an earlier one, in one
+    # 14-bit chunk, in two chunks at 16 states, and in a batch of 10-state
+    # automata some of which retire before the search ends
+    dfas = _layout_automata(random.Random(20261022 + n), n, count)
+    assert sync._chunks(n)[0] == (2 if n == 16 else 1)
+    distances, levels, dist = sync._forward_bfs(sync._letter_tables(dfas), n)
+    if count > 1:
+        assert min(rt for rt in distances if rt is not None) < len(levels) - 1
+    seen: set[int] = set()
+    for k, level in enumerate(levels):
+        codes = level.tolist()
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert seen.isdisjoint(codes)
+        assert (dist.take(level) == k + 1).all()
+        seen.update(codes)
+    assert len(seen) > 2000
+
+
 def _engine_outputs(dfas: list[Dfa], n: int):
     """``dist`` before and after the prune, levels as sets and both
     witnesses of each automaton."""

@@ -545,6 +545,21 @@ class TestExhaustiveCensus:
         with pytest.raises(ValueError, match=message):
             load_records(path)
 
+    @pytest.mark.parametrize(
+        "at,message",
+        [(0, "line 1: a line without a type before the header$"),
+         (1, "line 2: a line without a type in a max-rt-census file$")],
+        ids=["before-the-header", "after-it"],
+    )
+    def test_a_line_without_a_type_is_named_so(self, tmp_path, at, message):
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(3, output_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(at, '{"nope": 1}\n')
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=message):
+            summarize_results(path)
+
     def test_records_load_and_verify(self, tmp_path):
         path = tmp_path / "census.jsonl"
         max_reset_threshold_exhaustive(4, output_path=path)

@@ -308,8 +308,8 @@ class TestPairchase:
         assert h.hexdigest() == "f1564861936e41bdb42d8e7dda75589c09bbc112c0c7a374528e248c3ae670de"
 
     def test_memory_stays_off_per_pair_objects(self):
-        # a ranked list and next-step table of per-pair tuples peak at 3.9 MiB
-        # here; the key matrix and the two flat next-step tables at about 2 MiB
+        # per-pair tuples peaked at 3.9 MiB here and two flat next-step tables
+        # at 2.0; the key matrix and the one flat ``walked`` table at about 1.8
         d = cerny(150)
         tracemalloc.start()
         try:
