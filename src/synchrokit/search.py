@@ -445,13 +445,17 @@ def _reset_levels(
     return retiring, live
 
 
-def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _Perm | None]:
+def _census_block(args: tuple[int, _Perm, int]) -> tuple[_Perm, int, _Perm | None, _Perm | None]:
     """Process every candidate whose first permutation letter is ``p1``.
 
-    Returns ``(p1, block_max_rt, p2, t)`` where the last three describe the
-    first enumeration-order candidate attaining the block maximum (``-1``
-    and ``None`` when the block is empty).  One subset BFS per ``p2`` covers
-    its rank letters, and the lowest bit retiring last is the first of them.
+    ``args`` is ``(n, p1, floor)``.  Returns ``(p1, block_max_rt, p2, t)``
+    where the last three describe the first enumeration-order candidate
+    attaining the block maximum, or ``(p1, -1, None, None)`` when no
+    threshold in the block exceeds ``floor``, where the block maximum
+    starts.  One subset BFS per ``p2`` covers its rank letters, and the
+    lowest bit retiring last is the first of them.  The floor is exact: a
+    pair that first reaches a larger maximum M keeps every letter of
+    threshold M live, as both its two-letter thresholds are at least M.
 
     The filters run cheapest first.  ``p1`` must be least in its residual
     orbit, and the pair must survive :func:`_dead_pair`, which the least
@@ -471,7 +475,7 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _P
     pair with an automaton that never resets cannot generate it, as then
     the transition monoid would be full; that is asserted.
     """
-    n, p1 = args
+    n, p1, floor = args
     perms, residual, rank_letters, moves, resets, rank, least = _census_context(n)
     r1 = rank[p1]
     if least[r1] != r1:
@@ -479,7 +483,7 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _P
     fixed = any(_conjugate(p1, g, ginv) == p1 for g, ginv in residual[1:])
     table1 = _subset_table([1 << q for q in p1])
     rts1 = resets[r1][0]  # the identity relabels the least of an orbit
-    best_rt = -1
+    best_rt = floor
     best_p2: _Perm | None = None
     best_t: _Perm | None = None
     for r2 in range(r1, len(perms)):
@@ -501,7 +505,7 @@ def _census_block(args: tuple[int, _Perm]) -> tuple[_Perm, int, _Perm | None, _P
             best_rt, retired = len(retiring) - 1, retiring[-1]
             best_p2 = p2
             best_t = rank_letters[(retired & -retired).bit_length() - 1]
-    return p1, best_rt, best_p2, best_t
+    return p1, best_rt if best_p2 is not None else -1, best_p2, best_t
 
 
 def _dfa(n: int, *letters: _Perm) -> Dfa:
@@ -550,24 +554,26 @@ def max_reset_threshold_exhaustive(
 
     Work is split into blocks by the first permutation letter and blocks are
     reduced in sorted order, so the stream of new-maximum records (and the
-    returned record) does not depend on ``workers``.  With ``output_path``
-    the run appends a JSON-lines journal — header, one line per finished
-    block, one record per new maximum, and a final result line — and
-    ``resume`` replays completed blocks from an existing journal instead of
-    recomputing them; a final journal line cut off mid-write is dropped
-    and its work redone, so the resumed journal ends byte-identical to an
-    uninterrupted run's.
+    returned record) does not depend on ``workers``.  In one process a block
+    starts from the maximum so far, replayed blocks included, and reports
+    only a maximum above it; a pool's blocks, sent out up front, start from
+    -1.  With ``output_path`` the run appends a JSON-lines journal — header,
+    one line per finished block, one record per new maximum, and a final
+    result line — and ``resume`` replays completed blocks from an existing
+    journal instead of recomputing them; a final journal line cut off
+    mid-write is dropped and its work redone, so the resumed journal ends
+    byte-identical to an uninterrupted run's.
 
     Each of the n! first letters makes one block, whose cheap filters run
     before its subset BFS, whose BFS covers only the rank letters that can
     beat the block maximum, and whose symmetric-group test runs only on a
     new block maximum (see :func:`_census_block`).  On a 2-core host n = 6
-    took 3.4-4.3 s in one process, n = 7 116 s with two workers, and the
-    n = 8 context alone 34 s, most of it in the two-letter thresholds of its
-    150 residual orbits.  A run whose :func:`_census_bytes` estimate (4.8 GB
-    at n = 9, 328 GB at n = 10, one context more per extra worker) exceeds
-    physical memory is refused with ``ValueError`` before it allocates or
-    writes anything.
+    took 2.9 s in one process (3.0 s with every block from -1), n = 7 116 s
+    with two workers, and the n = 8 context alone 34 s, most of it in the
+    two-letter thresholds of its 150 residual orbits.  A run whose
+    :func:`_census_bytes` estimate (4.8 GB at n = 9, 328 GB at n = 10, one
+    context more per extra worker) exceeds physical memory is refused with
+    ``ValueError`` before it allocates or writes anything.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -586,10 +592,12 @@ def max_reset_threshold_exhaustive(
     if entries and entries[-1][0] == "result":
         return best_rt, best
     with _results_file(path, header, append=bool(entries)) as write:
-        pending = [(n, p1) for p1 in itertools.permutations(range(n)) if p1 not in done]
+        pending = [p1 for p1 in itertools.permutations(range(n)) if p1 not in done]
         parallel = workers > 1 and len(pending) > 1
         with multiprocessing.Pool(workers) if parallel else nullcontext() as pool:
-            for p1, block_rt, p2, t in (pool.imap if parallel else map)(_census_block, pending):
+            # lazy, so a serial block's floor is the maximum of the blocks before it
+            tasks = ((n, p1, -1 if parallel else best_rt) for p1 in pending)
+            for p1, block_rt, p2, t in (pool.imap if parallel else map)(_census_block, tasks):
                 if block_rt > best_rt:
                     assert p2 is not None and t is not None
                     best_rt, best = block_rt, _census_record(n, p1, p2, t, block_rt)

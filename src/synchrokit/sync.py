@@ -458,8 +458,9 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     lexicographically least such word: from the pair, the least letter whose
     image is one step closer (one outside :func:`_merge_distances`'
     ``touch`` lists fixes the pair), until it collapses.  The walk depends
-    on the pair alone, so one flat table, ``walked``, keeps where in
-    ``letters`` each pair's walk began, and a walk that reaches a walked
+    on the pair alone, and the walks from (p, q) and (q, p) spell the same
+    letters, so one flat table, ``walked``, keeps where in ``letters`` each
+    pair's walk or its mirror's began, and a walk that reaches a walked
     pair splices the ``dist`` letters found there.  A pair i < j has one
     int64 key, ``dist * n^2 + i * n + j``, in an n x n matrix; a round's
     pair holds the least key among the image's states, read by two ``take``
@@ -488,8 +489,8 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
             if (i := walked[v]) >= 0:
                 letters += letters[i : i + dist[v]]
                 break
-            walked[v] = len(letters)
             p, q = divmod(v, n)
+            walked[v] = walked[q * n + p] = len(letters)
             for a in sorted(touch[p] | touch[q]):
                 w = images[a][p] * n + images[a][q]
                 if dist[w] == dist[v] - 1:

@@ -291,7 +291,7 @@ class TestSearch:
         merge = (1,) + tuple(range(1, 8))
 
         def block(args):
-            p1 = args[1]
+            n, p1, floor = args
             return (p1, 49, cycle, merge) if p1 == identity else (p1, -1, None, None)
 
         monkeypatch.setattr(search, "_census_block", block)

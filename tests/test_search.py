@@ -379,17 +379,40 @@ class TestExhaustiveCensus:
 
     @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.extended)])
     def test_larger_journal_bytes_are_frozen(self, tmp_path, n):
-        path = tmp_path / "census.jsonl"
-        max_reset_threshold_exhaustive(n, output_path=path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == {
-            5: "6a3f1b04f94b97e74e7a191bf0f4a418f7ad76a3cb068bf179bf9591dc5ecff5",
-            6: "42147110825596a54b40e1cf33d0eb7d337255359cb2da52ddabfc526f9c7e1c",
-        }[n]
+        # one process starts each block from the maximum so far, a pool from -1
+        for workers in (1, 2) if n == 5 else (1,):
+            path = tmp_path / f"census-{workers}.jsonl"
+            max_reset_threshold_exhaustive(n, workers=workers, output_path=path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == {
+                5: "6a3f1b04f94b97e74e7a191bf0f4a418f7ad76a3cb068bf179bf9591dc5ecff5",
+                6: "42147110825596a54b40e1cf33d0eb7d337255359cb2da52ddabfc526f9c7e1c",
+            }[n], workers
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.extended)])
     def test_blocks_match_the_per_candidate_oracle(self, n):
+        # a block reports only a maximum above its floor, and then the oracle's
         for p1 in search._census_context(n)[0]:
-            assert search._census_block((n, p1)) == oracle_census_block(n, p1)
+            expected = oracle_census_block(n, p1)
+            top = expected[1]
+            for floor in (-1, top - 1, top):
+                got = search._census_block((n, p1, floor))
+                assert got == (expected if top > floor else (p1, -1, None, None)), (p1, floor)
+
+    def test_one_process_starts_each_block_from_the_maximum_so_far(self, tmp_path, monkeypatch):
+        tops = [search._census_block((5, p1, -1))[1] for p1 in search._census_context(5)[0]]
+        before = list(itertools.accumulate(tops, max, initial=-1))[:-1]
+        floors, block = [], search._census_block
+        monkeypatch.setattr(search, "_census_block", lambda args: floors.append(args[2]) or block(args))
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(5, output_path=path)
+        assert floors == before and floors[2:] == [14] * (len(floors) - 2)
+        # a resumed run starts from the maximum of the replayed blocks
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:40]))
+        done = sum('"type":"block"' in line for line in lines[:40])
+        floors.clear()
+        max_reset_threshold_exhaustive(5, output_path=path, resume=True)
+        assert floors == before[done:] and floors[0] > -1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_least_conjugate_ranks_match_brute_force(self, n):
@@ -410,7 +433,7 @@ class TestExhaustiveCensus:
             search, "_transitive_with_odd", lambda gens, n: passed.append(gens) or check(gens, n)
         )
         for p1 in perms:
-            search._census_block((n, p1))
+            search._census_block((n, p1, -1))
         live = [
             (p1, p2)
             for p1 in perms
@@ -434,7 +457,7 @@ class TestExhaustiveCensus:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_pruned_blocks_match_blocks_over_every_rank_letter(self, n):
         for p1 in search._census_context(n)[0]:
-            assert search._census_block((n, p1)) == unpruned_census_block(n, p1)
+            assert search._census_block((n, p1, -1)) == unpruned_census_block(n, p1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_two_letter_thresholds_match_the_exact_search(self, n):
