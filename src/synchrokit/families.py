@@ -37,7 +37,8 @@ def cerny(n: int) -> Dfa:
 
 
 def cb(n: int, k: int) -> Dfa:
-    """Cycle ``a``, merging edge ``b``, and swap ``c`` of states k-1 and k.
+    """The cycle ``a`` and merging edge ``b`` of :func:`cerny`, and swap ``c``
+    of states k-1 and k.
 
     With 1-based display names: ``b`` sends q1 to q2 and ``c`` exchanges
     q_k with q_{k+1}.
@@ -46,14 +47,9 @@ def cb(n: int, k: int) -> Dfa:
         raise ValueError("cb needs n >= 3")
     if not 1 <= k <= n - 1:
         raise ValueError("cb needs 1 <= k <= n - 1")
-    a = Transformation(tuple((i + 1) % n for i in range(n)))
-    b_images = list(range(n))
-    b_images[0] = 1
-    b = Transformation(tuple(b_images))
     c_images = list(range(n))
     c_images[k - 1], c_images[k] = k, k - 1
-    c = Transformation(tuple(c_images))
-    return Dfa(n, (("a", a), ("b", b), ("c", c)))
+    return Dfa(n, cerny(n).letters + (("c", Transformation(tuple(c_images))),))
 
 
 def v(n: int) -> Dfa:

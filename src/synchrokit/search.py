@@ -562,7 +562,9 @@ def max_reset_threshold_exhaustive(
     result line — and ``resume`` replays completed blocks from an existing
     journal instead of recomputing them; a final journal line cut off
     mid-write is dropped and its work redone, so the resumed journal ends
-    byte-identical to an uninterrupted run's.
+    byte-identical to an uninterrupted run's.  A journal whose finished
+    blocks leave the census without any record is refused with
+    ``ValueError``.
 
     Each of the n! first letters makes one block, whose cheap filters run
     before its subset BFS, whose BFS covers only the rank letters that can
@@ -603,8 +605,8 @@ def max_reset_threshold_exhaustive(
                     best_rt, best = block_rt, _census_record(n, p1, p2, t, block_rt)
                     write(record_to_json_dict(best))
                 write({"type": "block", "p1": list(p1)})
-        if best is None:
-            raise RuntimeError("census found no candidate automata")
+        if best is None:  # every n has a candidate: a replayed block dropped its record
+            raise ValueError(f"{path} marks blocks done but records none of their candidates")
         write({"type": "result", "max_rt": best_rt})
     return best_rt, best
 

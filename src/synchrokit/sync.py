@@ -141,7 +141,7 @@ def _letter_tables(dfas: Sequence[Dfa]) -> np.ndarray:
         raise ValueError(f"exact subset search handles at most 32 states, not {n}")
     c, w = _chunks(n)
     if trials > 1 and c > 1:
-        raise ValueError(f"a batch of {trials} automata of {n} states spans {c} chunks, not one")
+        raise AssertionError(f"a batch of {trials} automata of {n} states spans {c} chunks, not one")
     _require_memory(n, trials * ((_EXACT_BYTES << n) + _exact_letter_bytes(n) * m))
     images = np.array([[t.images for t in d.transformations()] for d in dfas], dtype=np.uint32)
     bits = np.zeros((trials, m, c * w), dtype=np.uint32)
@@ -502,22 +502,18 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     return ResetResult(w, len(w), Method.PAIRCHASE, _resets(d, w))
 
 
-#: ``parent`` of an edge no level has reached; a seed edge has parent -1.
-_UNSEEN = -2
-
-
-def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int], list[int]]:
+def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
     """BFS closure of the (excluded, duplicate) pairs under permutation letters.
 
     Returns the levels of edge codes ``q * n + p`` in discovery order and,
-    per code, its ``seed`` letter (seed edges only), ``parent`` edge (-1 for
-    a seed edge, ``_UNSEEN`` if never reached) and the permutation
-    ``letter`` that carried the parent onto it.  Level 0 holds the seed edge
-    of every rank n-1 letter; a witness word of an edge is the letters met
-    walking back to its seed edge, reversed, so an edge on level i has one
-    of i letters.  Levels stop at 2n - 3: by that depth the edge digraph is
-    strongly connected whenever the permutation letters form a 2-transitive
-    group.
+    per code, its ``parent`` edge (-1 for a seed edge) and its ``letter``:
+    the rank n-1 letter of a seed edge, the permutation letter that carried
+    the parent onto any other edge, -1 if no level reached it.  Level 0
+    holds the seed edge of every rank n-1 letter; a witness word of an edge
+    is the permutation letters met walking back to its seed edge, reversed,
+    so an edge on level i has one of i letters.  Levels stop at 2n - 3: by
+    that depth the edge digraph is strongly connected whenever the
+    permutation letters form a 2-transitive group.
 
     Each level maps the frontier under every permutation letter at once,
     frontier-major and letter-minor, the order in which a queue would meet
@@ -529,19 +525,17 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int], list[int]
     :func:`extension_reset_word` checks both before it calls this.
     """
     n = d.n
-    seeds = d.rank_n_minus_one_letters()
     perms = np.array(d.permutation_letters(), dtype=np.int64)
     # images[q, j]: the image of state q under the j-th permutation letter
     images = np.array([d.transformation(i).images for i in perms.tolist()], dtype=np.int64).T
-    parent = np.full(n * n, _UNSEEN, dtype=np.int64)
+    parent = np.full(n * n, -1, dtype=np.int64)
     letter = np.full(n * n, -1, dtype=np.int64)
-    seed = np.full(n * n, -1, dtype=np.int64)
     first: list[int] = []
-    for x in seeds:
+    for x in d.rank_n_minus_one_letters():
         t = d.transformation(x)
         code = t.excluded_state() * n + t.duplicate_state()
-        if parent[code] == _UNSEEN:
-            parent[code], seed[code] = -1, x
+        if letter[code] < 0:
+            letter[code] = x
             first.append(code)
     levels = [np.array(first, dtype=np.int64)]
     # frontier edges mapped at once: at most about n^2 images in memory
@@ -552,7 +546,7 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int], list[int]
             part = frontier[lo : lo + step]
             q, p = np.divmod(part, n)
             reached = (images[q] * n + images[p]).ravel()
-            pos = np.flatnonzero(parent[reached] == _UNSEEN)
+            pos = np.flatnonzero(letter[reached] < 0)
             _, once = np.unique(reached[pos], return_index=True)
             pos = pos[np.sort(once)]
             fresh = reached[pos]
@@ -563,19 +557,19 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int], list[int]
         if not fresh.size:
             break
         levels.append(fresh)
-    return levels, seed.tolist(), parent.tolist(), letter.tolist()
+    return levels, parent.tolist(), letter.tolist()
 
 
 def _extension_letters(
-    d: Dfa, order: np.ndarray, seed: list[int], parent: list[int], letter: list[int], x: int
+    d: Dfa, order: np.ndarray, parent: list[int], letter: list[int], x: int
 ) -> list[int]:
     """Extension chain ending in the rank n-1 letter ``x``, back to front.
 
     ``order`` lists the reached edge codes by (witness length, q, p), and
-    ``seed``, ``parent`` and ``letter`` are the pointers of
-    :func:`_stratify`; each step takes the first edge crossing into the
-    state mask ``r``, and pulls ``r`` back through the letters of the edge's
-    parent chain, which meets them last first, the order a preimage needs.
+    ``parent`` and ``letter`` are the pointers of :func:`_stratify`; each
+    step takes the first edge crossing into the state mask ``r``, and pulls
+    ``r`` back through the letters of the edge's parent chain, which meets
+    them last first, the seed letter last, the order a preimage needs.
     """
     n = d.n
     qs, ps = np.divmod(order, n)
@@ -588,17 +582,13 @@ def _extension_letters(
         crossing = inside[ps] & ~inside[qs]
         i = int(crossing.argmax())
         if not crossing[i]:
-            raise ValueError(
-                "no crossing edge in the stratification; "
-                "the permutation letters do not act 2-transitively"
-            )
+            raise AssertionError("no edge of the stratification crosses into R")
         code, chain = int(order[i]), []
-        while parent[code] >= 0:
+        while code >= 0:
             r = _preimage(d.transformation(letter[code]), r)
             chain.append(letter[code])
             code = parent[code]
-        r = _preimage(d.transformation(seed[code]), r)
-        word = [seed[code], *reversed(chain), *word]
+        word = [*reversed(chain), *word]
         steps += 1
         if steps > n - 2:  # pragma: no cover - each step grows r strictly
             raise AssertionError("extension exceeded the guaranteed step count")
@@ -635,13 +625,13 @@ def extension_reset_word(d: Dfa) -> ResetResult:
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"
         )
-    levels, seed, parent, letter = _stratify(d)
+    levels, parent, letter = _stratify(d)
     # a witness on level i has i letters, and codes sort as (q, p) do, so
     # this is the order by (len(w), q, p)
     order = np.concatenate([np.sort(level) for level in levels])
     best: list[int] | None = None
     for x in d.rank_n_minus_one_letters():
-        letters = _extension_letters(d, order, seed, parent, letter, x)
+        letters = _extension_letters(d, order, parent, letter, x)
         if best is None or len(letters) < len(best):
             best = letters
     assert best is not None

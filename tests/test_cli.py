@@ -368,6 +368,18 @@ class TestSearch:
         assert code == 2 and out == "" and "error" in err
         assert path.read_bytes() == data
 
+    def test_resume_from_a_journal_without_records_is_usage_error(self, capsys, tmp_path):
+        # the header and every block line, with the record and result lines dropped
+        path = tmp_path / "census.jsonl"
+        argv = ("search", "--n", "3", "--mode", "exhaustive", "--out", str(path))
+        assert run(capsys, *argv)[0] == 0
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(line for line in lines if '"type":"block"' in line))
+        data = path.read_bytes()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and str(path) in err
+        assert path.read_bytes() == data
+
     def test_summarize_a_record_without_rt_is_usage_error(self, capsys, tmp_path):
         path, _ = self.journal_with(tmp_path, lambda obj: {"type": "record"})
         code, out, err = run(capsys, "search", "summarize", str(path))
@@ -599,6 +611,14 @@ class TestTopLevel:
             raise BrokenPipeError
         monkeypatch.setattr(cli, "_cmd_gen", broken)
         assert run(capsys, "gen", "--family", "cerny", "--n", "4") == (1, "", "")
+
+    def test_a_library_assertion_is_not_a_usage_error(self, monkeypatch):
+        # an AssertionError marks a bug, not a refused input: it leaves main
+        def broken(d):
+            raise AssertionError("broken invariant")
+        monkeypatch.setattr(cli, "reset_threshold_exact", broken)
+        with pytest.raises(AssertionError, match="broken invariant"):
+            main(["rt", "--family", "cerny", "--n", "4"])
 
     def test_module_entry_point(self):
         import os

@@ -499,6 +499,18 @@ class TestExhaustiveCensus:
             max_reset_threshold_exhaustive(4, output_path=path, resume=True)
         assert path.read_bytes() == b"not a journal"
 
+    def test_resume_refuses_a_journal_without_records(self, tmp_path):
+        # the header and every block line, with the record and result lines
+        # dropped: every n has a candidate, so the journal lost its record
+        path = tmp_path / "census.jsonl"
+        max_reset_threshold_exhaustive(3, output_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(line for line in lines if '"type":"block"' in line))
+        data = path.read_bytes()
+        with pytest.raises(ValueError, match="records none"):
+            max_reset_threshold_exhaustive(3, output_path=path, resume=True)
+        assert path.read_bytes() == data
+
     def test_no_resume_overwrites(self, tmp_path):
         path = tmp_path / "census.jsonl"
         path.write_text('{"type":"header","format":1,"kind":"max-rt-census","config":{"n":3}}\n')

@@ -427,9 +427,7 @@ def reference_stratification(
     return levels, witnesses
 
 
-def stratification_witnesses(
-    n: int, levels, seed, parent, letter
-) -> dict[tuple[int, int], tuple[int, Word]]:
+def stratification_witnesses(n: int, levels, parent, letter) -> dict[tuple[int, int], tuple[int, Word]]:
     """``sync._stratify``'s output read as edge -> (seed letter, witness word)
     in discovery order, walking each edge's parent chain back to its seed edge."""
     witnesses = {}
@@ -438,8 +436,8 @@ def stratification_witnesses(
         while parent[root] >= 0:
             word.append(letter[root])
             root = parent[root]
-        witnesses[divmod(code, n)] = (seed[root], Word(tuple(reversed(word))))
-    assert sum(p != sync._UNSEEN for p in parent) == len(witnesses)
+        witnesses[divmod(code, n)] = (letter[root], Word(tuple(reversed(word))))
+    assert sum(a >= 0 for a in letter) == len(witnesses)
     return witnesses
 
 
@@ -567,13 +565,13 @@ class TestStratificationAgainstReference:
     @staticmethod
     def _agrees(d: Dfa) -> None:
         n = d.n
-        levels, seed, parent, letter = sync._stratify(d)
+        levels, parent, letter = sync._stratify(d)
         reference_levels, reference_witnesses = reference_stratification(d)
         assert len(levels) <= 2 * n - 2  # levels 0 .. 2n - 3
         assert all(level.dtype.kind == "i" for level in levels)
         edges = [[divmod(code, n) for code in level.tolist()] for level in levels]
         assert edges == reference_levels
-        witnesses = stratification_witnesses(n, levels, seed, parent, letter)
+        witnesses = stratification_witnesses(n, levels, parent, letter)
         assert witnesses == reference_witnesses
         assert list(witnesses) == list(reference_witnesses)  # discovery order
         assert all(type(a) is int for seed, w in witnesses.values() for a in (seed, *w))
@@ -632,7 +630,7 @@ class TestStratificationAgainstReference:
 
         d = v(100)
         monkeypatch.setattr(Word, "__post_init__", counting)
-        levels, _, _, _ = sync._stratify(d)
+        levels, _, _ = sync._stratify(d)
         assert built == []
         assert sum(level.size for level in levels) == d.n * (d.n - 1)
 
@@ -640,20 +638,20 @@ class TestStratificationAgainstReference:
 class TestExtensionStratification:
     def test_seed_level_holds_merge_edges(self):
         d = v(6)
-        levels, _, _, _ = sync._stratify(d)
+        levels, _, _ = sync._stratify(d)
         # the merge letter excludes state 1 and duplicates state 0
         assert [divmod(code, d.n) for code in levels[0].tolist()] == [(1, 0)]
 
     def test_levels_cover_all_pairs_within_bound(self):
         for n in (4, 6, 9):
-            levels, _, _, _ = sync._stratify(v(n))
+            levels, _, _ = sync._stratify(v(n))
             assert len(levels) <= 2 * n - 2  # levels 0 .. 2n - 3
             assert len(edges_at(levels, n)) == n * (n - 1)
             assert strongly_connected_at(levels[: 2 * n - 2], n)
 
     def test_edges_monotone(self):
         n = 7
-        levels, _, _, _ = sync._stratify(v(n))
+        levels, _, _ = sync._stratify(v(n))
         for lvl in range(2 * n - 3):
             assert edges_at(levels[: lvl + 1], n) <= edges_at(levels[: lvl + 2], n)
 
@@ -667,6 +665,19 @@ class TestExtensionStratification:
             assert (t(seed_t.excluded_state()), t(seed_t.duplicate_state())) == pair
             # witness words use permutation letters only
             assert all(d.transformation(i).is_permutation() for i in w)
+
+    def test_no_crossing_edge_is_a_broken_invariant(self, monkeypatch):
+        # past the 2-transitivity check some edge always crosses into R; with
+        # the check bypassed, the only seed edge (1, 0) lies inside R = {0, 1}
+        # and the permutation letter fixes it
+        monkeypatch.setattr(sync, "_is_two_transitive", lambda gens, n: True)
+        d = Dfa(4, (("a", Transformation((0, 1, 3, 2))), ("b", Transformation((0, 0, 2, 3)))))
+        levels, parent, letter = sync._stratify(d)
+        assert [level.tolist() for level in levels] == [[1 * 4 + 0]]
+        assert (parent[4], letter[4]) == (-1, 1)
+        assert all(parent[code] == letter[code] == -1 for code in range(16) if code != 4)
+        with pytest.raises(AssertionError, match="crosses into R"):
+            extension_reset_word(d)
 
 
 class TestCbWords:
