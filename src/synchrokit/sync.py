@@ -31,11 +31,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Dfa, StateSet, Word, _preimage, apply_word
+from .core import Dfa, StateSet, Transformation, Word, _preimage, apply_word
 from .families import cb
 from .monoid import _inv, _is_two_transitive
 
@@ -502,17 +502,18 @@ def pairchase_reset_word(d: Dfa) -> ResetResult:
     return ResetResult(w, len(w), Method.PAIRCHASE, _resets(d, w))
 
 
-def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
-    """BFS closure of the (excluded, duplicate) pairs under permutation letters.
+def _strata(d: Dfa, parent: array, letter: array) -> Iterator[np.ndarray]:
+    """BFS closure of the (excluded, duplicate) pairs, one level per ``next``.
 
-    Returns the levels of edge codes ``q * n + p`` in discovery order and,
-    per code, its ``parent`` edge (-1 for a seed edge) and its ``letter``:
-    the rank n-1 letter of a seed edge, the permutation letter that carried
-    the parent onto any other edge, -1 if no level reached it.  Level 0
-    holds the seed edge of every rank n-1 letter; a witness word of an edge
-    is the permutation letters met walking back to its seed edge, reversed,
-    so an edge on level i has one of i letters.  Levels stop at 2n - 3: by
-    that depth the edge digraph is strongly connected whenever the
+    Yields the levels of edge codes ``q * n + p`` in discovery order, and
+    fills ``parent`` and ``letter`` (n^2 entries of -1) as the levels
+    arrive: per reached code, its ``parent`` edge (-1 for a seed edge) and
+    its ``letter``, the rank n-1 letter of a seed edge and the permutation
+    letter that carried the parent onto any other edge.  Level 0 holds the
+    seed edge of every rank n-1 letter; a witness word of an edge is the
+    permutation letters met walking back to its seed edge, reversed, so an
+    edge on level i has one of i letters.  The last level is at most 2n - 3:
+    by that depth the edge digraph is strongly connected whenever the
     permutation letters form a 2-transitive group.
 
     Each level maps the frontier under every permutation letter at once,
@@ -528,8 +529,7 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
     perms = np.array(d.permutation_letters(), dtype=np.int64)
     # images[q, j]: the image of state q under the j-th permutation letter
     images = np.array([d.transformation(i).images for i in perms.tolist()], dtype=np.int64).T
-    parent = np.full(n * n, -1, dtype=np.int64)
-    letter = np.full(n * n, -1, dtype=np.int64)
+    parent, letter = (np.frombuffer(a, dtype=np.int64) for a in (parent, letter))
     first: list[int] = []
     for x in d.rank_n_minus_one_letters():
         t = d.transformation(x)
@@ -537,11 +537,12 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
         if letter[code] < 0:
             letter[code] = x
             first.append(code)
-    levels = [np.array(first, dtype=np.int64)]
+    frontier = np.array(first, dtype=np.int64)
+    yield frontier
     # frontier edges mapped at once: at most about n^2 images in memory
     step = max(1, n * n // perms.size)
     for _ in range(2 * n - 3):
-        frontier, found = levels[-1], []
+        found = []
         for lo in range(0, frontier.size, step):
             part = frontier[lo : lo + step]
             q, p = np.divmod(part, n)
@@ -553,59 +554,57 @@ def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
             parent[fresh] = part[pos // perms.size]
             letter[fresh] = perms[pos % perms.size]
             found.append(fresh)
-        fresh = np.concatenate(found)
-        if not fresh.size:
-            break
-        levels.append(fresh)
+        frontier = np.concatenate(found)
+        if not frontier.size:
+            return
+        yield frontier
+
+
+def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
+    """:func:`_strata` grown to its last level: the levels, ``parent`` and ``letter``."""
+    parent, letter = array("q", [-1]) * (d.n * d.n), array("q", [-1]) * (d.n * d.n)
+    levels = list(_strata(d, parent, letter))
     return levels, parent.tolist(), letter.tolist()
 
 
 def _extension_letters(
-    d: Dfa, order: np.ndarray, parent: list[int], letter: list[int], x: int
+    ts: Sequence[Transformation], x: int, first_crossing: Callable[[int], int], parent: array, letter: array
 ) -> list[int]:
-    """Extension chain ending in the rank n-1 letter ``x``, back to front.
-
-    ``order`` lists the reached edge codes by (witness length, q, p), and
-    ``parent`` and ``letter`` are the pointers of :func:`_stratify`; each
-    step takes the first edge crossing into the state mask ``r``, and pulls
-    ``r`` back through the letters of the edge's parent chain, which meets
-    them last first, the seed letter last, the order a preimage needs.
+    """Extension chain ending in the rank n-1 letter ``x``: each step pulls
+    the state mask ``r`` back through the letters of the parent chain (the
+    pointers of :func:`_strata`) of the edge ``first_crossing(r)``, which
+    meets them last first, the seed letter last, the order a preimage needs.
+    The chains follow ``x`` in the order walked: the word is that reversed.
     """
-    n = d.n
-    qs, ps = np.divmod(order, n)
-    t = d.transformation(x)
+    t = ts[x]
+    n = t.n
     r = _preimage(t, 1 << t.duplicate_state())
-    word = [x]
+    back = [x]
     steps = 0
     while r.bit_count() < n:
-        inside = _mask_bits(r, n)
-        crossing = inside[ps] & ~inside[qs]
-        i = int(crossing.argmax())
-        if not crossing[i]:
-            raise AssertionError("no edge of the stratification crosses into R")
-        code, chain = int(order[i]), []
+        code = first_crossing(r)
         while code >= 0:
-            r = _preimage(d.transformation(letter[code]), r)
-            chain.append(letter[code])
+            back.append(a := letter[code])
+            r = _preimage(ts[a], r)
             code = parent[code]
-        word = [*reversed(chain), *word]
         steps += 1
         if steps > n - 2:  # pragma: no cover - each step grows r strictly
             raise AssertionError("extension exceeded the guaranteed step count")
-    return word
+    return back[::-1]
 
 
 def extension_reset_word(d: Dfa) -> ResetResult:
     """Reset word by chained subset extensions through the stratification.
 
-    The word is assembled back to front: each step prepends x w, where the
+    The word is built back to front: each step puts x w in front, where the
     pair (excluded(x) w, duplicate(x) w) crosses from outside the growing
     set R into it, so the preimage of R under x w is strictly larger.  At
     most n - 2 extensions of length at most 2n - 2 follow the initial rank
     n-1 letter, for a total of at most 2n^2 - 6n + 5 letters.  Each step
-    takes the first crossing edge of one list sorted once per call by
-    (witness length, q, p).  When several rank n-1 letters exist, each is
-    tried as the initial letter and the first shortest outcome is kept.
+    takes the first crossing edge by (witness length, q, p), on the lowest
+    level that has one: a level is grown, and sorted into place, only when
+    the levels so far hold none.  Each rank n-1 letter is tried as the
+    initial letter on the same levels; the first shortest outcome is kept.
 
     Raises:
         ValueError: if no letter has rank n-1, or the permutation letters
@@ -615,23 +614,39 @@ def extension_reset_word(d: Dfa) -> ResetResult:
     if n == 1:
         w = Word(())
         return ResetResult(w, 0, Method.EXTENSION, _resets(d, w))
-    if not d.rank_n_minus_one_letters():
+    if not (xs := d.rank_n_minus_one_letters()):
         raise ValueError("extension requires a letter of rank n-1")
+    ts = d.transformations()
     # A full transition monoid implies 2-transitive permutation letters, and
     # 2-transitivity is all the steps need: it makes the edge digraph
     # strongly connected, so each step finds a crossing edge.
-    if not _is_two_transitive([d.transformation(i).images for i in d.permutation_letters()], n):
+    if not _is_two_transitive([ts[i].images for i in d.permutation_letters()], n):
         raise ValueError(
             "extension requires permutation letters generating the "
             "symmetric group or at least acting 2-transitively"
         )
-    levels, parent, letter = _stratify(d)
-    # a witness on level i has i letters, and codes sort as (q, p) do, so
-    # this is the order by (len(w), q, p)
-    order = np.concatenate([np.sort(level) for level in levels])
+    parent, letter = array("q", [-1]) * (n * n), array("q", [-1]) * (n * n)
+    strata = _strata(d, parent, letter)
+    # q and p of the edges grown so far, each level sorted by code: a witness on
+    # level i has i letters and codes sort as (q, p) do, so by (len(w), q, p)
+    qs, ps = np.empty((2, n * n), dtype=np.int64)
+    filled = 0
+
+    def first_crossing(r: int) -> int:
+        nonlocal filled
+        inside, lo = _mask_bits(r, n), 0
+        while not (crossing := inside[ps[lo:filled]] & ~inside[qs[lo:filled]]).any():
+            level = next(strata, None)
+            if level is None:
+                raise AssertionError("no edge of the stratification crosses into R")
+            lo, filled = filled, filled + level.size
+            np.divmod(np.sort(level), n, out=(qs[lo:filled], ps[lo:filled]))
+        i = lo + int(crossing.argmax())
+        return int(qs[i]) * n + int(ps[i])
+
     best: list[int] | None = None
-    for x in d.rank_n_minus_one_letters():
-        letters = _extension_letters(d, order, parent, letter, x)
+    for x in xs:
+        letters = _extension_letters(ts, x, first_crossing, parent, letter)
         if best is None or len(letters) < len(best):
             best = letters
     assert best is not None

@@ -680,6 +680,67 @@ class TestExtensionStratification:
             extension_reset_word(d)
 
 
+def grown_extension(monkeypatch, d: Dfa):
+    """``extension_reset_word(d)`` with its stratification's growth recorded:
+    the result, the levels grown, the grower's ``parent`` and ``letter`` as
+    lists, and per rank n-1 letter the count of levels grown after its chain
+    and the chain's length."""
+    grown, pointers, after = [], [], []
+    strata, extension_letters = sync._strata, sync._extension_letters
+
+    def recording(d, parent, letter):
+        pointers.append((parent, letter))
+        for level in strata(d, parent, letter):
+            grown.append(level.tolist())
+            yield level
+
+    def counting(*args):
+        letters = extension_letters(*args)
+        after.append((len(grown), len(letters)))
+        return letters
+
+    monkeypatch.setattr(sync, "_strata", recording)
+    monkeypatch.setattr(sync, "_extension_letters", counting)
+    r = extension_reset_word(d)
+    monkeypatch.undo()
+    [(parent, letter)] = pointers
+    return r, grown, parent.tolist(), letter.tolist(), after
+
+
+class TestLazyStratification:
+    @pytest.mark.parametrize("n", (10, 40))
+    def test_grows_only_the_levels_the_steps_read(self, monkeypatch, n):
+        # step i of v(n)'s chain reads level i: the last step, n - 2, is the
+        # deepest level grown, though the full stratification goes to 2n - 3
+        d = v(n)
+        levels, parent, letter = sync._stratify(d)
+        r, grown, grown_parent, grown_letter, _ = grown_extension(monkeypatch, d)
+        assert r.length == n * (n - 1) // 2
+        assert len(grown) == n - 1 < len(levels) == 2 * n - 2
+        assert grown == [level.tolist() for level in levels[: n - 1]]
+        built = {code for level in grown for code in level}
+        assert len(built) == n * (n - 1) // 2
+        for code in range(n * n):
+            if code in built:
+                assert (grown_parent[code], grown_letter[code]) == (parent[code], letter[code])
+            else:
+                assert grown_parent[code] == grown_letter[code] == -1
+
+    def test_later_letter_grows_deeper_levels(self, monkeypatch):
+        # v(8) and a second rank n-1 letter b sending state 7 onto 4: the
+        # chain of b, tried second, reads two levels past those of a8's
+        # chain, and a8's shorter chain is kept
+        merge = list(range(8))
+        merge[7] = 4
+        d = Dfa(8, (*v(8).letters, ("b", Transformation(tuple(merge)))))
+        assert d.rank_n_minus_one_letters() == (7, 8)
+        r, grown, _, _, after = grown_extension(monkeypatch, d)
+        assert after == [(3, 16), (5, 20)]
+        assert len(grown) == 5 < len(sync._stratify(d)[0])
+        assert r == reference_extension(d)
+        assert r.word.letters[-1] == 7 and r.length == 16
+
+
 class TestCbWords:
     def test_k1_word_shape_and_optimality(self):
         for n in (3, 5, 6, 9, 12):
