@@ -126,8 +126,6 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family is None:
-        raise ValueError("gen requires --family")
     d = _build_family(args.family, args.n, args.k)
     if args.format == "json":
         _write_output(json.dumps(dfa_to_json_dict(d), indent=2, sort_keys=True) + "\n", args.output)
@@ -193,10 +191,9 @@ def _cmd_word(args: argparse.Namespace) -> int:
 def _cmd_monoid_check(args: argparse.Namespace) -> int:
     d = _load_input(args)
     perm_letters = d.permutation_letters()
-    perms = [d.transformation(i) for i in perm_letters]
     rank_letters = d.rank_n_minus_one_letters()
     names = d.letter_names()
-    generates = bool(perms) and generates_symmetric_group(perms, d.n)
+    generates = generates_symmetric_group([d.transformation(i) for i in perm_letters], d.n)
     full = has_full_transition_monoid(d)
     _print_json(
         {
@@ -276,8 +273,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise ValueError("search summarize needs a results file")
         _print_json(summarize_results(args.file))
         return 0
-    if args.file is not None:
-        raise ValueError("unexpected positional argument; did you mean 'search summarize FILE'?")
     if args.n is None or args.mode is None:
         raise ValueError("search needs --n and --mode")
     if args.mode == "exhaustive":

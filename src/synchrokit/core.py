@@ -51,8 +51,8 @@ class Transformation:
         return self.images[state]
 
     def rank(self) -> int:
-        """Size of the image set."""
-        return len(set(self.images))
+        """Size of the image set, computed once and cached; pickles drop the cache."""
+        return self._rank
 
     def is_permutation(self) -> bool:
         return self.rank() == self.n
@@ -70,16 +70,16 @@ class Transformation:
         n = self.n
         if self.rank() != n - 1:
             raise ValueError("duplicate state is defined only for rank n-1")
-        seen = set()
-        for x in self.images:
-            if x in seen:
-                return x
-            seen.add(x)
-        raise AssertionError("unreachable: rank n-1 map has a repeated image")
+        # the images sum to every state but the excluded one, plus the duplicate
+        return sum(self.images) - n * (n - 1) // 2 + self.excluded_state()
 
     def __getstate__(self) -> dict:
         # pickles carry the images only, not the caches below
         return {"images": self.images}
+
+    @cached_property
+    def _rank(self) -> int:
+        return len(set(self.images))
 
     @cached_property
     def _groups(self) -> _Groups:

@@ -12,6 +12,8 @@ a *Jordan element*, one with exactly one cycle length divisible by a prime
 ``p <= n - 3``, that cycle of length exactly ``p``; (5) the chain order once
 the walk runs out of steps.  Every ``n >= 2`` takes these steps; below five
 points there is no such prime, and the chain decides after step 3.
+Steps 3 and 5 share one orbit transversal, :func:`_transversal`; step 1
+keeps a bare orbit walk, the census's cheap filter.
 
 Every answer is exact.  ``True`` needs a chain order of ``n!`` or a Jordan
 element, some power of which is a ``p``-cycle: by Jordan's theorem a
@@ -101,17 +103,10 @@ class PermutationGroup:
 
     def _recompute_orbit(self, level: int) -> None:
         b = self._base[level]
-        orbit = {b: (self._identity, self._identity)}
-        queue = [b]
-        for p in queue:  # the queue grows while it is walked
-            up = orbit[p][0]
-            for s in self._gens[level]:
-                q = s[p]
-                if q not in orbit:
-                    rep = _mul(up, s)
-                    orbit[q] = (rep, _inv(rep))
-                    queue.append(q)
-        self._orbits[level] = orbit
+        reps, orbit = _transversal(self._gens[level], b, self.n)
+        # the base's representative is the identity, its own inverse
+        self._orbits[level] = {b: (self._identity, self._identity)}
+        self._orbits[level].update((q, (reps[q], _inv(reps[q]))) for q in orbit[1:])
 
     def _strip(self, g: _Perm, start: int) -> tuple[_Perm, int]:
         """Sift ``g`` through levels ``start..``; return (residue, stuck level)."""
@@ -187,10 +182,26 @@ def _is_transitive(gens: Sequence[_Perm], n: int) -> bool:
     return len(queue) == n
 
 
+def _transversal(gens: Sequence[_Perm], base: int, n: int) -> tuple[list[_Perm | None], list[int]]:
+    """The orbit of ``base`` in breadth-first order and its transversal: ``reps[q]``,
+    the generators on the path that first reached ``q`` multiplied, carries
+    ``base`` to ``q``; it is ``None`` off the orbit."""
+    reps: list[_Perm | None] = [None] * n
+    reps[base] = tuple(range(n))
+    orbit = [base]
+    for i in orbit:  # the queue grows while it is walked
+        for g in gens:
+            j = g[i]
+            if reps[j] is None:
+                reps[j] = _mul(reps[i], g)
+                orbit.append(j)
+    return reps, orbit
+
+
 def _is_two_transitive(gens: Sequence[_Perm], n: int) -> bool:
     """Transitivity, then the stabilizer of 0 transitive on the other states.
 
-    A breadth-first orbit of 0 gives a transversal ``reps[i]`` with
+    The transversal of the orbit of 0 gives ``reps[i]`` with
     ``reps[i][0] == i``.  Each Schreier generator ``reps[i] * g * reps[g[i]]^-1``
     fixes 0, and together they generate the stabilizer (Schreier's lemma),
     whose orbits are the classes of the union of ``q`` with ``s[q]`` over
@@ -198,15 +209,7 @@ def _is_two_transitive(gens: Sequence[_Perm], n: int) -> bool:
     holds all ``n - 1`` other states, and rejects only after every Schreier
     generator.  Each transversal inverse is taken once, when first needed.
     """
-    reps: list[_Perm | None] = [None] * n
-    reps[0] = tuple(range(n))
-    orbit = [0]
-    for i in orbit:  # the queue grows while it is walked
-        for g in gens:
-            j = g[i]
-            if reps[j] is None:
-                reps[j] = _mul(reps[i], g)
-                orbit.append(j)
+    reps, orbit = _transversal(gens, 0, n)
     if len(orbit) < n:
         return False
     inverses: list[_Perm | None] = [None] * n
@@ -303,7 +306,7 @@ def has_full_transition_monoid(d: Dfa) -> bool:
     n = d.n
     if n == 1:
         return True
-    if not any(t.rank() == n - 1 for _, t in d.letters):
+    if not d.rank_n_minus_one_letters():
         return False
-    return _generates_symmetric([t.images for _, t in d.letters if t.is_permutation()], n)
+    return _generates_symmetric([d.transformation(i).images for i in d.permutation_letters()], n)
 

@@ -380,6 +380,19 @@ class TestSearch:
         assert code == 2 and out == "" and str(path) in err
         assert path.read_bytes() == data
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda data: data, "was produced for a different n"), (lambda data: data[:40], "is not a census journal")],
+        ids=["n-3-journal", "n-3-header-cut-at-40-bytes"],
+    )
+    def test_resume_refuses_a_journal_for_another_n(self, capsys, tmp_path, edit, message):
+        path = tmp_path / "census.jsonl"
+        assert run(capsys, "search", "--n", "3", "--mode", "exhaustive", "--out", str(path))[0] == 0
+        path.write_bytes(data := edit(path.read_bytes()))
+        code, out, err = run(capsys, "search", "--n", "4", "--mode", "exhaustive", "--out", str(path))
+        assert code == 2 and out == "" and message in err
+        assert path.read_bytes() == data
+
     def test_summarize_a_record_without_rt_is_usage_error(self, capsys, tmp_path):
         path, _ = self.journal_with(tmp_path, lambda obj: {"type": "record"})
         code, out, err = run(capsys, "search", "summarize", str(path))
@@ -594,6 +607,17 @@ class TestTopLevel:
 
     @pytest.mark.parametrize(
         "argv",
+        [("gen", "--n", "4"), ("search", "foo.jsonl")],
+        ids=["gen-without-family", "search-with-a-file-but-no-action"],
+    )
+    def test_argparse_refuses_before_the_handler(self, capsys, argv):
+        # gen's --family is required; search's only positional action is 'summarize'
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ("search", "--n", "4", "--mode", "exhaustive", "--out"),
             ("search", "--n", "4", "--mode", "exhaustive", "--no-resume", "--out"),
@@ -672,6 +696,23 @@ class TestErrorBoundary:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"synchrokit: error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("rt", "--family", "cerny"), "--family requires --n"),
+            (("certify", "--family", "f"), "certify requires --n"),
+            (
+                ("export-dot", "--pair-digraph", "--certificate", "--family", "cerny", "--n", "4"),
+                "--certificate requires --family f",
+            ),
+        ],
+        ids=["rt-family-without-n", "certify-without-n", "certificate-of-another-family"],
+    )
+    def test_a_usage_check_is_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"synchrokit: error: {message}\n"
 
     REFUSED = [
         ("gen", "--family", "f", "--n", "6"),

@@ -98,6 +98,14 @@ class TestTransformation:
         assert MERGE4.excluded_state() == 1
         assert MERGE4.duplicate_state() == 0
 
+    def test_duplicate_is_the_repeated_image(self, rng):
+        # a permutation with position i overwritten by the image of j
+        for n in range(2, 40):
+            images = random_permutation(rng, n).images
+            i, j = rng.sample(range(n), 2)
+            t = Transformation(images[:i] + (images[j],) + images[i + 1 :])
+            assert (t.excluded_state(), t.duplicate_state()) == (images[i], images[j])
+
     def test_excluded_rejects_other_ranks(self):
         with pytest.raises(ValueError):
             CYCLE4.excluded_state()
@@ -353,6 +361,15 @@ def test_cached_groups_leave_equality_hash_repr_and_pickles_alone():
     rot, p = (vars(t)["_powers"][2] for t in d.transformations()[:2])
     assert len(rot) == n
     assert 0 < sum(1 + len(ups) + len(downs) for _, ups, downs in p.values()) < 5 * n
+
+
+def test_cached_rank_stays_out_of_pickles():
+    t = Transformation((2, 0, 2, 1))
+    assert t.rank() == 3 and vars(t)["_rank"] == 3
+    assert t.__getstate__() == {"images": (2, 0, 2, 1)}
+    copy = pickle.loads(pickle.dumps(t))
+    assert "_rank" not in vars(copy) and copy == t
+    assert copy.rank() == 3
 
 
 def reference_power_groups(t: Transformation, k: int) -> tuple:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -16,6 +17,8 @@ from synchrokit.monoid import (
     has_full_transition_monoid,
     is_two_transitive,
 )
+from synchrokit.pairgraph import build_pair_digraph
+from synchrokit.sync import extension_reset_word
 
 from conftest import group_contains, identity, pair_orbit_two_transitive, random_permutation
 
@@ -122,6 +125,10 @@ class TestGeneratesSymmetricGroup:
         # two 3-cycles on 5 points generate at most A_5
         gens = [Transformation((1, 2, 0, 3, 4)), Transformation((0, 1, 3, 4, 2))]
         assert not generates_symmetric_group(gens, 5)
+
+    def test_rejects_no_states(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            generates_symmetric_group([identity(1)], 0)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -291,6 +298,35 @@ NAMED_GROUPS = {
 }
 
 
+class TestTransversal:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_brute_force_orbit(self, seed):
+        # each generator permutes a random subset of the states, so the
+        # orbits are often proper
+        r = random.Random(seed)
+        for _ in range(60):
+            n = r.randint(1, 6)
+            gens = []
+            for _ in range(r.randint(0, 3)):
+                moved = r.sample(range(n), r.randint(1, n))
+                images = list(range(n))
+                for q, x in zip(moved, r.sample(moved, len(moved))):
+                    images[q] = x
+                gens.append(tuple(images))
+            base = r.randrange(n)
+            orbit = {base}
+            while (grown := orbit | {g[q] for g in gens for q in orbit}) != orbit:
+                orbit = grown
+            group = brute_force_group_closure([Transformation(g) for g in gens], n)
+            reps, order = monoid._transversal(gens, base, n)
+            assert order[0] == base and sorted(order) == sorted(orbit)
+            for q in range(n):
+                if q in orbit:
+                    assert reps[q][base] == q and reps[q] in group
+                else:
+                    assert reps[q] is None
+
+
 class TestIsTwoTransitive:
     """The Schreier-generator test against the pair-orbit BFS oracle."""
 
@@ -393,6 +429,25 @@ class TestHasFullTransitionMonoid:
 
     def test_single_state_is_full(self):
         assert has_full_transition_monoid(Dfa(1, (("a", Transformation((0,))),)))
+
+    def test_each_letter_rank_is_computed_once(self, monkeypatch):
+        # the extension synthesizer, the monoid test and the pair digraph
+        # all read the letter roles from the cached ranks
+        ranked = []
+        compute = Transformation._rank.func
+
+        def spy(t):
+            ranked.append(t)
+            return compute(t)
+
+        cached = functools.cached_property(spy)
+        cached.__set_name__(Transformation, "_rank")
+        monkeypatch.setattr(Transformation, "_rank", cached)
+        d = v(40)
+        assert extension_reset_word(d).verified
+        assert has_full_transition_monoid(d)
+        build_pair_digraph(d)
+        assert [sum(s is t for s in ranked) for t in d.transformations()] == [1] * 40
 
     def test_full_monoid_closure_has_all_maps(self):
         d = v(4)

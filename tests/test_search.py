@@ -669,6 +669,10 @@ class TestRandomExperiment:
         assert unconditioned["not_synchronizing"] == 4
         assert unconditioned["max"] == 22
 
+    def test_refuses_an_exhaustive_config(self):
+        with pytest.raises(ValueError, match="needs a RANDOM-mode config"):
+            random_rt_experiment(SearchConfig(n=4, mode=SearchMode.EXHAUSTIVE))
+
     def test_zero_trials(self):
         cfg = SearchConfig(n=6, mode=SearchMode.RANDOM, trials=0, seed=9)
         summary = random_rt_experiment(cfg)
@@ -1000,6 +1004,25 @@ class TestExperimentFileChecks:
         assert summarize_results(path)["complete"]
         objs = [json.loads(line) for line in path.read_text().splitlines()]
         edit(objs[0]["config"])
+        path.write_text("".join(map(search._json_line, objs)))
+        with pytest.raises(ValueError, match=message):
+            summarize_results(path)
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("random-rt", lambda objs: objs[0].update(config=[4]), "line 1: a header whose config is not an object"),
+            ("random-rt", lambda objs: objs[1].update(rt=-1), "line 2: rt -1 is negative"),
+            ("pair-diameter", lambda objs: objs[1].update(diameter=-1), "line 2: diameter -1 is negative"),
+            ("random-rt", lambda objs: objs[-1].update(resampled=-1), "line 22: resampled -1 is negative"),
+        ],
+        ids=["config-a-list", "negative-rt", "negative-diameter", "negative-resampled"],
+    )
+    def test_a_malformed_header_or_negative_count_is_refused(self, tmp_path, kind, edit, message):
+        path = tmp_path / "experiment.jsonl"
+        EXPERIMENT_FILES[kind](path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(objs)
         path.write_text("".join(map(search._json_line, objs)))
         with pytest.raises(ValueError, match=message):
             summarize_results(path)
