@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .core import Dfa, dfa_to_json_dict, format_dfa_text, load_dfa, loads_dfa
 from .families import _STATE_LABEL_BASE, FAMILY_CODES, build_family, cb, f
-from .monoid import generates_symmetric_group, has_full_transition_monoid
+from .monoid import _generates_and_full
 from .pairgraph import (
     _dot,
     build_pair_digraph,
@@ -193,8 +193,7 @@ def _cmd_monoid_check(args: argparse.Namespace) -> int:
     perm_letters = d.permutation_letters()
     rank_letters = d.rank_n_minus_one_letters()
     names = d.letter_names()
-    generates = generates_symmetric_group([d.transformation(i) for i in perm_letters], d.n)
-    full = has_full_transition_monoid(d)
+    generates, full = _generates_and_full(d)
     _print_json(
         {
             "n": d.n,
@@ -209,6 +208,8 @@ def _cmd_monoid_check(args: argparse.Namespace) -> int:
 
 def _cmd_pair_diam(args: argparse.Namespace) -> int:
     if args.experiment is not None:
+        if args.input is not None or args.family is not None:
+            raise ValueError("--experiment takes no input file or --family")
         if args.n is None:
             raise ValueError("--experiment requires --n")
         mode = SearchMode.RANDOM if args.experiment == "random" else SearchMode.EXHAUSTIVE

@@ -294,6 +294,12 @@ def is_two_transitive(perms: Sequence[Transformation], n: int) -> bool:
     return _is_two_transitive(_permutation_images(perms, n), n)
 
 
+def _generates_and_full(d: Dfa) -> tuple[bool, bool]:
+    """One recognizer run: do the permutation letters generate ``S_n``, and is the monoid full?"""
+    generates = _generates_symmetric([d.transformation(i).images for i in d.permutation_letters()], d.n)
+    return generates, generates and (d.n == 1 or bool(d.rank_n_minus_one_letters()))
+
+
 def has_full_transition_monoid(d: Dfa) -> bool:
     """True iff the letters generate every transformation of the state set.
 
@@ -303,10 +309,4 @@ def has_full_transition_monoid(d: Dfa) -> bool:
     Jordan-element walk with the chain order as fallback).  The
     single-state automaton is trivially full.
     """
-    n = d.n
-    if n == 1:
-        return True
-    if not d.rank_n_minus_one_letters():
-        return False
-    return _generates_symmetric([d.transformation(i).images for i in d.permutation_letters()], n)
-
+    return _generates_and_full(d)[1]

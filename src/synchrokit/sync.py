@@ -560,13 +560,6 @@ def _strata(d: Dfa, parent: array, letter: array) -> Iterator[np.ndarray]:
         yield frontier
 
 
-def _stratify(d: Dfa) -> tuple[list[np.ndarray], list[int], list[int]]:
-    """:func:`_strata` grown to its last level: the levels, ``parent`` and ``letter``."""
-    parent, letter = array("q", [-1]) * (d.n * d.n), array("q", [-1]) * (d.n * d.n)
-    levels = list(_strata(d, parent, letter))
-    return levels, parent.tolist(), letter.tolist()
-
-
 def _extension_letters(
     ts: Sequence[Transformation], x: int, first_crossing: Callable[[int], int], parent: array, letter: array
 ) -> list[int]:

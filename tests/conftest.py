@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from synchrokit.core import Dfa, StateSet, Transformation
 from synchrokit.monoid import PermutationGroup
 from synchrokit.pairgraph import PairDigraph, _bfs, _predecessors
+from synchrokit.sync import _strata
 
 settings.register_profile(
     "default",
@@ -92,6 +94,13 @@ def is_strongly_connected(p: PairDigraph) -> bool:
 def edges_at(levels, n: int) -> frozenset[tuple[int, int]]:
     """All edges ``(q, p)`` on the given levels of edge codes ``q * n + p``."""
     return frozenset(divmod(code, n) for level in levels for code in level.tolist())
+
+
+def stratify(d: Dfa):
+    """``sync._strata`` grown to its last level: the levels, ``parent`` and ``letter``."""
+    parent, letter = array("q", [-1]) * (d.n * d.n), array("q", [-1]) * (d.n * d.n)
+    levels = list(_strata(d, parent, letter))
+    return levels, parent.tolist(), letter.tolist()
 
 
 def strongly_connected_at(levels, n: int) -> bool:

@@ -35,14 +35,13 @@ from synchrokit.search import (
 )
 from synchrokit.sync import (
     NOT_SYNCHRONIZING,
-    _stratify,
     cb_reset_word,
     extension_reset_word,
     potential_lower_bound,
     reset_threshold_exact,
 )
 
-from conftest import random_dfa, singleton, strongly_connected_at
+from conftest import random_dfa, singleton, stratify, strongly_connected_at
 
 
 def _verdict(num: int, description: str, failures: list[str]) -> None:
@@ -158,7 +157,7 @@ def test_criterion_4_extension_algorithm_and_stratification():
                 failures.append(f"{label}(n={n}): word does not reset")
             if r.length > bound:
                 failures.append(f"{label}(n={n}): length {r.length} > {bound}")
-            levels = _stratify(d)[0]
+            levels = stratify(d)[0]
             if not strongly_connected_at(levels[: 2 * n - 2], n):
                 failures.append(f"{label}(n={n}): level {2 * n - 3} not strongly connected")
     _verdict(4, "extension words stay under 2n^2-6n+5 and level 2n-3 is one component", failures)

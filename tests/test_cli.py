@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from synchrokit import cli, search, sync
+from synchrokit import cli, monoid, search, sync
 from synchrokit.cli import main
 from synchrokit.core import loads_dfa
 from synchrokit.families import v
@@ -197,6 +197,59 @@ class TestMonoidCheck:
         assert code == 1
         assert obj["full_transition_monoid"] is False
         assert obj["permutation_letters"] == ["a"]
+
+    def test_runs_the_recognizer_once(self, capsys, monkeypatch):
+        calls = []
+        recognize = monoid._generates_symmetric
+
+        def spy(gens, n):
+            calls.append(n)
+            return recognize(gens, n)
+
+        monkeypatch.setattr(monoid, "_generates_symmetric", spy)
+        code, obj, _ = run_json(capsys, "monoid-check", "--family", "v", "--n", "30")
+        assert code == 0 and obj["full_transition_monoid"] is True
+        assert calls == [30]
+
+    FILES = {
+        "one.txt": "1 1\na 0\n",
+        "noperm.txt": "3 2\na 1 1 2\nb 0 0 1\n",
+        "norank.txt": "4 2\na 1 2 3 0\nb 1 0 2 3\n",
+        # PGL(2, 5) on the projective line, infinity as state 5: x + 1,
+        # 2x and -1/x, 3-transitive but not S_6; c has rank 5
+        "pgl25.txt": "6 4\nt 1 2 3 4 0 5\nm 0 2 4 1 3 5\ni 5 4 2 3 1 0\nc 1 1 2 3 4 5\n",
+    }
+
+    @pytest.mark.parametrize(
+        "argv, n, perms, ranks, generates, code",
+        [
+            (("--family", "cerny", "--n", "5"), 5, ["a"], ["b"], False, 1),
+            (("--family", "v", "--n", "6"), 6, ["a1", "a2", "a3", "a4", "a5"], ["a6"], True, 0),
+            (("--family", "rystsov", "--n", "5"), 5, ["a2", "a3", "a4"], ["a5"], False, 1),
+            (("--family", "cb", "--n", "6", "--k", "3"), 6, ["a", "c"], ["b"], True, 0),
+            (("one.txt",), 1, ["a"], [], True, 0),
+            (("noperm.txt",), 3, [], ["a", "b"], False, 1),
+            (("norank.txt",), 4, ["a", "b"], [], True, 1),
+            (("pgl25.txt",), 6, ["t", "m", "i"], ["c"], False, 1),
+        ],
+        ids=["cerny5", "v6", "rystsov5", "cb6-3", "one-state", "no-permutation", "no-rank-n-1", "pgl25"],
+    )
+    def test_output_bytes(self, capsys, tmp_path, monkeypatch, argv, n, perms, ranks, generates, code):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        got, out, err = run(capsys, "monoid-check", *argv)
+        assert got == code and err == ""
+        assert out == json.dumps(
+            {
+                "full_transition_monoid": code == 0,
+                "n": n,
+                "permutation_letters": perms,
+                "permutations_generate_symmetric_group": generates,
+                "rank_n_minus_one_letters": ranks,
+            },
+            indent=2,
+        ) + "\n"
 
 
 class TestPairDiam:
@@ -706,13 +759,30 @@ class TestErrorBoundary:
                 ("export-dot", "--pair-digraph", "--certificate", "--family", "cerny", "--n", "4"),
                 "--certificate requires --family f",
             ),
+            (
+                ("pair-diam", "/nonexistent.txt", "--experiment", "exhaustive", "--n", "4", "--out", "trials.jsonl"),
+                "--experiment takes no input file or --family",
+            ),
+            (
+                ("pair-diam", "--family", "f", "--n", "7", "--experiment", "random", "--trials", "3", "--seed", "1",
+                 "--out", "trials.jsonl"),
+                "--experiment takes no input file or --family",
+            ),
         ],
-        ids=["rt-family-without-n", "certify-without-n", "certificate-of-another-family"],
+        ids=[
+            "rt-family-without-n",
+            "certify-without-n",
+            "certificate-of-another-family",
+            "experiment-with-input-file",
+            "experiment-with-family",
+        ],
     )
-    def test_a_usage_check_is_exit_2(self, capsys, argv, message):
+    def test_a_usage_check_is_exit_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"synchrokit: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     REFUSED = [
         ("gen", "--family", "f", "--n", "6"),

@@ -179,6 +179,8 @@ class TestFamilySpec:
             build_family("f", 8)
         with pytest.raises(ValueError, match="v needs n >= 2"):
             build_family("v", 1)
+        with pytest.raises(ValueError, match="rystsov needs n >= 2"):
+            build_family("rystsov", 1)
 
     def test_k_only_for_cb(self):
         with pytest.raises(ValueError):

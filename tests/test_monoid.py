@@ -20,7 +20,13 @@ from synchrokit.monoid import (
 from synchrokit.pairgraph import build_pair_digraph
 from synchrokit.sync import extension_reset_word
 
-from conftest import group_contains, identity, pair_orbit_two_transitive, random_permutation
+from conftest import (
+    group_contains,
+    identity,
+    pair_orbit_two_transitive,
+    random_permutation,
+    random_transformation,
+)
 
 
 def monoid_closure_size(transformations) -> int:
@@ -452,6 +458,32 @@ class TestHasFullTransitionMonoid:
     def test_full_monoid_closure_has_all_maps(self):
         d = v(4)
         assert monoid_closure_size(d.transformations()) == 4**4
+
+    def test_one_run_answers_both_questions(self):
+        # permutation letters, maybe a rank n-1 letter and maybe a free
+        # transformation; below five states the closure decides fullness
+        r = random.Random(0x36)
+        seen = set()
+        for _ in range(400):
+            n = r.randint(1, 8)
+            letters = [random_permutation(r, n) for _ in range(r.randint(0, 3))]
+            if n > 1 and r.random() < 0.7:
+                images = list(range(n))
+                images[r.randrange(n)] = r.randrange(n)
+                letters.append(Transformation(tuple(images)))
+            if r.random() < 0.3:
+                letters.append(random_transformation(r, n))
+            if not letters:
+                letters.append(identity(n))
+            d = Dfa(n, tuple((f"x{i}", t) for i, t in enumerate(letters)))
+            generates, full = monoid._generates_and_full(d)
+            assert generates == generates_symmetric_group([d.transformation(i) for i in d.permutation_letters()], n)
+            assert full == (n == 1 or bool(d.rank_n_minus_one_letters()) and generates)
+            assert full == has_full_transition_monoid(d)
+            if n <= 4:
+                assert full == (monoid_closure_size(d.transformations()) == n**n)
+            seen.add((generates, full))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestMonoidClosureSize:

@@ -31,6 +31,7 @@ from conftest import (
     random_dfa,
     random_permutation,
     singleton,
+    stratify,
     strongly_connected_at,
 )
 
@@ -428,7 +429,7 @@ def reference_stratification(
 
 
 def stratification_witnesses(n: int, levels, parent, letter) -> dict[tuple[int, int], tuple[int, Word]]:
-    """``sync._stratify``'s output read as edge -> (seed letter, witness word)
+    """``stratify``'s output read as edge -> (seed letter, witness word)
     in discovery order, walking each edge's parent chain back to its seed edge."""
     witnesses = {}
     for code in (code for level in levels for code in level.tolist()):
@@ -565,7 +566,7 @@ class TestStratificationAgainstReference:
     @staticmethod
     def _agrees(d: Dfa) -> None:
         n = d.n
-        levels, parent, letter = sync._stratify(d)
+        levels, parent, letter = stratify(d)
         reference_levels, reference_witnesses = reference_stratification(d)
         assert len(levels) <= 2 * n - 2  # levels 0 .. 2n - 3
         assert all(level.dtype.kind == "i" for level in levels)
@@ -609,7 +610,7 @@ class TestStratificationAgainstReference:
         ],
     )
     def test_refusals(self, letters, message):
-        # sync._stratify leaves both refusals to extension_reset_word
+        # sync._strata leaves both refusals to extension_reset_word
         d = Dfa(3, tuple((f"x{i}", t) for i, t in enumerate(letters)))
         with pytest.raises(ValueError, match=message):
             reference_stratification(d)
@@ -630,7 +631,7 @@ class TestStratificationAgainstReference:
 
         d = v(100)
         monkeypatch.setattr(Word, "__post_init__", counting)
-        levels, _, _ = sync._stratify(d)
+        levels, _, _ = stratify(d)
         assert built == []
         assert sum(level.size for level in levels) == d.n * (d.n - 1)
 
@@ -638,26 +639,26 @@ class TestStratificationAgainstReference:
 class TestExtensionStratification:
     def test_seed_level_holds_merge_edges(self):
         d = v(6)
-        levels, _, _ = sync._stratify(d)
+        levels, _, _ = stratify(d)
         # the merge letter excludes state 1 and duplicates state 0
         assert [divmod(code, d.n) for code in levels[0].tolist()] == [(1, 0)]
 
     def test_levels_cover_all_pairs_within_bound(self):
         for n in (4, 6, 9):
-            levels, _, _ = sync._stratify(v(n))
+            levels, _, _ = stratify(v(n))
             assert len(levels) <= 2 * n - 2  # levels 0 .. 2n - 3
             assert len(edges_at(levels, n)) == n * (n - 1)
             assert strongly_connected_at(levels[: 2 * n - 2], n)
 
     def test_edges_monotone(self):
         n = 7
-        levels, _, _ = sync._stratify(v(n))
+        levels, _, _ = stratify(v(n))
         for lvl in range(2 * n - 3):
             assert edges_at(levels[: lvl + 1], n) <= edges_at(levels[: lvl + 2], n)
 
     def test_witnesses_carry_seed_onto_pair(self):
         d = v(6)
-        witnesses = stratification_witnesses(d.n, *sync._stratify(d))
+        witnesses = stratification_witnesses(d.n, *stratify(d))
         assert len(witnesses) == d.n * (d.n - 1)
         for pair, (seed, w) in witnesses.items():
             t = word_transformation(d, w)
@@ -672,7 +673,7 @@ class TestExtensionStratification:
         # and the permutation letter fixes it
         monkeypatch.setattr(sync, "_is_two_transitive", lambda gens, n: True)
         d = Dfa(4, (("a", Transformation((0, 1, 3, 2))), ("b", Transformation((0, 0, 2, 3)))))
-        levels, parent, letter = sync._stratify(d)
+        levels, parent, letter = stratify(d)
         assert [level.tolist() for level in levels] == [[1 * 4 + 0]]
         assert (parent[4], letter[4]) == (-1, 1)
         assert all(parent[code] == letter[code] == -1 for code in range(16) if code != 4)
@@ -713,7 +714,7 @@ class TestLazyStratification:
         # step i of v(n)'s chain reads level i: the last step, n - 2, is the
         # deepest level grown, though the full stratification goes to 2n - 3
         d = v(n)
-        levels, parent, letter = sync._stratify(d)
+        levels, parent, letter = stratify(d)
         r, grown, grown_parent, grown_letter, _ = grown_extension(monkeypatch, d)
         assert r.length == n * (n - 1) // 2
         assert len(grown) == n - 1 < len(levels) == 2 * n - 2
@@ -736,7 +737,7 @@ class TestLazyStratification:
         assert d.rank_n_minus_one_letters() == (7, 8)
         r, grown, _, _, after = grown_extension(monkeypatch, d)
         assert after == [(3, 16), (5, 20)]
-        assert len(grown) == 5 < len(sync._stratify(d)[0])
+        assert len(grown) == 5 < len(stratify(d)[0])
         assert r == reference_extension(d)
         assert r.word.letters[-1] == 7 and r.length == 16
 
